@@ -1177,9 +1177,9 @@ let opt_arg =
     & info [ "O"; "opt" ]
         ~doc:
           "Netlist-optimization level applied to the miter before \
-           bit-blasting: 0 disables, 1 runs strash/rewrites/cone-of-influence, \
-           2 (the default) adds SAT sweeping and register correspondence. \
-           Verdicts and counterexample depths are unaffected.")
+           bit-blasting: 0 disables it; 1 and 2 (the default) both run \
+           strash, algebraic rewrites and cone-of-influence. Verdicts and \
+           counterexample depths are unaffected.")
 
 let no_incremental_arg =
   Arg.(
@@ -1611,12 +1611,6 @@ let serve dir workers lease_s max_crashes shed retries cache_dir no_cache
 
 let worker dir job attempt = Serve.Worker.run ~dir ~job_id:job ~attempt
 
-let jfield_str j name =
-  match Obs.Json.member name j with Some (Obs.Json.Str s) -> s | _ -> ""
-
-let jfield_int j name =
-  match Obs.Json.member name j with Some (Obs.Json.Int i) -> i | _ -> 0
-
 let submit dir duts engine max_depth threshold wait =
   let submitted =
     List.map
@@ -1655,10 +1649,11 @@ let submit dir duts engine max_depth threshold wait =
                   Option.value ~default:(Obs.Json.Obj [])
                     (Obs.Json.member "job" resp)
                 in
-                Format.printf "%s %s: %s (depth %d, %.2fs)@." id
-                  (jfield_str job "dut") (jfield_str job "verdict")
-                  (jfield_int job "depth")
-                  (float_of_int (jfield_int job "wall_ms") /. 1000.);
+                let str k = Option.value ~default:"" (Obs.Json.str k job)
+                and int k = Option.value ~default:0 (Obs.Json.int k job) in
+                Format.printf "%s %s: %s (depth %d, %.2fs)@." id (str "dut")
+                  (str "verdict") (int "depth")
+                  (float_of_int (int "wall_ms") /. 1000.);
                 rc))
       rc submitted
 
@@ -1690,10 +1685,11 @@ let status dir as_json drain =
             "STATE" "CRASHES" "VERDICT";
           List.iter
             (fun j ->
-              Format.printf "%-6s %-10s %-7s %-12s %-8d %s@."
-                (jfield_str j "id") (jfield_str j "dut")
-                (jfield_str j "engine") (jfield_str j "state")
-                (jfield_int j "crashes") (jfield_str j "verdict"))
+              let str k = Option.value ~default:"" (Obs.Json.str k j) in
+              Format.printf "%-6s %-10s %-7s %-12s %-8d %s@." (str "id")
+                (str "dut") (str "engine") (str "state")
+                (Option.value ~default:0 (Obs.Json.int "crashes" j))
+                (str "verdict"))
             jobs;
           (match Obs.Json.member "draining" resp with
           | Some (Obs.Json.Bool true) -> Format.printf "(draining)@."

@@ -194,13 +194,12 @@ let map_sym o sym =
       | exception Not_found -> None)
     sym
 
-let optimize_instrumented ?sweep_solver ~opt ?(sym = []) full property =
+let optimize_instrumented ~opt ?(sym = []) full property =
   match opt with
   | Opt.O0 -> (full, property, (fun inputs -> inputs), None, sym)
-  | _ ->
+  | Opt.O2 ->
       let o =
-        Opt.optimize ~level:opt ?sweep_solver
-          ~keep_outputs:(prop_output_names property) full
+        Opt.optimize ~level:opt ~keep_outputs:(prop_output_names property) full
       in
       let property' =
         {
@@ -303,14 +302,13 @@ let flush_solver_metrics solvers =
       solvers
 
 (* The incremental engine: ONE solver instance lives for the whole run.
-   The optimizer's sweep queries run on it first (guarded, then retired
-   and simplified away — see {!Opt.optimize}), then each depth adds only
-   the new transition frame (a [Template] instantiation) and selects the
-   per-depth property via an activation literal: clauses [¬act_k ∨ …]
-   are inert until [solve ~assumptions:[act_k]], and a depth moving on
-   retires [act_k] with a unit clause. Learnt clauses and variable
-   activity therefore survive across depths — the amortization the whole
-   refactor is for. *)
+   Each depth adds only the new transition frame (a [Template]
+   instantiation) and selects the per-depth property via an activation
+   literal: clauses [¬act_k ∨ …] are inert until
+   [solve ~assumptions:[act_k]], and a depth moving on retires [act_k]
+   with a unit clause. Learnt clauses and variable activity therefore
+   survive across depths — the amortization the whole refactor is
+   for. *)
 let check_incremental ~max_depth ~progress ?solver_config ~stop ~opt ~budget
     ~sym circuit property =
   check_property "Bmc.check" property;
@@ -357,11 +355,8 @@ let check_incremental ~max_depth ~progress ?solver_config ~stop ~opt ~budget
   S.set_budget solver (solver_budget budget);
   solver_ref := Some solver;
   attach_sampling "check" solver;
-  (* The O2 sweep borrows the persistent solver: its queries obey this
-     run's budget/stop hooks, and the search heuristics arrive at depth
-     0 already warm. *)
   let circuit, sprop, widen, opt_stats, sym =
-    optimize_instrumented ~sweep_solver:solver ~opt ~sym full property
+    optimize_instrumented ~opt ~sym full property
   in
   opt_ref := opt_stats;
   let blaster =
@@ -923,13 +918,7 @@ let check_each ?(max_depth = 30) ?(progress = fun _ -> ()) ?solver_config
             match !opt_memo with
             | Some r -> r
             | None ->
-                (* The O2 sweep borrows the session solver under its own
-                   budget grant; its warm-up benefits every assertion. *)
-                S.set_budget solver (solver_budget budget);
-                let r =
-                  optimize_instrumented ~sweep_solver:solver ~opt ~sym full
-                    property
-                in
+                let r = optimize_instrumented ~opt ~sym full property in
                 opt_memo := Some r;
                 r
           in
@@ -1183,8 +1172,7 @@ type induction_outcome =
    the round's activation literal, and (step side) the uniqueness
    constraints pairing cycle k against earlier cycles; the previously
    installed pairs persist, so after round k the step instance carries
-   the full loop-free condition over cycles 0..k. The O2 sweep borrows
-   the base solver. *)
+   the full loop-free condition over cycles 0..k. *)
 let prove_incremental ~max_depth ~progress ?solver_config ~stop ~opt ~budget
     ~sym circuit property =
   check_property "Bmc.prove" property;
@@ -1220,7 +1208,7 @@ let prove_incremental ~max_depth ~progress ?solver_config ~stop ~opt ~budget
   attach_sampling "base" base_solver;
   solvers_ref := [ base_solver ];
   let circuit, sprop, widen, opt_stats, sym =
-    optimize_instrumented ~sweep_solver:base_solver ~opt ~sym full property
+    optimize_instrumented ~opt ~sym full property
   in
   opt_ref := opt_stats;
   let base =

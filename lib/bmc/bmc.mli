@@ -36,7 +36,7 @@ type stats = {
   propagations : int;
   restarts : int;  (** Luby restart periods completed *)
   opt : Opt.stats option;
-      (** netlist-optimization counters when running at [-O1]/[-O2];
+      (** netlist-optimization counters when running at [-O2];
           [None] at [-O0] *)
 }
 
@@ -161,9 +161,8 @@ val check :
 (** [check circuit property] with [max_depth] defaulting to 30 cycles.
 
     [incremental] (default [true]) selects the engine. Incrementally,
-    ONE solver instance lives for the whole run: the [-O2] sweep borrows
-    it first, the transition relation is blasted once as a template and
-    stamped out per depth, and each depth's property is selected by an
+    ONE solver instance lives for the whole run: the transition relation
+    is blasted once as a template and stamped out per depth, and each depth's property is selected by an
     activation literal that a clean verdict retires — learnt clauses and
     branching activity survive across depths. With [~incremental:false]
     every depth gets a fresh solver and a fresh direct re-blast of
@@ -287,7 +286,7 @@ val preoptimize :
     back into {!check} at [~opt:O0] reproduces the optimized run while
     keeping the optimization cost out of the measured interval — the
     benchmark harness uses it to share one O2 setup between the arms it
-    compares. The SAT sweep runs on a private throwaway solver here. *)
+    compares. *)
 
 val validate :
   Rtl.Circuit.t ->
@@ -369,10 +368,9 @@ val prove :
     in {!check} (including the calling-domain-only contract on
     [progress]). Incrementally the base and step solvers each persist
     across rounds (template frames, per-round activation literals, the
-    accumulated loop-free condition) and the [-O2] sweep borrows the
-    base solver; the scratch oracle rebuilds both instances per round
-    with direct unrollings and the full pairwise uniqueness constraint.
-    The register merges {!Opt} commits are inductive invariants, so they
-    are sound under the arbitrary-start-state encoding of the step
-    case. [sym] and [cache] behave as in {!check} ([Proved] joins the
+    accumulated loop-free condition); the scratch oracle rebuilds both
+    instances per round with direct unrollings and the full pairwise
+    uniqueness constraint. Every {!Opt} pass is a combinational rewrite
+    that holds in every state, so the optimized circuit is sound under
+    the arbitrary-start-state encoding of the step case. [sym] and [cache] behave as in {!check} ([Proved] joins the
     cacheable verdict set; [Unknown] is still never stored). *)

@@ -317,8 +317,7 @@ let create ?dir () =
     match dir with
     | None -> (None, None)
     | Some d ->
-        (try if not (Sys.file_exists d) then Sys.mkdir d 0o755
-         with Sys_error _ -> ());
+        (try Obs.Files.mkdir_p d with Sys_error _ -> ());
         let path = Filename.concat d "verdicts.jsonl" in
         (if Sys.file_exists path then
            try

@@ -41,7 +41,6 @@ type t = {
   t_lit : S.lit; (* literal that is constant true *)
   free_init : bool;
   mode : mode;
-  guard : S.lit option;
   sym : (Signal.t * Signal.t) list;
   mutable tpl : template option;
   mutable frames : S.lit array array list; (* per cycle, newest first *)
@@ -56,25 +55,16 @@ let lit_false t = S.neg t.t_lit
 
 let fresh_var t = S.lit (S.new_var t.solver) true
 
-(* All clauses of a guarded blaster carry the guard's negation, so the
-   whole blast is inert without the guard assumption and can be retired
-   wholesale with one unit clause (see [create ?guard]). *)
-let emit t lits =
-  match t.guard with
-  | None -> S.add_clause t.solver lits
-  | Some g -> S.add_clause t.solver (S.neg g :: lits)
-
 let scx t =
   {
     ctrue = t.t_lit;
     cfalse = S.neg t.t_lit;
     cneg = S.neg;
     cfresh = (fun () -> fresh_var t);
-    cemit = (fun ls -> emit t ls);
+    cemit = S.add_clause t.solver;
   }
 
-let create ?(free_init = false) ?(mode = Direct) ?guard ?(sym = []) solver
-    circuit =
+let create ?(free_init = false) ?(mode = Direct) ?(sym = []) solver circuit =
   let t_lit = S.lit (S.new_var solver) true in
   let t =
     {
@@ -83,14 +73,13 @@ let create ?(free_init = false) ?(mode = Direct) ?guard ?(sym = []) solver
       t_lit;
       free_init;
       mode;
-      guard;
       sym;
       tpl = None;
       frames = [];
       ncycles = 0;
     }
   in
-  emit t [ t_lit ];
+  S.add_clause solver [ t_lit ];
   t
 
 (* {1 Gate helpers}
@@ -502,7 +491,7 @@ let instantiate t tpl prev =
     if l land 1 = 0 then sv else S.neg sv
   in
   Array.iter
-    (fun cl -> emit t (Array.to_list (Array.map subst cl)))
+    (fun cl -> S.add_clause t.solver (Array.to_list (Array.map subst cl)))
     tpl.tpl_clauses;
   Array.map (fun bits -> Array.map subst bits) tpl.tpl_frame
 
@@ -576,8 +565,8 @@ let state_distinct t i j =
     let xors = Array.to_list (Array.map2 (gxor cx) a b) in
     (* One literal implied by the disjunction of the per-bit differences. *)
     let d = fresh_var t in
-    emit t (S.neg d :: xors);
-    List.iter (fun x -> emit t [ d; S.neg x ]) xors;
+    S.add_clause t.solver (S.neg d :: xors);
+    List.iter (fun x -> S.add_clause t.solver [ d; S.neg x ]) xors;
     d
 
 let node_value t ~cycle s =
@@ -591,5 +580,3 @@ let node_value t ~cycle s =
 
 let input_value t ~cycle name =
   node_value t ~cycle (Circuit.find_input t.circuit name)
-
-let xor_lit t a b = gxor (scx t) a b

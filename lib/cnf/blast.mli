@@ -31,7 +31,6 @@ type mode =
 val create :
   ?free_init:bool ->
   ?mode:mode ->
-  ?guard:Sat.Solver.lit ->
   ?sym:(Rtl.Signal.t * Rtl.Signal.t) list ->
   Sat.Solver.t ->
   Rtl.Circuit.t ->
@@ -58,15 +57,7 @@ val create :
     encoding. The instantiated CNF is variable-for-variable isomorphic
     to the unshared build, so verdicts and counterexample depths are
     unchanged by construction — the [cnf.sym_substituted] /
-    [cnf.sym_direct] metrics record how much of the cone was shared.
-
-    With [guard], {e every} clause the blaster emits (including the
-    constant-true unit) is weakened by the guard's negation: the whole
-    blast is inert unless [guard] is assumed, and one
-    [Sat.Solver.retire] of the guard followed by [Sat.Solver.simplify]
-    physically removes it — how a temporary session (e.g. the
-    optimizer's SAT sweep) borrows a long-lived solver and cleans up
-    after itself. *)
+    [cnf.sym_direct] metrics record how much of the cone was shared. *)
 
 val reg_lits : t -> cycle:int -> Sat.Solver.lit array
 (** The concatenated literals of every register at a cycle, in a fixed
@@ -90,7 +81,6 @@ val lit1 : t -> cycle:int -> Rtl.Signal.t -> Sat.Solver.lit
 (** The single literal of a 1-bit node. *)
 
 val lit_true : t -> Sat.Solver.lit
-val lit_false : t -> Sat.Solver.lit
 
 val node_value : t -> cycle:int -> Rtl.Signal.t -> Bitvec.t
 (** Read a node's value out of the solver model after a [Sat] answer. *)
@@ -100,10 +90,6 @@ val input_value : t -> cycle:int -> string -> Bitvec.t
 val fresh_var : t -> Sat.Solver.lit
 (** A fresh positive literal for auxiliary constraints (e.g. activation
     literals for bounded checks). *)
-
-val xor_lit : t -> Sat.Solver.lit -> Sat.Solver.lit -> Sat.Solver.lit
-(** Tseitin XOR of two literals, with local constant simplification —
-    building block for external miter constraints (e.g. SAT sweeping). *)
 
 val state_distinct : t -> int -> int -> Sat.Solver.lit
 (** [state_distinct t i j] is a literal that is true iff the register

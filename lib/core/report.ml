@@ -195,11 +195,6 @@ let json_of_opt_stats = function
           ("coi_dropped", Json.Int o.Opt.o_coi_dropped);
           ("cse_merged", Json.Int o.Opt.o_cse_merged);
           ("rewrites", Json.Int o.Opt.o_rewrites);
-          ("sweep_candidates", Json.Int o.Opt.o_sweep_candidates);
-          ("sweep_merged", Json.Int o.Opt.o_sweep_merged);
-          ("sweep_refuted", Json.Int o.Opt.o_sweep_refuted);
-          ("regs_merged", Json.Int o.Opt.o_regs_merged);
-          ("sat_queries", Json.Int o.Opt.o_sat_queries);
           ("opt_time_s", Json.Float o.Opt.o_time);
         ]
 

@@ -792,12 +792,6 @@ h3 { margin-bottom: 0.2em; }
     pf "</body></html>\n";
     Buffer.contents b
 
-  let rec mkdir_p dir =
-    if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-      mkdir_p (Filename.dirname dir);
-      try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
-
   (* {2 Resume support}
 
      The resume ledger is campaign.json itself: a persisted entry is
@@ -826,15 +820,12 @@ h3 { margin-bottom: 0.2em; }
       match Json.parse s with Ok j -> Some j | Error _ -> None
     with Sys_error _ -> None
 
-  let jstr = function Some (Json.Str s) -> Some s | _ -> None
-  let jint = function Some (Json.Int i) -> Some i | _ -> None
-
   let ref_of_json j =
     let ( let* ) = Option.bind in
-    let* name = jstr (Json.member "name" j) in
-    let culprit = jstr (Json.member "culprit" j) in
-    let* depth = jint (Json.member "minimized_depth" j) in
-    let* artifact = jstr (Json.member "artifact" j) in
+    let* name = Json.str "name" j in
+    let culprit = Json.str "culprit" j in
+    let* depth = Json.int "minimized_depth" j in
+    let* artifact = Json.str "artifact" j in
     (* Artifact names are generated by [artifact_name]; refuse anything
        that could escape the campaign directory. *)
     if Filename.basename artifact <> artifact then None
@@ -842,14 +833,14 @@ h3 { margin-bottom: 0.2em; }
 
   let persisted_of_json dir j =
     let ( let* ) = Option.bind in
-    let* label = jstr (Json.member "label" j) in
-    let* dut = jstr (Json.member "dut" j) in
-    let* status = jstr (Json.member "status" j) in
-    let* asserts = jint (Json.member "asserts" j) in
-    let* raw_cexs = jint (Json.member "raw_cexs" j) in
-    let* unknowns = jint (Json.member "unknowns" j) in
-    let* depth = jint (Json.member "max_depth" j) in
-    let* wall_ms = jint (Json.member "wall_ms" j) in
+    let* label = Json.str "label" j in
+    let* dut = Json.str "dut" j in
+    let* status = Json.str "status" j in
+    let* asserts = Json.int "asserts" j in
+    let* raw_cexs = Json.int "raw_cexs" j in
+    let* unknowns = Json.int "unknowns" j in
+    let* depth = Json.int "max_depth" j in
+    let* wall_ms = Json.int "wall_ms" j in
     let* chans =
       match Json.member "channels" j with Some (Json.List l) -> Some l | _ -> None
     in
@@ -866,7 +857,7 @@ h3 { margin-bottom: 0.2em; }
       let refs = List.rev refs in
       let artifact_ok cr =
         match read_json (Filename.concat dir cr.cr_artifact) with
-        | Some cj -> jstr (Json.member "schema" cj) = Some "autocc.channel/1"
+        | Some cj -> Json.str "schema" cj = Some "autocc.channel/1"
         | None -> false
       in
       if List.for_all artifact_ok refs then
@@ -884,7 +875,7 @@ h3 { margin-bottom: 0.2em; }
 
   let load_resume dir =
     match read_json (Filename.concat dir "campaign.json") with
-    | Some j when jstr (Json.member "schema" j) = Some "autocc.campaign/2" -> (
+    | Some j when Json.str "schema" j = Some "autocc.campaign/2" -> (
         match Json.member "entries" j with
         | Some (Json.List l) -> List.filter_map (persisted_of_json dir) l
         | _ -> [])
@@ -971,9 +962,8 @@ h3 { margin-bottom: 0.2em; }
 
   let read_heartbeat_pid dir =
     match read_json (heartbeat_path dir) with
-    | Some j when jstr (Json.member "schema" j) = Some "autocc.heartbeat/1"
-      -> (
-        match Json.member "pid" j with Some (Json.Int p) -> Some p | _ -> None)
+    | Some j when Json.str "schema" j = Some "autocc.heartbeat/1" ->
+        Json.int "pid" j
     | _ -> None
 
   let write_heartbeats dir (hb : (string, float * float * bool) Hashtbl.t) =
@@ -999,11 +989,9 @@ h3 { margin-bottom: 0.2em; }
           ("entries", Json.Obj entries);
         ]
     in
-    let path = heartbeat_path dir in
-    let tmp = path ^ ".tmp" in
     try
-      Json.write_file ~path:tmp j;
-      Sys.rename tmp path
+      Obs.Files.write_atomic ~path:(heartbeat_path dir)
+        (Json.to_string j ^ "\n")
     with Sys_error _ -> ()
 
   let run ?opt ?incremental ?symmetric ?cache ?(budget = Bmc.no_budget)
@@ -1016,7 +1004,7 @@ h3 { margin-bottom: 0.2em; }
     (match out_dir with
     | None -> ()
     | Some dir -> (
-        mkdir_p dir;
+        Obs.Files.mkdir_p dir;
         if not (Sys.file_exists dir && Sys.is_directory dir) then
           failwith ("campaign: cannot create output directory " ^ dir);
         let probe = Filename.concat dir ".autocc_write_probe" in

@@ -242,6 +242,15 @@ module Json = struct
     | Obj kvs -> List.assoc_opt key kvs
     | _ -> None
 
+  let str key j = match member key j with Some (Str s) -> Some s | _ -> None
+  let int key j = match member key j with Some (Int i) -> Some i | _ -> None
+
+  let num key j =
+    match member key j with
+    | Some (Float f) -> Some f
+    | Some (Int i) -> Some (float_of_int i)
+    | _ -> None
+
   let write_file ~path t =
     let oc = open_out path in
     let b = Buffer.create 4096 in
@@ -249,6 +258,26 @@ module Json = struct
     Buffer.add_char b '\n';
     output_string oc (Buffer.contents b);
     close_out oc
+end
+
+(* {1 Files} *)
+
+module Files = struct
+  let rec mkdir_p dir =
+    if dir <> "" && not (Sys.file_exists dir) then begin
+      mkdir_p (Filename.dirname dir);
+      (* A concurrent creator winning the race is not an error. *)
+      try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
+    end
+
+  (* The temp file lives next to the target so the rename stays within
+     one filesystem. *)
+  let write_atomic ~path contents =
+    let tmp = path ^ ".tmp" in
+    let oc = open_out tmp in
+    output_string oc contents;
+    close_out oc;
+    Sys.rename tmp path
 end
 
 (* {1 Clocks} *)
@@ -848,22 +877,14 @@ module Bus = struct
       :: payload st.ev)
 
   let stamped_of_json j =
-    let str name =
-      match Json.member name j with
-      | Some (Json.Str s) -> Ok s
-      | _ -> Error (Printf.sprintf "missing string field %S" name)
+    let field kind get name =
+      Option.to_result
+        ~none:(Printf.sprintf "missing %s field %S" kind name)
+        (get name j)
     in
-    let int name =
-      match Json.member name j with
-      | Some (Json.Int i) -> Ok i
-      | _ -> Error (Printf.sprintf "missing int field %S" name)
-    in
-    let num name =
-      match Json.member name j with
-      | Some (Json.Float f) -> Ok f
-      | Some (Json.Int i) -> Ok (float_of_int i)
-      | _ -> Error (Printf.sprintf "missing numeric field %S" name)
-    in
+    let str = field "string" Json.str
+    and int = field "int" Json.int
+    and num = field "numeric" Json.num in
     let ( let* ) = Result.bind in
     let* seq = int "seq" in
     let* ts = num "ts" in
@@ -1218,14 +1239,8 @@ module Prometheus = struct
   let render () = of_snapshot (Metrics.snapshot ())
 
   (* Atomic replace: a scraper (or `cat`) never sees a half-written
-     snapshot. The temp file lives next to the target so the rename
-     stays within one filesystem. *)
-  let write_file path =
-    let tmp = path ^ ".tmp" in
-    let oc = open_out tmp in
-    output_string oc (render ());
-    close_out oc;
-    Sys.rename tmp path
+     snapshot. *)
+  let write_file path = Files.write_atomic ~path (render ())
 end
 
 module Exposition = struct
@@ -1765,20 +1780,14 @@ module Ledger = struct
   let run_of_json j =
     let ( let* ) = Result.bind in
     let str k =
-      match Json.member k j with
-      | Some (Json.Str s) -> Ok s
-      | _ -> Error (Printf.sprintf "missing string field %S" k)
+      Option.to_result
+        ~none:(Printf.sprintf "missing string field %S" k)
+        (Json.str k j)
     in
-    let num k d =
-      match Json.member k j with
-      | Some (Json.Float f) -> f
-      | Some (Json.Int n) -> float_of_int n
-      | _ -> d
-    in
+    let num k d = Option.value ~default:d (Json.num k j) in
     let cache_int k =
       match Json.member "cache" j with
-      | Some c -> (
-          match Json.member k c with Some (Json.Int n) -> n | _ -> 0)
+      | Some c -> Option.value ~default:0 (Json.int k c)
       | None -> 0
     in
     let* s = str "schema" in
@@ -1801,14 +1810,9 @@ module Ledger = struct
                         a_name = n;
                         a_verdict = v;
                         a_depth =
-                          (match Json.member "depth" a with
-                          | Some (Json.Int d) -> d
-                          | _ -> -1);
+                          Option.value ~default:(-1) (Json.int "depth" a);
                         a_wall_s =
-                          (match Json.member "wall_s" a with
-                          | Some (Json.Float f) -> f
-                          | Some (Json.Int n) -> float_of_int n
-                          | _ -> -1.);
+                          Option.value ~default:(-1.) (Json.num "wall_s" a);
                         a_cached =
                           (match Json.member "cached" a with
                           | Some (Json.Bool b) -> b
@@ -1844,9 +1848,7 @@ module Ledger = struct
         }
 
   let append ~dir r =
-    (try
-       if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-     with Unix.Unix_error _ -> ());
+    (try Files.mkdir_p dir with Sys_error _ -> ());
     (* One write(2) per row: campaign coordinator and service workers
        append concurrently from separate processes. *)
     Appender.with_path (path dir) (fun ap ->
@@ -1938,18 +1940,14 @@ module Profile = struct
   let of_trace j =
     match Json.member "traceEvents" j with
     | Some (Json.List evs) ->
-        let num k e =
-          match Json.member k e with
-          | Some (Json.Float f) -> Some f
-          | Some (Json.Int n) -> Some (float_of_int n)
-          | _ -> None
-        in
         let spans =
           List.filter_map
             (fun e ->
               match (Json.member "ph" e, Json.member "name" e) with
               | Some (Json.Str "X"), Some (Json.Str name) -> (
-                  match (num "ts" e, num "dur" e, num "tid" e) with
+                  match
+                    (Json.num "ts" e, Json.num "dur" e, Json.num "tid" e)
+                  with
                   | Some ts, Some dur, Some tid when dur >= 0. ->
                       Some (tid, ts, dur, name)
                   | _ -> None)

@@ -60,8 +60,33 @@ module Json : sig
   val member : string -> t -> t option
   (** Field lookup in an [Obj]; [None] on missing field or non-object. *)
 
+  val str : string -> t -> string option
+  (** [str key j] is the string field [key] of [j]; [None] when the
+      field is missing or not a string. *)
+
+  val int : string -> t -> int option
+  (** The integer field [key]; [None] when missing or not an [Int]. *)
+
+  val num : string -> t -> float option
+  (** The number field [key]: a [Float], or an [Int] widened to float;
+      [None] when missing or not a number. *)
+
   val write_file : path:string -> t -> unit
   (** Write the value plus a trailing newline. *)
+end
+
+(** {1 Files} *)
+module Files : sig
+  val mkdir_p : string -> unit
+  (** Create a directory and any missing parents (mode [0o755]). An
+      existing directory is not an error. Raises [Sys_error] on
+      failure. *)
+
+  val write_atomic : path:string -> string -> unit
+  (** Replace [path] with the given contents by writing [path ^ ".tmp"]
+      and renaming it over [path], so a concurrent reader sees the old
+      file or the new one, never a torn one. Raises [Sys_error] on
+      failure. *)
 end
 
 (** {1 Clocks} *)

@@ -1,17 +1,14 @@
 module Signal = Rtl.Signal
 module Circuit = Rtl.Circuit
-module S = Sat.Solver
-module Blast = Cnf.Blast
 
-type level = O0 | O1 | O2
+type level = O0 | O2
 
 let level_of_int = function
   | n when n < 0 -> invalid_arg "Opt.level_of_int: negative level"
   | 0 -> O0
-  | 1 -> O1
   | _ -> O2
 
-let level_to_int = function O0 -> 0 | O1 -> 1 | O2 -> 2
+let level_to_int = function O0 -> 0 | O2 -> 2
 
 type stats = {
   o_nodes_before : int;
@@ -19,10 +16,7 @@ type stats = {
   o_coi_dropped : int;
   o_cse_merged : int;
   o_rewrites : int;
-  o_sweep_candidates : int;
   o_sweep_merged : int;
-  o_sweep_refuted : int;
-  o_regs_merged : int;
   o_sat_queries : int;
   o_time : float;
 }
@@ -34,10 +28,7 @@ let empty_stats =
     o_coi_dropped = 0;
     o_cse_merged = 0;
     o_rewrites = 0;
-    o_sweep_candidates = 0;
     o_sweep_merged = 0;
-    o_sweep_refuted = 0;
-    o_regs_merged = 0;
     o_sat_queries = 0;
     o_time = 0.;
   }
@@ -49,20 +40,15 @@ let add_stats a b =
     o_coi_dropped = a.o_coi_dropped + b.o_coi_dropped;
     o_cse_merged = a.o_cse_merged + b.o_cse_merged;
     o_rewrites = a.o_rewrites + b.o_rewrites;
-    o_sweep_candidates = a.o_sweep_candidates + b.o_sweep_candidates;
     o_sweep_merged = a.o_sweep_merged + b.o_sweep_merged;
-    o_sweep_refuted = a.o_sweep_refuted + b.o_sweep_refuted;
-    o_regs_merged = a.o_regs_merged + b.o_regs_merged;
     o_sat_queries = a.o_sat_queries + b.o_sat_queries;
     o_time = a.o_time +. b.o_time;
   }
 
 let pp_stats fmt s =
-  Format.fprintf fmt
-    "%d -> %d nodes (coi -%d, cse %d, rw %d; sweep %d/%d merged, %d refuted, %d regs, %d queries) %.3fs"
+  Format.fprintf fmt "%d -> %d nodes (coi -%d, cse %d, rw %d) %.3fs"
     s.o_nodes_before s.o_nodes_after s.o_coi_dropped s.o_cse_merged s.o_rewrites
-    s.o_sweep_merged s.o_sweep_candidates s.o_sweep_refuted s.o_regs_merged
-    s.o_sat_queries s.o_time
+    s.o_time
 
 type result = {
   opt_circuit : Circuit.t;
@@ -92,7 +78,7 @@ let cone circuit ~roots =
 
 (* {1 Structural rebuild: hash-consing + algebraic rewrites}
 
-   One bottom-up pass over the (resolved) graph. Every rebuilt node is
+   One bottom-up pass over the graph. Every rebuilt node is
    interned in a structural hash table keyed by operator, width and
    argument uids (commutative operands sorted), so structurally equal
    gates collapse; before a fresh gate is created the algebraic rules
@@ -125,7 +111,7 @@ let key_of op args w =
 
 (* The rebuild closure set: [clone] walks old nodes, [mk] interns and
    rewrites one operator application over already-rebuilt arguments. *)
-let rebuild ~cnt ~resolve roots =
+let rebuild ~cnt roots =
   let memo : (int, Signal.t) Hashtbl.t = Hashtbl.create 1024 in
   let strash : (string * int * int list, Signal.t) Hashtbl.t = Hashtbl.create 1024 in
   let copy_name old fresh =
@@ -351,13 +337,9 @@ let rebuild ~cnt ~resolve roots =
           | _ -> Signal.select x hi lo)
     | Signal.Const _ | Signal.Input _ | Signal.Reg _ -> assert false
   in
-  let rec clone s0 =
-    let s = resolve s0 in
+  let rec clone s =
     match Hashtbl.find_opt memo (Signal.uid s) with
-    | Some s' ->
-        if Signal.uid s0 <> Signal.uid s then
-          Hashtbl.replace memo (Signal.uid s0) s';
-        s'
+    | Some s' -> s'
     | None ->
         let s' =
           match Signal.op s with
@@ -371,401 +353,20 @@ let rebuild ~cnt ~resolve roots =
               (* Memoize before recursing: next-state functions refer back
                  to the register. *)
               Hashtbl.replace memo (Signal.uid s) fresh;
-              Hashtbl.replace memo (Signal.uid s0) fresh;
               Signal.reg_set_next fresh (clone (Option.get r.Signal.next));
               fresh
           | op -> mk op (Array.map clone (Signal.args s)) (Signal.width s)
         in
         copy_name s s';
         Hashtbl.replace memo (Signal.uid s) s';
-        Hashtbl.replace memo (Signal.uid s0) s';
         s'
   in
   let roots' = List.map (fun (n, s) -> (n, clone s)) roots in
   (roots', memo)
 
-(* {1 SAT sweeping and register correspondence}
-
-   Both passes share one solver and one [free_init] single-cycle blast of
-   the circuit: at cycle 0 every input AND every register is a fresh
-   variable, so a literal-level equivalence proof is an equivalence for
-   every valuation of inputs and current state. *)
-
-type sweep_counters = {
-  mutable sw_cand : int;
-  mutable sw_merged : int;
-  mutable sw_refuted : int;
-  mutable sw_regs : int;
-  mutable sw_queries : int;
-}
-
-(* Candidate detection: simulate random traces {e from reset} and group
-   nodes by their value sequences. Sampling reachable states (rather
-   than random state valuations) keeps as candidates the pairs that are
-   equal on every reachable state but differ on some unreachable one —
-   exactly the merges only the inductive pass below can discharge.
-
-   Signatures are accumulated as integer hashes rather than value lists:
-   [Bitvec.t] is normalized (structural equality coincides with value
-   equality), so [Hashtbl.hash] is value-stable and two nodes with equal
-   trace behaviour always hash equal. A collision between inequivalent
-   nodes merely creates a candidate pair the SAT pass refutes — never an
-   unsound merge — at one query of cost, for a signature phase with no
-   string building or per-node allocation. *)
-let sig_combine h v = ((h * 31) + Hashtbl.hash v) land max_int
-
-let trace_signatures ?(free_state = false) st ~ntraces ~len circuit =
-  let topo = Circuit.topo circuit in
-  let n = Array.length topo in
-  let sigs = Array.make n 0 in
-  let vals = Array.make n (Bitvec.zero 1) in
-  let state = Array.make n (Bitvec.zero 1) in
-  let regs = Circuit.regs circuit in
-  let idx s = Circuit.node_index circuit s in
-  for _ = 1 to ntraces do
-    List.iter
-      (fun r ->
-        state.(idx r) <-
-          (if free_state then Bitvec.random st (Signal.width r)
-           else (Signal.reg_of r).Signal.init))
-      regs;
-    for _ = 1 to len do
-      Array.iteri
-        (fun i s ->
-          let arg k = vals.(idx (Signal.args s).(k)) in
-          let v =
-            match Signal.op s with
-            | Signal.Const c -> c
-            | Signal.Input _ -> Bitvec.random st (Signal.width s)
-            | Signal.Reg _ -> state.(i)
-            | Signal.Not -> Bitvec.lognot (arg 0)
-            | Signal.And -> Bitvec.logand (arg 0) (arg 1)
-            | Signal.Or -> Bitvec.logor (arg 0) (arg 1)
-            | Signal.Xor -> Bitvec.logxor (arg 0) (arg 1)
-            | Signal.Add -> Bitvec.add (arg 0) (arg 1)
-            | Signal.Sub -> Bitvec.sub (arg 0) (arg 1)
-            | Signal.Mul -> Bitvec.mul (arg 0) (arg 1)
-            | Signal.Eq -> Bitvec.of_bool (Bitvec.equal (arg 0) (arg 1))
-            | Signal.Ult -> Bitvec.of_bool (Bitvec.ult (arg 0) (arg 1))
-            | Signal.Slt -> Bitvec.of_bool (Bitvec.slt (arg 0) (arg 1))
-            | Signal.Mux -> if Bitvec.bit (arg 0) 0 then arg 1 else arg 2
-            | Signal.Concat ->
-                Bitvec.concat_list
-                  (Array.to_list (Array.mapi (fun k _ -> arg k) (Signal.args s)))
-            | Signal.Slice (hi, lo) -> Bitvec.extract ~hi ~lo (arg 0)
-          in
-          vals.(i) <- v;
-          sigs.(i) <- sig_combine sigs.(i) v)
-        topo;
-      List.iter
-        (fun r ->
-          state.(idx r) <-
-            vals.(idx (Option.get (Signal.reg_of r).Signal.next)))
-        regs
-    done
-  done;
-  sigs
-
-(* Group a list by a key function (any hashable key), preserving
-   first-seen key order and within-class element order; classes of fewer
-   than two elements drop. *)
-let group_by key elems =
-  let tbl = Hashtbl.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun s ->
-      let k = key s in
-      (match Hashtbl.find_opt tbl k with
-      | None -> order := k :: !order
-      | Some _ -> ());
-      let prev = Option.value ~default:[] (Hashtbl.find_opt tbl k) in
-      Hashtbl.replace tbl k (s :: prev))
-    elems;
-  List.rev !order
-  |> List.filter_map (fun k ->
-         match List.rev (Hashtbl.find tbl k) with
-         | _ :: _ :: _ as cls -> Some cls
-         | _ -> None)
-
-(* Dominance bail-out for the sweep: its queries are one- and two-frame
-   solves on exactly the cone BMC is about to unroll, so the time the
-   solver spends inside them is a live observation of shallow-depth
-   solve cost. When the machinery around the queries — signatures,
-   blasting three frames, clause loading, xor ladders — has cost more
-   than [overhead_ratio] times the accumulated in-solver time, the cone
-   is discharging trivially and the sweep's fixed cost is the dominant
-   term of the whole -O2 run (the C1 row of BENCH_opt.json regressed to
-   0.55x this way); the sweep is abandoned and every unproven merge is
-   dropped, which is sound — skipping a sound reduction is itself
-   sound. On solver-bound cones the overhead fraction stays well under
-   the ratio and the sweep runs to completion, keeping both its merges
-   and the learnt clauses it seeds into a borrowed solver. The floor
-   delays the test past the setup phase, where the overhead fraction is
-   high for every cone because no queries have run yet. *)
-let sweep_bail_floor_s = 0.018
-let sweep_bail_overhead_ratio = 2.0
-
-let sweep ?solver ?(max_queries = 4000) circuit =
-  let t_start = Unix.gettimeofday () in
-  let solve_acc = ref 0. in
-  let sc =
-    { sw_cand = 0; sw_merged = 0; sw_refuted = 0; sw_regs = 0; sw_queries = 0 }
-  in
-  let merges : (int, Signal.t) Hashtbl.t = Hashtbl.create 64 in
-  let topo = Circuit.topo circuit in
-  let st = Random.State.make [| 0x0517AC; Array.length topo |] in
-  let sigs = trace_signatures st ~ntraces:12 ~len:6 circuit in
-  (* Free-state frames sharpen the combinational filter: a pair that
-     differs on some random (state, input) valuation is almost never a
-     profitable speculative merge, even when its from-reset traces
-     agree — every candidate filtered here saves a refuting SAT query. *)
-  let free_sigs = trace_signatures ~free_state:true st ~ntraces:64 ~len:1 circuit in
-  let sig_of s = sigs.(Circuit.node_index circuit s) in
-  let free_sig_of s = free_sigs.(Circuit.node_index circuit s) in
-  (* Combinational candidate classes: topo order puts the representative
-     (the class head) strictly before its members, so a member's cone can
-     never contain its representative and merging cannot create cycles.
-     Constants and inputs may lead a class (members merge into them) but
-     never merge away themselves. *)
-  let mergeable m =
-    match Signal.op m with
-    | Signal.Const _ | Signal.Input _ | Signal.Reg _ -> false
-    | _ -> true
-  in
-  let comb_classes =
-    Array.to_list topo
-    |> List.filter (fun s ->
-           match Signal.op s with Signal.Reg _ -> false | _ -> true)
-    |> group_by (fun s -> (Signal.width s, sig_of s, free_sig_of s))
-    |> List.filter_map (fun cls ->
-           match cls with
-           | rep :: members -> (
-               match List.filter mergeable members with
-               | [] -> None
-               | ms -> Some (rep :: ms))
-           | [] -> None)
-  in
-  (* Register candidate classes: same width, same reset value, same
-     from-reset behaviour on the sampled traces. *)
-  let reg_classes =
-    group_by
-      (fun r -> (Signal.width r, (Signal.reg_of r).Signal.init, sig_of r))
-      (Circuit.regs circuit)
-  in
-  let all_classes = comb_classes @ reg_classes in
-  List.iter
-    (fun cls -> sc.sw_cand <- sc.sw_cand + List.length cls - 1)
-    all_classes;
-  if all_classes = [] then (merges, sc)
-  else begin
-    (* Both SAT instances live on ONE solver — the caller's persistent
-       solver when [solver] is given (the BMC engine lends its instance
-       so learnt clauses and variable activity seeded here survive into
-       the depth queries that follow), a private one otherwise. When the
-       solver is borrowed, every clause this session emits is weakened
-       by a session guard so the whole sweep can be retired and
-       physically deleted before handing the solver back. *)
-    let ssolver = match solver with Some s -> s | None -> S.create () in
-    let guard = Option.map (fun _ -> S.new_act ssolver) solver in
-    let session_assumptions = match guard with None -> [] | Some g -> [ g ] in
-    (* Induction step instance: two unrolled frames with a free starting
-       state. Assuming the candidate equalities on frame 0 and proving a
-       pair equal on frame 1 discharges the induction step for every
-       (state, input) pair at once; registers read their frame-1 value
-       from their frame-0 next-state cone, so combinational nodes and
-       registers are handled uniformly. *)
-    let sblaster = Blast.create ~free_init:true ?guard ssolver circuit in
-    Blast.unroll_cycle sblaster;
-    Blast.unroll_cycle sblaster;
-    (* Base-case instance: one frame from the genuine reset state, inputs
-       free. Register pairs in a class share a reset value, so their
-       frame-0 literals coincide and the base case is free for them. *)
-    let bsolver = ssolver in
-    let bblaster = Blast.create ?guard bsolver circuit in
-    Blast.unroll_cycle bblaster;
-    (* A literal whose assumption forces [a <> b] at [cycle]; [None] when
-       the two nodes already blast to identical literals. *)
-    let diff blaster ~cycle a b =
-      let la = Blast.lits blaster ~cycle a and lb = Blast.lits blaster ~cycle b in
-      let xs = ref [] in
-      Array.iteri
-        (fun i ai ->
-          let x = Blast.xor_lit blaster ai lb.(i) in
-          if x <> Blast.lit_false blaster then xs := x :: !xs)
-        la;
-      match !xs with
-      | [] -> None
-      | xs ->
-          let d = Blast.fresh_var blaster in
-          S.add_clause (Blast.solver blaster) (S.neg d :: xs);
-          Some d
-    in
-    let timed_solve ~assumptions s =
-      let t = Unix.gettimeofday () in
-      let r = S.solve ~assumptions s in
-      solve_acc := !solve_acc +. (Unix.gettimeofday () -. t);
-      r
-    in
-    let budget_left () =
-      sc.sw_queries < max_queries
-      &&
-      let elapsed = Unix.gettimeofday () -. t_start in
-      elapsed <= sweep_bail_floor_s
-      || elapsed -. !solve_acc <= sweep_bail_overhead_ratio *. !solve_acc
-    in
-    let aborted = ref false in
-    (* Refinement is counterexample-guided: a refuting model satisfies
-       the frame-0 equalities of {e every} class, so its frame-1 values
-       re-partition all classes at once. Structures full of same-shape
-       but inequivalent nodes (cache lines) collapse to singletons in a
-       couple of models instead of one SAT query per member per round. *)
-    let model_key s = Blast.node_value sblaster ~cycle:1 s in
-    let split_by_model classes = List.concat_map (group_by model_key) classes in
-    let rec refine classes round =
-      if classes = [] then []
-      else if round > 64 || not (budget_left ()) then begin
-        aborted := true;
-        []
-      end
-      else begin
-        let act = Blast.fresh_var sblaster in
-        List.iter
-          (fun cls ->
-            match cls with
-            | rep :: members ->
-                let la = Blast.lits sblaster ~cycle:0 rep in
-                List.iter
-                  (fun m ->
-                    let lb = Blast.lits sblaster ~cycle:0 m in
-                    Array.iteri
-                      (fun i ai ->
-                        S.add_clause ssolver [ S.neg act; S.neg ai; lb.(i) ];
-                        S.add_clause ssolver [ S.neg act; ai; S.neg lb.(i) ])
-                      la)
-                  members
-            | [] -> ())
-          classes;
-        (* Walk every pair until one is refuted; [Some _] re-splits the
-           whole round's classes by the refuting model. *)
-        let rec walk = function
-          | [] -> None
-          | (rep :: members) :: rest ->
-              let rec go = function
-                | [] -> walk rest
-                | m :: ms -> (
-                    if not (budget_left ()) then begin
-                      aborted := true;
-                      None
-                    end
-                    else
-                      match diff sblaster ~cycle:1 rep m with
-                      | None -> go ms
-                      | Some d ->
-                          sc.sw_queries <- sc.sw_queries + 1;
-                          let r =
-                            timed_solve
-                              ~assumptions:(act :: d :: session_assumptions)
-                              ssolver
-                          in
-                          let resplit =
-                            match r with
-                            | S.Sat -> Some (split_by_model classes)
-                            | S.Unsat -> None
-                          in
-                          S.add_clause ssolver [ S.neg d ];
-                          if r = S.Unsat then go ms else resplit)
-              in
-              go members
-          | [] :: rest -> walk rest
-        in
-        let resplit = walk classes in
-        S.add_clause ssolver [ S.neg act ];
-        match resplit with
-        | Some classes' -> refine classes' (round + 1)
-        | None -> if !aborted then [] else classes
-      end
-    in
-    (* The induction fixpoint must also hold at reset for every input; a
-       member failing the base case weakens the induction hypothesis the
-       others used, so refinement reruns without it. *)
-    let rec establish classes =
-      match refine classes 1 with
-      | [] -> []
-      | classes -> (
-          let dropped = ref false in
-          let classes' =
-            List.filter_map
-              (fun cls ->
-                match cls with
-                | rep :: members -> (
-                    let keep =
-                      List.filter
-                        (fun m ->
-                          if !aborted then false
-                          else
-                            match diff bblaster ~cycle:0 rep m with
-                            | None -> true
-                            | Some d ->
-                                if not (budget_left ()) then begin
-                                  aborted := true;
-                                  false
-                                end
-                                else begin
-                                  sc.sw_queries <- sc.sw_queries + 1;
-                                  let r =
-                                    timed_solve
-                                      ~assumptions:(d :: session_assumptions)
-                                      bsolver
-                                  in
-                                  S.add_clause bsolver [ S.neg d ];
-                                  if r <> S.Unsat then dropped := true;
-                                  r = S.Unsat
-                                end)
-                        members
-                    in
-                    match keep with [] -> None | _ -> Some (rep :: keep))
-                | [] -> None)
-              classes
-          in
-          if !aborted then []
-          else if !dropped then establish classes'
-          else classes')
-    in
-    List.iter
-      (fun cls ->
-        match cls with
-        | rep :: members ->
-            List.iter
-              (fun m ->
-                Hashtbl.replace merges (Signal.uid m) rep;
-                match Signal.op m with
-                | Signal.Reg _ -> sc.sw_regs <- sc.sw_regs + 1
-                | _ -> sc.sw_merged <- sc.sw_merged + 1)
-              members
-        | [] -> ())
-      (establish all_classes);
-    sc.sw_refuted <- sc.sw_cand - sc.sw_merged - sc.sw_regs;
-    (* Hand a borrowed solver back clean: one unit clause disables every
-       guarded clause of the session, and [simplify] physically deletes
-       them, leaving only dead variables behind. *)
-    (match guard with
-    | Some g ->
-        S.retire ssolver g;
-        S.simplify ssolver
-    | None -> ());
-    (merges, sc)
-  end
-
 (* {1 Driver} *)
 
-(* Smallest post-structural cone worth sweeping.  Tuned on the bench
-   DUTs: the AES and MAPLE cones land near 200-240 nodes and solve in
-   single-digit milliseconds, so the sweep's fixed setup time dominates;
-   the Vscale and CVA6 cones (260+) recoup it comfortably. *)
-let sweep_min_nodes = 250
-
-let run_optimize ~level ?keep_outputs ?sweep_solver
-    ?(sweep_min = sweep_min_nodes) circuit =
+let run_optimize ~level ?keep_outputs circuit =
   let t0 = Unix.gettimeofday () in
   let nodes_before = Circuit.num_nodes circuit in
   match level with
@@ -780,7 +381,7 @@ let run_optimize ~level ?keep_outputs ?sweep_solver
             o_nodes_after = nodes_before;
           };
       }
-  | O1 | O2 ->
+  | O2 ->
       (* Fault-injection probe for the robustness tests: an armed
          [opt.pass] site makes the pipeline raise here, which the BMC
          engines downgrade to an Unknown verdict instead of crashing. *)
@@ -802,77 +403,19 @@ let run_optimize ~level ?keep_outputs ?sweep_solver
         List.map (fun p -> (p.Circuit.port_name, p.Circuit.signal)) kept
       in
       let cnt = { cse = 0; rw = 0 } in
-      let roots1, memo1 =
-        Obs.span "opt.strash" ~attrs:[ ("pass", Obs.Json.Int 1) ] @@ fun () ->
-        rebuild ~cnt ~resolve:(fun s -> s) roots
-      in
-      let visited = Hashtbl.length memo1 in
-      let mid =
-        Circuit.create ~name:(Circuit.name circuit) ~outputs:roots1 ()
-      in
-      let final, map2, sc =
-        (* The sweep's fixed cost — signature simulation plus a two-frame
-           induction instance — is only recouped when blasting and
-           solving dominate the run. Below a few hundred kept nodes the
-           structural passes have already saturated the gain, so [O2]
-           degenerates gracefully to the [O1] result (skipping a sound
-           reduction is itself sound). *)
-        if level = O1 || Circuit.num_nodes mid < sweep_min then
-          (mid, None, None)
-        else
-          let merges, sc =
-            Obs.span "opt.sweep" (fun () -> sweep ?solver:sweep_solver mid)
-          in
-          if Hashtbl.length merges = 0 then (mid, None, Some sc)
-          else begin
-            let rec resolve s =
-              match Hashtbl.find_opt merges (Signal.uid s) with
-              | Some s' when Signal.uid s' <> Signal.uid s -> resolve s'
-              | _ -> s
-            in
-            let roots2, memo2 =
-              Obs.span "opt.strash" ~attrs:[ ("pass", Obs.Json.Int 2) ]
-              @@ fun () -> rebuild ~cnt ~resolve roots1
-            in
-            let final =
-              Circuit.create ~name:(Circuit.name circuit) ~outputs:roots2 ()
-            in
-            (final, Some memo2, Some sc)
-          end
-      in
-      let opt_map s =
-        let m1 = Hashtbl.find memo1 (Signal.uid s) in
-        match map2 with
-        | None -> m1
-        | Some memo2 -> Hashtbl.find memo2 (Signal.uid m1)
-      in
-      let sw =
-        Option.value
-          ~default:
-            {
-              sw_cand = 0;
-              sw_merged = 0;
-              sw_refuted = 0;
-              sw_regs = 0;
-              sw_queries = 0;
-            }
-          sc
-      in
+      let roots', memo = Obs.span "opt.strash" (fun () -> rebuild ~cnt roots) in
+      let final = Circuit.create ~name:(Circuit.name circuit) ~outputs:roots' () in
       {
         opt_circuit = final;
-        opt_map;
+        opt_map = (fun s -> Hashtbl.find memo (Signal.uid s));
         opt_stats =
           {
+            empty_stats with
             o_nodes_before = nodes_before;
             o_nodes_after = Circuit.num_nodes final;
-            o_coi_dropped = nodes_before - visited;
+            o_coi_dropped = nodes_before - Hashtbl.length memo;
             o_cse_merged = cnt.cse;
             o_rewrites = cnt.rw;
-            o_sweep_candidates = sw.sw_cand;
-            o_sweep_merged = sw.sw_merged;
-            o_sweep_refuted = sw.sw_refuted;
-            o_regs_merged = sw.sw_regs;
-            o_sat_queries = sw.sw_queries;
             o_time = Unix.gettimeofday () -. t0;
           };
       }
@@ -880,13 +423,11 @@ let run_optimize ~level ?keep_outputs ?sweep_solver
 let m_opt_nodes_removed = lazy (Obs.Metrics.counter "opt.nodes_removed")
 let m_opt_cse = lazy (Obs.Metrics.counter "opt.cse_merged")
 let m_opt_rewrites = lazy (Obs.Metrics.counter "opt.rewrites")
-let m_opt_sweep_merged = lazy (Obs.Metrics.counter "opt.sweep_merged")
-let m_opt_sat_queries = lazy (Obs.Metrics.counter "opt.sat_queries")
 let m_opt_time = lazy (Obs.Metrics.series "opt.pass_seconds")
 
-let level_name = function O0 -> "O0" | O1 -> "O1" | O2 -> "O2"
+let level_name = function O0 -> "O0" | O2 -> "O2"
 
-let optimize ?(level = O2) ?keep_outputs ?sweep_solver ?sweep_min circuit =
+let optimize ?(level = O2) ?keep_outputs circuit =
   Obs.span "opt.optimize"
     ~attrs:
       [
@@ -894,15 +435,13 @@ let optimize ?(level = O2) ?keep_outputs ?sweep_solver ?sweep_min circuit =
         ("nodes", Obs.Json.Int (Circuit.num_nodes circuit));
       ]
   @@ fun () ->
-  let res = run_optimize ~level ?keep_outputs ?sweep_solver ?sweep_min circuit in
+  let res = run_optimize ~level ?keep_outputs circuit in
   let st = res.opt_stats in
   if Obs.Metrics.enabled () then begin
     Obs.Metrics.add (Lazy.force m_opt_nodes_removed)
       (st.o_nodes_before - st.o_nodes_after);
     Obs.Metrics.add (Lazy.force m_opt_cse) st.o_cse_merged;
     Obs.Metrics.add (Lazy.force m_opt_rewrites) st.o_rewrites;
-    Obs.Metrics.add (Lazy.force m_opt_sweep_merged) st.o_sweep_merged;
-    Obs.Metrics.add (Lazy.force m_opt_sat_queries) st.o_sat_queries;
     Obs.Metrics.record (Lazy.force m_opt_time) st.o_time
   end;
   res

@@ -13,37 +13,25 @@
       and slice-of-concat collapsing, nested-concat flattening;
     + {b cone-of-influence restriction}: only the outputs named in
       [keep_outputs] (for BMC: the property signals) are kept as roots —
-      logic feeding no assumption or assertion is never encoded;
-    + {b inductive SAT sweep with register correspondence} (level {!O2},
-      the van Eijk pass): candidate equivalence classes are proposed by
-      two signature families — reset-reachable random-simulation traces
-      and free-state frames (inputs {e and} registers random) — then
-      discharged by 2-frame induction on one incremental solver: class
-      equalities are assumed at cycle 0 under an activation literal,
-      each pair is queried at cycle 1, and a refuting model re-partitions
-      every class by its model values (CEGAR) until a fixpoint; a second
-      solver checks the base case from reset. Register pairs with equal
-      reset values merge the same way through their next-state
-      functions — in an AutoCC miter this is what collapses α/β register
-      pairs whose cones depend only on shared (common) inputs.
+      logic feeding no assumption or assertion is never encoded.
 
-    {b Soundness.} Classes surviving base + step are inductive
-    invariants: they hold on every reachable (state, input) pair, so
-    merging them preserves all traces from the initial state — the
-    optimized circuit is cycle-accurate against the original on the
-    simulator, and BMC verdicts {e and counterexample depths} are
-    unchanged. {!Bmc} additionally replays every counterexample found on
-    an optimized circuit against the {e unoptimized} instrumented
-    circuit, so optimizer bugs surface as {!Bmc.Replay_mismatch} rather
-    than as wrong answers. *)
+    {b Soundness.} Every pass is a local, semantics-preserving graph
+    rewrite, so the optimized circuit is cycle-accurate against the
+    original on the simulator, and BMC verdicts {e and counterexample
+    depths} are unchanged. {!Bmc} additionally replays every
+    counterexample found on an optimized circuit against the
+    {e unoptimized} instrumented circuit, so optimizer bugs surface as
+    {!Bmc.Replay_mismatch} rather than as wrong answers. The pipeline
+    is a deterministic function of its input: no SAT queries, no clock
+    and no randomness decide what it produces. *)
 
-type level = O0 | O1 | O2
-(** [O0] disables the pipeline, [O1] runs the structural passes
-    (strash, rewrites, cone-of-influence), [O2] adds the SAT-backed
-    sweeping and register-correspondence passes. *)
+type level = O0 | O2
+(** [O0] disables the pipeline; [O2] runs it: strash, rewrites and
+    cone-of-influence. *)
 
 val level_of_int : int -> level
-(** [0 -> O0], [1 -> O1], anything larger [-> O2]. Raises
+(** [0 -> O0], any positive level [-> O2] (the command line still
+    accepts [-O1], which runs the same pipeline). Raises
     [Invalid_argument] on negatives. *)
 
 val level_to_int : level -> int
@@ -54,12 +42,13 @@ type stats = {
   o_coi_dropped : int;  (** nodes outside the kept outputs' cones *)
   o_cse_merged : int;  (** structural-hash hits *)
   o_rewrites : int;  (** algebraic-rewrite hits *)
-  o_sweep_candidates : int;  (** class members proposed by the signatures *)
-  o_sweep_merged : int;  (** nodes proven equivalent and merged *)
-  o_sweep_refuted : int;  (** candidates dropped by induction/base checks *)
-  o_regs_merged : int;  (** registers merged by correspondence *)
-  o_sat_queries : int;  (** discharge queries issued *)
-  o_time : float;  (** seconds spent optimizing (including SAT) *)
+  o_sweep_merged : int;
+      (** always 0: the pipeline has no SAT sweep; kept because the
+          repository benchmark still reads it *)
+  o_sat_queries : int;
+      (** always 0: the pipeline issues no SAT queries; kept because the
+          repository benchmark still reads it *)
+  o_time : float;  (** seconds spent optimizing *)
 }
 
 val empty_stats : stats
@@ -88,30 +77,7 @@ type result = {
 }
 
 val optimize :
-  ?level:level ->
-  ?keep_outputs:string list ->
-  ?sweep_solver:Sat.Solver.t ->
-  ?sweep_min:int ->
-  Rtl.Circuit.t ->
-  result
+  ?level:level -> ?keep_outputs:string list -> Rtl.Circuit.t -> result
 (** [optimize circuit] runs the pipeline (default level {!O2}) over the
     outputs named in [keep_outputs] (default: all outputs). At {!O0} the
-    circuit is returned unchanged with the identity map.
-
-    The {!O2} sweep only runs when the post-structural circuit has at
-    least [sweep_min] nodes (default a few hundred): the sweep's fixed
-    cost — signature simulation plus an inductive discharge instance —
-    cannot be recouped on cones that already solve in milliseconds.
-    Pass [~sweep_min:0] to force the sweep regardless of size.
-
-    With [sweep_solver], the {!O2} sweep runs on the given (persistent)
-    solver instead of private instances: every clause of the sweep
-    session carries a session guard, and the session retires the guard
-    and calls {!Sat.Solver.simplify} before returning, so the solver
-    comes back with no live sweep clauses — only the learnt clauses and
-    variable activity seeded by the sweep queries, which is the point:
-    the BMC engine that lends its solver here starts its depth queries
-    warm. The borrowed solver's budget and stop hook govern the sweep
-    queries too, so a deadline or cancellation fires inside [optimize]
-    (as {!Sat.Solver.Out_of_budget} / {!Sat.Solver.Stopped}) rather
-    than being ignored until blasting begins. *)
+    circuit is returned unchanged with the identity map. *)

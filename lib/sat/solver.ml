@@ -14,8 +14,8 @@
    some literal of the clause, and when it is true propagation skips the
    clause without reading it.
 
-   [reduce_db] and [simplify] mark dead clauses and then compact the arena
-   in place ([compact]): live clauses slide down in address order and
+   [reduce_db] marks dead clauses and then compacts the arena in place
+   ([compact]): live clauses slide down in address order and
    every offset held elsewhere (clause lists, reasons, watch lists) is
    remapped or rebuilt in the same pass.
 
@@ -684,10 +684,6 @@ let is_locked s c =
   let l = s.arena.(c + 2) in
   s.reason.(l lsr 1) = c && s.vals.(l) <> 0
 
-let satisfied s c =
-  let rec go j stop = j < stop && (s.vals.(s.arena.(j)) = 1 || go (j + 1) stop) in
-  go (c + 2) (c + 2 + clause_len s c)
-
 (* Drop every clause marked deleted by sliding the live ones down over
    it, in address order, and re-point everything that names a clause by
    offset: the clause lists are rebuilt in the same order, the watch
@@ -926,39 +922,11 @@ let value s v =
    literal [a] by adding each clause as [¬a ∨ C], solve under the
    assumption [a] to activate the group, and retire the group forever
    with the unit clause [¬a] — after which every guarded clause is
-   satisfied at level 0 and {!simplify} may physically delete it. *)
+   satisfied at level 0. *)
 
 let new_act s = lit (new_var s) true
 let add_clause_act s ~act lits = add_clause s (neg act :: lits)
 let retire s act = add_clause s [ neg act ]
-
-(* Delete every clause satisfied at level 0 (retired groups, subsumed
-   problem clauses, satisfied learnts) and compact the arena.
-
-   Safe at decision level 0 only. Reason clauses of level-0 implied
-   literals are kept ([is_locked]) even when satisfied: level-0 vars are
-   never unassigned, and keeping their reasons means no dangling
-   offset question ever arises. Every surviving clause's watch
-   positions 0/1 are non-false at the level-0 fixpoint (propagation
-   moved the watches, or the clause was satisfied and is now gone), so
-   re-watching positions 0 and 1 preserves the watch invariant. *)
-let simplify s =
-  if s.ok then begin
-    assert (decision_level s = 0);
-    if propagate s <> no_reason then s.ok <- false
-    else begin
-      let deleted = ref false in
-      let sweep c =
-        if (not (is_locked s c)) && satisfied s c then begin
-          mark_deleted s c;
-          deleted := true
-        end
-      in
-      Vec.iter sweep s.clauses;
-      Vec.iter sweep s.learnts;
-      if !deleted then compact s
-    end
-  end
 
 let config s = s.config
 

@@ -15,10 +15,9 @@
     (a header word with its length and learnt/deleted bits, an activity
     slot, then its literals), and each literal has one flat watch list
     of (clause offset, blocker literal) pairs, so a clause whose blocker
-    is true is skipped without being read. Learnt-clause reduction and
-    {!simplify} compact the arena in place, sliding live clauses down in
-    address order and re-pointing reasons and watches in the same
-    pass. *)
+    is true is skipped without being read. Learnt-clause reduction
+    compacts the arena in place, sliding live clauses down in address
+    order and re-pointing reasons and watches in the same pass. *)
 
 type t
 
@@ -145,9 +144,8 @@ val solve : ?assumptions:lit list -> t -> result
     The protocol behind incremental BMC: a clause group guarded by a
     fresh activation literal [a] is dormant until a {!solve} call
     carries [a] as an assumption, and is permanently disabled by
-    {!retire} — the unit clause [¬a] — after which {!simplify} may
-    physically delete the group. Learnt clauses derived while [a] was
-    assumed mention [¬a] wherever they depend on the group, so they
+    {!retire} — the unit clause [¬a]. Learnt clauses derived while [a]
+    was assumed mention [¬a] wherever they depend on the group, so they
     remain sound (and become satisfied, then collectable) once the
     group is retired. *)
 
@@ -162,15 +160,8 @@ val add_clause_act : t -> act:lit -> lit list -> unit
 
 val retire : t -> lit -> unit
 (** [retire s act] adds the unit clause [¬act], permanently disabling
-    every clause guarded by [act]. The guarded clauses keep consuming
-    watch-list slots until the next {!simplify}. *)
-
-val simplify : t -> unit
-(** Physically delete every clause satisfied at decision level 0 —
-    retired groups and any clause satisfied by a root-level fact — and
-    rebuild the watch lists. Callable only between [solve]s. Cheap
-    relative to a solve (one pass over the clause database), so call it
-    after retiring a large group rather than after every query. *)
+    every clause guarded by [act]. The guarded clauses stay in the
+    clause database, satisfied at level 0. *)
 
 val value : t -> int -> bool
 (** Model value of a variable after a [Sat] answer. Unconstrained

@@ -8,24 +8,8 @@ module Json = Obs.Json
 
 let ( // ) = Filename.concat
 
-(* Shared JSON field accessors; the wire and the stores tolerate Int
-   where Float is expected (and vice versa for whole floats). *)
-let jstr j name =
-  match Json.member name j with Some (Json.Str s) -> Some s | _ -> None
-
-let jint j name =
-  match Json.member name j with Some (Json.Int i) -> Some i | _ -> None
-
-let jnum j name =
-  match Json.member name j with
-  | Some (Json.Float f) -> Some f
-  | Some (Json.Int i) -> Some (float_of_int i)
-  | _ -> None
-
 let atomic_write_json path j =
-  let tmp = path ^ ".tmp" in
-  Json.write_file ~path:tmp j;
-  Sys.rename tmp path
+  Obs.Files.write_atomic ~path (Json.to_string j ^ "\n")
 
 module Machine = struct
   type spec = {
@@ -287,24 +271,18 @@ module Store = struct
          ])
     ^ "\n"
 
-  let save ~dir t =
-    let p = path dir in
-    let tmp = p ^ ".tmp" in
-    let oc = open_out tmp in
-    output_string oc (render t);
-    close_out oc;
-    Sys.rename tmp p
+  let save ~dir t = Obs.Files.write_atomic ~path:(path dir) (render t)
 
   let job_of_json j =
     let ( let* ) = Result.bind in
-    let req f name = Option.to_result ~none:("queue.json: missing " ^ name) (f j name) in
-    let* id = req jstr "id" in
-    let* dut = req jstr "dut" in
-    let* engine = req jstr "engine" in
-    let* depth = req jint "max_depth" in
-    let* threshold = req jint "threshold" in
-    let* crashes = req jint "crashes" in
-    let* state = req jstr "state" in
+    let req f name = Option.to_result ~none:("queue.json: missing " ^ name) (f name j) in
+    let* id = req Json.str "id" in
+    let* dut = req Json.str "dut" in
+    let* engine = req Json.str "engine" in
+    let* depth = req Json.int "max_depth" in
+    let* threshold = req Json.int "threshold" in
+    let* crashes = req Json.int "crashes" in
+    let* state = req Json.str "state" in
     let spec =
       { Machine.sp_dut = dut; sp_engine = engine; sp_depth = depth; sp_threshold = threshold }
     in
@@ -313,10 +291,10 @@ module Store = struct
       | "pending" -> Ok (Machine.Pending { not_before = 0. })
       | "quarantined" -> Ok (Machine.Quarantined { q_crashes = crashes })
       | "done" ->
-          let* verdict = req jstr "verdict" in
-          let* w_depth = req jint "depth" in
-          let* wall_ms = req jint "wall_ms" in
-          let* cache_hits = req jint "cache_hits" in
+          let* verdict = req Json.str "verdict" in
+          let* w_depth = req Json.int "depth" in
+          let* wall_ms = req Json.int "wall_ms" in
+          let* cache_hits = req Json.int "cache_hits" in
           Ok
             (Machine.Done
                { w_verdict = verdict; w_depth; w_wall_ms = wall_ms; w_cache_hits = cache_hits })
@@ -334,11 +312,11 @@ module Store = struct
       close_in ic;
       match Json.parse s with
       | Error msg -> Error ("queue.json: " ^ msg)
-      | Ok j when jstr j "schema" <> Some schema ->
+      | Ok j when Json.str "schema" j <> Some schema ->
           Error "queue.json: unrecognized schema"
       | Ok j -> (
           let ( let* ) = Result.bind in
-          let* next = Option.to_result ~none:"queue.json: missing next" (jint j "next") in
+          let* next = Option.to_result ~none:"queue.json: missing next" (Json.int "next" j) in
           let* jobs =
             match Json.member "jobs" j with
             | Some (Json.List l) ->
@@ -385,25 +363,25 @@ module Proto = struct
     | Ping -> Json.Obj [ ("schema", Json.Str schema); ("op", Json.Str "ping") ]
 
   let request_of_json j =
-    if jstr j "schema" <> Some schema then
+    if Json.str "schema" j <> Some schema then
       Error ("expected schema " ^ schema)
     else
-      match jstr j "op" with
+      match Json.str "op" j with
       | Some "submit" -> (
-          match (jstr j "dut", jint j "max_depth") with
+          match (Json.str "dut" j, Json.int "max_depth" j) with
           | Some dut, Some depth ->
               Ok
                 (Submit
                    {
                      Machine.sp_dut = dut;
-                     sp_engine = Option.value ~default:"check" (jstr j "engine");
+                     sp_engine = Option.value ~default:"check" (Json.str "engine" j);
                      sp_depth = depth;
-                     sp_threshold = Option.value ~default:2 (jint j "threshold");
+                     sp_threshold = Option.value ~default:2 (Json.int "threshold" j);
                    })
           | _ -> Error "submit: dut and max_depth are required")
       | Some "status" -> Ok Status
       | Some "wait" -> (
-          match jstr j "job" with
+          match Json.str "job" j with
           | Some id -> Ok (Wait id)
           | None -> Error "wait: job is required")
       | Some "drain" -> Ok Drain
@@ -506,14 +484,14 @@ module Client = struct
                     | Some (Json.Bool true) -> Ok r
                     | Some (Json.Bool false) ->
                         Error
-                          (Option.value ~default:"request refused" (jstr r "error"))
+                          (Option.value ~default:"request refused" (Json.str "error" r))
                     | _ -> Error "malformed response: missing ok"))))
 
   let submit ~dir spec =
     match request ~dir (Proto.json_of_request (Proto.Submit spec)) with
     | Error _ as e -> e
     | Ok r -> (
-        match jstr r "job" with
+        match Json.str "job" r with
         | Some id -> Ok id
         | None -> Error "malformed response: missing job")
 
@@ -564,8 +542,13 @@ let read_job_spec dir id =
   match Json.parse s with
   | Error msg -> failwith (p ^ ": " ^ msg)
   | Ok j -> (
-      if jstr j "schema" <> Some job_schema then failwith (p ^ ": bad schema");
-      match (jstr j "dut", jstr j "engine", jint j "max_depth", jint j "threshold") with
+      if Json.str "schema" j <> Some job_schema then failwith (p ^ ": bad schema");
+      match
+        ( Json.str "dut" j,
+          Json.str "engine" j,
+          Json.int "max_depth" j,
+          Json.int "threshold" j )
+      with
       | Some dut, Some engine, Some depth, Some threshold ->
           { Machine.sp_dut = dut; sp_engine = engine; sp_depth = depth; sp_threshold = threshold }
       | _ -> failwith (p ^ ": missing fields"))
@@ -580,9 +563,15 @@ let read_result dir id : Machine.result option =
     match Json.parse s with
     | Error _ -> None
     | Ok j ->
-        if jstr j "schema" <> Some result_schema || jstr j "id" <> Some id then None
+        if Json.str "schema" j <> Some result_schema || Json.str "id" j <> Some id
+        then None
         else
-          (match (jstr j "verdict", jint j "depth", jint j "wall_ms", jint j "cache_hits") with
+          (match
+             ( Json.str "verdict" j,
+               Json.int "depth" j,
+               Json.int "wall_ms" j,
+               Json.int "cache_hits" j )
+           with
           | Some w_verdict, Some w_depth, Some w_wall_ms, Some w_cache_hits ->
               Some { Machine.w_verdict; w_depth; w_wall_ms; w_cache_hits }
           | _ -> None)
@@ -597,9 +586,9 @@ let read_lease dir id =
     match Json.parse s with
     | Error _ -> None
     | Ok j -> (
-        if jstr j "schema" <> Some lease_schema then None
+        if Json.str "schema" j <> Some lease_schema then None
         else
-          match (jint j "pid", jnum j "beat_s") with
+          match (Json.int "pid" j, Json.num "beat_s" j) with
           | Some pid, Some beat -> Some (pid, beat)
           | _ -> None)
 
@@ -744,15 +733,6 @@ module Daemon = struct
 
   let pid_path dir = dir // "serve.pid"
 
-  let mkdir_p dir =
-    let rec go d =
-      if d <> "" && d <> "/" && d <> "." && not (Sys.file_exists d) then begin
-        go (Filename.dirname d);
-        try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-      end
-    in
-    go dir
-
   let pid_alive pid =
     match Unix.kill pid 0 with
     | () -> true
@@ -810,8 +790,10 @@ module Daemon = struct
 
   let run cfg =
     let dir = cfg.d_dir in
-    mkdir_p dir;
-    List.iter (fun d -> mkdir_p (dir // d)) [ "jobs"; "hb"; "results"; "logs" ];
+    Obs.Files.mkdir_p dir;
+    List.iter
+      (fun d -> Obs.Files.mkdir_p (dir // d))
+      [ "jobs"; "hb"; "results"; "logs" ];
     (* Exactly one daemon per directory: two supervisors would lease the
        same jobs to different pools. *)
     (match
@@ -829,7 +811,7 @@ module Daemon = struct
     close_out oc;
     if cfg.d_metrics_file <> None then Obs.Metrics.enable ();
     Option.iter Obs.Exposition.start cfg.d_metrics_file;
-    Option.iter (fun d -> mkdir_p d) cfg.d_cache_dir;
+    Option.iter Obs.Files.mkdir_p cfg.d_cache_dir;
     let mcfg =
       {
         Machine.c_workers = cfg.d_workers;
