@@ -96,6 +96,55 @@ let test_json_roundtrip () =
       | Error _ -> ())
     [ ""; "{"; "[1,]"; "tru"; "\"unterminated"; "1 2"; "{\"a\":}" ]
 
+let test_json_accessors () =
+  (* Each accessor answers only for its own type; [num] also widens an
+     [Int], and a non-object or missing key is [None] for all three. *)
+  let j =
+    Json.Obj
+      [ ("s", Json.Str "x"); ("i", Json.Int 7); ("f", Json.Float 0.5);
+        ("n", Json.Null) ]
+  in
+  let opt_int = Alcotest.(option int) and opt_str = Alcotest.(option string) in
+  let opt_num = Alcotest.(option (float 0.)) in
+  Alcotest.check opt_str "str" (Some "x") (Json.str "s" j);
+  Alcotest.check opt_str "str of an int" None (Json.str "i" j);
+  Alcotest.check opt_int "int" (Some 7) (Json.int "i" j);
+  Alcotest.check opt_int "int of a float" None (Json.int "f" j);
+  Alcotest.check opt_int "int of a string" None (Json.int "s" j);
+  Alcotest.check opt_num "num of a float" (Some 0.5) (Json.num "f" j);
+  Alcotest.check opt_num "num widens an int" (Some 7.) (Json.num "i" j);
+  Alcotest.check opt_num "num of null" None (Json.num "n" j);
+  Alcotest.check opt_str "missing key" None (Json.str "absent" j);
+  Alcotest.check opt_int "non-object" None (Json.int "i" (Json.List [ j ]))
+
+(* {1 Files: nested mkdir and atomic replace} *)
+
+let test_files () =
+  let root = Filename.temp_file "test_obs" ".files" in
+  Sys.remove root;
+  let dir = Filename.concat (Filename.concat root "a") "b" in
+  let path = Filename.concat dir "f.txt" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ path; path ^ ".tmp" ];
+      List.iter
+        (fun d -> try Unix.rmdir d with Unix.Unix_error _ -> ())
+        [ dir; Filename.dirname dir; root ])
+  @@ fun () ->
+  Obs.Files.mkdir_p dir;
+  Alcotest.(check bool) "nested dir created" true (Sys.is_directory dir);
+  (* A second call on an existing directory is a no-op. *)
+  Obs.Files.mkdir_p dir;
+  let read () = In_channel.with_open_bin path In_channel.input_all in
+  Obs.Files.write_atomic ~path "first\n";
+  Alcotest.(check string) "written" "first\n" (read ());
+  Obs.Files.write_atomic ~path "second";
+  Alcotest.(check string) "replaced whole" "second" (read ());
+  Alcotest.(check bool) "no temp file left" false
+    (Sys.file_exists (path ^ ".tmp"))
+
 (* {1 Trace events: structure and span nesting} *)
 
 let test_span_structure () =
@@ -1028,7 +1077,12 @@ let fuzz_determinism =
 let () =
   Alcotest.run "obs"
     [
-      ("json", [ Alcotest.test_case "round-trip" `Quick test_json_roundtrip ]);
+      ( "json",
+        [
+          Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
+          Alcotest.test_case "field accessors" `Quick test_json_accessors;
+        ] );
+      ("files", [ Alcotest.test_case "mkdir_p and atomic write" `Quick test_files ]);
       ( "trace",
         [
           Alcotest.test_case "span structure" `Quick test_span_structure;

@@ -2,8 +2,9 @@
    simulator and the unoptimized BMC engine.
 
    Deterministic cases pin each pass individually (strash/CSE, algebraic
-   rewrites, cone-of-influence) and pin that a real -O2 run repeats
-   exactly; the fuzz section then drives [Opt.optimize] over random
+   rewrites, cone-of-influence), check that registers with different
+   resets are never merged and that a real -O2 run repeats exactly; the
+   fuzz section then drives [Opt.optimize] over random
    circuits and requires
 
    - cycle-accuracy: the optimized circuit and the original produce
@@ -130,6 +131,46 @@ let test_coi () =
   Alcotest.(check int) "no registers left" 0
     (List.length (Circuit.regs r.Opt.opt_circuit))
 
+let test_regs_apart () =
+  (* Twin register shapes with different reset values: -O2 must keep
+     both registers, and BMC at -O0 and -O2 must agree that they never
+     meet (r2 starts one ahead of r1 and both add the same input). *)
+  let open Signal in
+  let a = input "a" 4 in
+  let r1 = reg "r1" 4 in
+  let r2 = reg ~init:(Bitvec.of_int ~width:4 1) "r2" 4 in
+  reg_set_next r1 (r1 +: a);
+  reg_set_next r2 (r2 +: a);
+  let circuit =
+    Circuit.create ~name:"twins_ne" ~outputs:[ ("eq", r1 ==: r2) ] ()
+  in
+  let r = Opt.optimize ~level:Opt.O2 circuit in
+  Alcotest.(check int) "both registers kept" 2
+    (List.length (Circuit.regs r.Opt.opt_circuit));
+  let property =
+    { Bmc.assumes = []; asserts = [ ("ne", ~:(r1 ==: r2)) ] }
+  in
+  match
+    ( Bmc.check ~max_depth:3 ~opt:Opt.O0 circuit property,
+      Bmc.check ~max_depth:3 ~opt:Opt.O2 circuit property )
+  with
+  | Bmc.Bounded_proof _, Bmc.Bounded_proof _ -> ()
+  | _ -> Alcotest.fail "r1 <> r2 should hold (r2 starts at 1)"
+
+let test_sweep_stats_zero () =
+  (* The optimizer has no SAT sweep; the two sweep counters stay in
+     [Opt.stats] for readers of older reports and always read 0. *)
+  let open Signal in
+  let a = input "a" 4 and b = input "b" 4 in
+  let circuit =
+    Circuit.create ~name:"xor2"
+      ~outputs:[ ("o0", a ^: b); ("o1", (a |: b) &: ~:(a &: b)) ]
+      ()
+  in
+  let st = (Opt.optimize ~level:Opt.O2 circuit).Opt.opt_stats in
+  Alcotest.(check int) "sweep_merged" 0 st.Opt.o_sweep_merged;
+  Alcotest.(check int) "sat_queries" 0 st.Opt.o_sat_queries
+
 (* {1 Determinism}
 
    A verdict on fixed RTL is only worth re-running if the re-run takes
@@ -241,6 +282,10 @@ let () =
           Alcotest.test_case "algebraic rewrites" `Quick test_rewrites;
           Alcotest.test_case "eq-over-concat split" `Quick test_eq_over_concat;
           Alcotest.test_case "cone of influence" `Quick test_coi;
+          Alcotest.test_case "distinct registers stay apart" `Quick
+            test_regs_apart;
+          Alcotest.test_case "sweep counters read zero" `Quick
+            test_sweep_stats_zero;
         ] );
       ( "determinism",
         [
