@@ -1496,14 +1496,9 @@ let bechamel () =
    on any regression. *)
 
 let diff_read path =
-  let ic =
-    try open_in_bin path
-    with Sys_error e -> failwith (Printf.sprintf "bench diff: %s" e)
-  in
   let s =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
+    try In_channel.with_open_bin path In_channel.input_all
+    with Sys_error e -> failwith (Printf.sprintf "bench diff: %s" e)
   in
   match Json.parse s with
   | Ok j -> j

@@ -633,78 +633,6 @@ let campaign duts threshold max_depth timeout conflict_budget retries resume
 
 (* {1 top} *)
 
-(* Heartbeat sidecar of a campaign directory (written atomically by
-   Explain.Campaign): owner pid plus per-entry start/beat timestamps.
-   Parsed here rather than through Explain so [top] depends only on the
-   artifact schema, exactly like an external dashboard would. *)
-type heartbeats = {
-  hb_pid : int;
-  hb_entries : (string * (float * bool)) list;  (* label -> beat_s, done *)
-}
-
-let read_heartbeats dir =
-  let path = Filename.concat dir "heartbeats.json" in
-  if not (Sys.file_exists path) then None
-  else
-    try
-      let ic = open_in_bin path in
-      let s =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      match Obs.Json.parse s with
-      | Error _ -> None
-      | Ok j
-        when Obs.Json.member "schema" j
-             <> Some (Obs.Json.Str "autocc.heartbeat/1") ->
-          None
-      | Ok j ->
-        let pid =
-          match Obs.Json.member "pid" j with Some (Obs.Json.Int p) -> p | _ -> 0
-        in
-        let entries =
-          match Obs.Json.member "entries" j with
-          | Some (Obs.Json.Obj kvs) ->
-              List.filter_map
-                (fun (label, e) ->
-                  match
-                    (Obs.Json.member "beat_s" e, Obs.Json.member "done" e)
-                  with
-                  | Some (Obs.Json.Float b), Some (Obs.Json.Bool d) ->
-                      Some (label, (b, d))
-                  | _ -> None)
-                kvs
-          | _ -> []
-        in
-        Some { hb_pid = pid; hb_entries = entries }
-    with Sys_error _ | Failure _ -> None
-
-let pid_alive pid =
-  pid > 0
-  && (try
-        Unix.kill pid 0;
-        true
-      with Unix.Unix_error _ -> false)
-
-(* The cockpit row labels are "entry" or "entry/assertion"; heartbeats
-   are keyed by entry. *)
-let entry_of_label label =
-  match String.index_opt label '/' with
-  | Some i -> String.sub label 0 i
-  | None -> label
-
-let heartbeat_note hb ~stale ~now label =
-  match hb with
-  | None -> None
-  | Some hb -> (
-      match List.assoc_opt (entry_of_label label) hb.hb_entries with
-      | Some (beat, false) when now -. beat > stale ->
-          if pid_alive hb.hb_pid then
-            Some (Printf.sprintf "SLOW (beat %.0fs ago)" (now -. beat))
-          else Some "CRASHED (pid gone)"
-      | _ -> None)
-
 let top out_dir once json interval duration stale =
   let once = once || json in
   let events_path = Filename.concat out_dir "events.jsonl" in
@@ -720,37 +648,26 @@ let top out_dir once json interval duration stale =
   let rec frame () =
     drain ();
     let now = Unix.gettimeofday () in
-    let hb = read_heartbeats out_dir in
-    let note = heartbeat_note hb ~stale ~now in
     if json then
       print_string
-        (Obs.Json.to_string (Obs.Cockpit.render_json ~now ~note cockpit) ^ "\n")
+        (Obs.Json.to_string (Obs.Cockpit.render_json ~now ~stale cockpit) ^ "\n")
     else begin
       if not once then print_string "\027[2J\027[H";
-      print_string (Obs.Cockpit.render ~now ~note cockpit)
+      print_string (Obs.Cockpit.render ~now ~stale cockpit)
     end;
     flush stdout;
-    let settled () =
-      List.for_all
-        (fun r -> r.Obs.Cockpit.ro_verdict <> "running")
-        (Obs.Cockpit.rows cockpit)
-    in
+    (* The run is over when every row is settled and none of their
+       writers is still alive: between two campaign entries every row
+       reads settled, but the campaign process still runs. A run that
+       has not produced events yet has no rows and keeps us polling. *)
     let finished =
-      (* The campaign is over when its heartbeat file marks every entry
-         done, or when the owning process is gone and nothing is
-         running any more. *)
-      match hb with
-      | Some { hb_entries = _ :: _ as entries; hb_pid } ->
-          List.for_all (fun (_, (_, d)) -> d) entries
-          || ((not (pid_alive hb_pid)) && settled ())
-      | _ ->
-          (* A cleanly completed campaign deletes its heartbeat sidecar
-             on exit, so "events but no heartbeat file, and every row is
-             settled" also means over.  A campaign that has not produced
-             events yet has no rows and keeps us polling. *)
-          Obs.Cockpit.rows cockpit <> []
-          && (not (Sys.file_exists (Filename.concat out_dir "heartbeats.json")))
-          && settled ()
+      let rows = Obs.Cockpit.rows cockpit in
+      rows <> []
+      && List.for_all
+           (fun r ->
+             r.Obs.Cockpit.ro_verdict <> "running"
+             && not (Obs.Bus.pid_alive r.Obs.Cockpit.ro_pid))
+           rows
     in
     let timed_out =
       match duration with Some d -> now -. t_start >= d | None -> false
@@ -1435,17 +1352,18 @@ let top_cmd =
       & opt (pos_float "--stale") 10.0
       & info [ "stale" ] ~docv:"SECONDS"
           ~doc:
-            "Flag an unfinished entry whose last heartbeat is older than \
-             $(docv) as SLOW (owner process alive) or CRASHED (owner gone).")
+            "Flag a running row whose last event is older than $(docv) as \
+             silent (its writer process alive) or CRASHED (its writer gone).")
   in
   Cmd.v
     (Cmd.info "top"
        ~doc:
-         "Live cockpit for a running (or finished) campaign: tails \
-          DIR/events.jsonl — no IPC with the campaign process — and renders \
-          per-entry depth, verdict, cache hit ratio, solver conflict rate \
-          and an ETA, annotating stalled workers from DIR/heartbeats.json. \
-          Exits when the campaign completes.")
+         "Live cockpit for a running (or finished) campaign or service \
+          directory: tails DIR/events.jsonl — no IPC with the writers — and \
+          renders per-row depth, verdict, cache hit ratio, solver conflict \
+          rate and an ETA, flagging silent rows from each row's last event \
+          and writer pid. Exits once every row is settled and no writer is \
+          alive.")
     Term.(const top $ out_dir $ once $ json $ interval $ duration $ stale)
 
 let export_cmd =
@@ -1588,7 +1506,7 @@ let serve_dir_arg =
     & info [ "dir" ] ~docv:"DIR"
         ~doc:
           "Service directory: serve.sock, the persistent job queue \
-           (queue.json), per-job specs/heartbeats/results, worker logs, \
+           (queue.json), per-job specs and results, worker logs, \
            events.jsonl and runs.jsonl all live here.")
 
 let serve dir workers lease_s max_crashes shed retries cache_dir no_cache
@@ -1713,9 +1631,9 @@ let serve_cmd =
       & opt (pos_float "--lease") 10.0
       & info [ "lease" ] ~docv:"SECONDS"
           ~doc:
-            "Heartbeat staleness horizon: a leased worker whose last renewal \
-             is older than $(docv) is presumed hung, SIGKILLed, and its job \
-             redelivered.")
+            "Lease horizon: a leased worker whose last heartbeat event in \
+             DIR/events.jsonl is older than $(docv) is presumed hung, \
+             SIGKILLed, and its job redelivered.")
   in
   let max_crashes =
     Arg.(

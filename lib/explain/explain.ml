@@ -813,12 +813,9 @@ h3 { margin-bottom: 0.2em; }
   }
 
   let read_json path =
-    try
-      let ic = open_in_bin path in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Json.parse s with Ok j -> Some j | Error _ -> None
-    with Sys_error _ -> None
+    match In_channel.with_open_bin path In_channel.input_all with
+    | s -> ( match Json.parse s with Ok j -> Some j | Error _ -> None)
+    | exception Sys_error _ -> None
 
   let ref_of_json j =
     let ( let* ) = Option.bind in
@@ -888,12 +885,11 @@ h3 { margin-bottom: 0.2em; }
      fault) are re-swept, with the policy's escalated budget and
      alternate configuration, after the capped backoff. Conclusive
      verdicts from earlier rounds are never re-run and never change. *)
-  let sweep ?opt ?incremental ?(symmetric = true) ?cache ?(beat = fun () -> ())
-      ~budget ~retry ft ~max_depth =
+  let sweep ?opt ?incremental ?(symmetric = true) ?cache ~budget ~retry ft
+      ~max_depth =
     let property = ft.Ft.property in
     let run_asserts ~attempt asserts =
       Bmc.check_each ~max_depth ?opt ?incremental
-        ~progress:(fun _ -> beat ())
         ~sym:(if symmetric then ft.Ft.sym else [])
         ?cache
         ?solver_config:(Retry.config_for retry ~attempt)
@@ -946,53 +942,15 @@ h3 { margin-bottom: 0.2em; }
     in
     refine 0 (run_asserts ~attempt:0 property.Bmc.asserts)
 
-  (* {2 Heartbeats}
-
-     [heartbeats.json] lives beside [campaign.json] but is deliberately
-     a separate file: campaign.json must stay byte-identical across a
-     no-op [--resume] (the robustness smoke [cmp]s it), while heartbeats
-     are volatile liveness state. Schema [autocc.heartbeat/1]:
-     [{schema, pid, entries: {label: {started_s, beat_s, done}}}],
-     rewritten atomically (tmp + rename) so [autocc top] never reads a
-     torn file. A reader pairs [beat_s] with a liveness probe of [pid]
-     to tell a crashed campaign (pid dead, beat frozen) from a slow one
-     (pid alive, beat advancing or recent). *)
-
-  let heartbeat_path dir = Filename.concat dir "heartbeats.json"
-
-  let read_heartbeat_pid dir =
-    match read_json (heartbeat_path dir) with
-    | Some j when Json.str "schema" j = Some "autocc.heartbeat/1" ->
-        Json.int "pid" j
-    | _ -> None
-
-  let write_heartbeats dir (hb : (string, float * float * bool) Hashtbl.t) =
-    let entries =
-      List.sort compare
-        (Hashtbl.fold
-           (fun label (started, beat, finished) acc ->
-             ( label,
-               Json.Obj
-                 [
-                   ("started_s", Json.Float started);
-                   ("beat_s", Json.Float beat);
-                   ("done", Json.Bool finished);
-                 ] )
-             :: acc)
-           hb [])
-    in
-    let j =
-      Json.Obj
-        [
-          ("schema", Json.Str "autocc.heartbeat/1");
-          ("pid", Json.Int (Unix.getpid ()));
-          ("entries", Json.Obj entries);
-        ]
-    in
-    try
-      Obs.Files.write_atomic ~path:(heartbeat_path dir)
-        (Json.to_string j ^ "\n")
-    with Sys_error _ -> ()
+  (* The pid of the last complete event in [dir/events.jsonl]: the
+     process that most recently wrote to this campaign directory. *)
+  let last_writer_pid dir =
+    Obs.Tail.poll (Obs.Tail.create (Filename.concat dir "events.jsonl"))
+    |> List.rev
+    |> List.find_map (fun line ->
+           match Result.bind (Json.parse line) Obs.Bus.stamped_of_json with
+           | Ok st -> Some st.Obs.Bus.pid
+           | Error _ -> None)
 
   let run ?opt ?incremental ?symmetric ?cache ?(budget = Bmc.no_budget)
       ?(retry = Retry.default) ?(resume = false) ?out_dir
@@ -1023,56 +981,19 @@ h3 { margin-bottom: 0.2em; }
         Obs.Bus.attach ~file:(Filename.concat dir "events.jsonl") ();
         bus_owned := true
     | _ -> ());
-    (* A resume against a directory whose heartbeat file names a live,
-       different process is almost certainly a concurrent campaign on
-       the same state — warn, don't refuse (the pid may be recycled). *)
+    (* A resume against a directory whose last event was written by a
+       live, different process is almost certainly a concurrent
+       campaign on the same state — warn, don't refuse (the pid may be
+       recycled). *)
     (match (resume, out_dir) with
     | true, Some dir -> (
-        match read_heartbeat_pid dir with
-        | Some pid
-          when pid <> Unix.getpid ()
-               && (try
-                     Unix.kill pid 0;
-                     true
-                   with Unix.Unix_error _ -> false) ->
+        match last_writer_pid dir with
+        | Some pid when pid <> Unix.getpid () && Obs.Bus.pid_alive pid ->
             Obs.log
               ~attrs:[ ("pid", Json.Int pid) ]
               Obs.Warn "explain.live_campaign_conflict"
         | _ -> ())
     | _ -> ());
-    let hb : (string, float * float * bool) Hashtbl.t = Hashtbl.create 8 in
-    let hb_last = ref 0. in
-    let hb_flush ~force () =
-      match out_dir with
-      | None -> ()
-      | Some dir ->
-          let now = Unix.gettimeofday () in
-          (* Beats arrive per solved depth; throttle the rewrite so a
-             fast sweep doesn't turn into an fsync storm. *)
-          if force || now -. !hb_last >= 0.2 then begin
-            hb_last := now;
-            write_heartbeats dir hb
-          end
-    in
-    let hb_start label =
-      let now = Unix.gettimeofday () in
-      Hashtbl.replace hb label (now, now, false);
-      hb_flush ~force:true ()
-    in
-    let hb_beat label =
-      (match Hashtbl.find_opt hb label with
-      | Some (started, _, finished) ->
-          Hashtbl.replace hb label (started, Unix.gettimeofday (), finished)
-      | None -> ());
-      hb_flush ~force:false ()
-    in
-    let hb_done label =
-      (match Hashtbl.find_opt hb label with
-      | Some (started, _, _) ->
-          Hashtbl.replace hb label (started, Unix.gettimeofday (), true)
-      | None -> ());
-      hb_flush ~force:true ()
-    in
     Fun.protect ~finally:(fun () -> if !bus_owned then Obs.Bus.detach ())
     @@ fun () ->
     let persisted =
@@ -1100,14 +1021,12 @@ h3 { margin-bottom: 0.2em; }
       Obs.span "explain.campaign.entry" ~attrs:[ ("label", Json.Str e.e_label) ]
       @@ fun () ->
       let t0 = Unix.gettimeofday () in
-      hb_start e.e_label;
       Obs.Bus.publish (Obs.Bus.Job_start { goal_depth = e.e_max_depth });
       let fresh () =
         let ft = e.e_ft () in
         let outcomes =
-          sweep ?opt ?incremental ?symmetric ?cache
-            ~beat:(fun () -> hb_beat e.e_label)
-            ~budget ~retry ft ~max_depth:e.e_max_depth
+          sweep ?opt ?incremental ?symmetric ?cache ~budget ~retry ft
+            ~max_depth:e.e_max_depth
         in
         let cexs =
           List.filter_map
@@ -1190,7 +1109,6 @@ h3 { margin-bottom: 0.2em; }
          Obs.Bus.publish
            (Obs.Bus.Job_done
               { verdict; wall_s = Unix.gettimeofday () -. t0 }));
-      hb_done e.e_label;
       r
     in
     let artifacts = ref [] in
@@ -1249,13 +1167,6 @@ h3 { margin-bottom: 0.2em; }
     match out_dir with
     | None -> { c_results = results; c_artifacts = [] }
     | Some dir ->
-        (* Clean completion: the heartbeat sidecar is live-progress
-           state, meaningless once every entry has checkpointed —
-           leaving it behind would make the next `autocc top` of this
-           directory report a CRASHED owner pid. A campaign that dies
-           mid-run keeps its heartbeats, which is exactly the forensic
-           breadcrumb `top` needs. *)
-        (try Sys.remove (heartbeat_path dir) with Sys_error _ -> ());
         let index = Filename.concat dir "campaign.json" in
         let html = Filename.concat dir "report.html" in
         { c_results = results; c_artifacts = (index :: List.rev !artifacts) @ [ html ] }

@@ -208,7 +208,9 @@ module Campaign : sig
       and depth, every channel artifact present and valid — are reused
       without re-solving ([r_resumed = true]); all others are
       recomputed. Resuming an already-complete campaign rewrites
-      [campaign.json] byte-identically.
+      [campaign.json] byte-identically. A resume whose directory's last
+      [events.jsonl] event was written by another live process logs an
+      [explain.live_campaign_conflict] warning.
 
       [should_stop] (default: never) is polled at each entry boundary;
       when it returns [true] the remaining entries are skipped and the

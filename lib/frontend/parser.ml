@@ -352,12 +352,7 @@ let parse source =
   | [] -> raise (Parse_error ("no module in source", 1))
   | m :: _ -> m
 
-let read_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let source = really_input_string ic len in
-  close_in ic;
-  source
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let parse_file path = parse (read_file path)
 let parse_program_file path = parse_program (read_file path)

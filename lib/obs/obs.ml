@@ -36,7 +36,14 @@ module Json = struct
     else if Float.is_nan f || Float.abs f = Float.infinity then
       (* JSON has no NaN/inf; null is the least-wrong encoding. *)
       Buffer.add_string b "null"
-    else Buffer.add_string b (Printf.sprintf "%.9g" f)
+    else
+      (* Print what reads back as the same float. A wall-clock stamp
+         (~1.8e9 s) needs 16-17 digits: 9 would round it to 10 s, and
+         bus timestamps are what leases and the cockpit's silence
+         notes are measured with. *)
+      let s = Printf.sprintf "%.15g" f in
+      Buffer.add_string b
+        (if float_of_string s = f then s else Printf.sprintf "%.17g" f)
 
   let rec to_buffer b = function
     | Null -> Buffer.add_string b "null"
@@ -773,11 +780,12 @@ end
    (BMC depth loop, the parallel engine, the cache, campaign drivers)
    call {!Bus.publish}; when the bus is detached that is one atomic
    load. When attached, every event is stamped (monotone sequence
-   number, wall-clock timestamp, domain id, the current label scope)
-   under one mutex and lands in a bounded in-process ring buffer and —
-   when a file sink is attached — as one JSON line appended and flushed
-   immediately, so a crash loses at most the event being written and a
-   separate process can tail the file with no IPC. *)
+   number, wall-clock timestamp, domain id, writer pid, the current
+   label scope) under one mutex and appended to the file sink as one
+   JSON line, written immediately, so a crash loses at most the event
+   being written and a separate process can tail the file with no IPC.
+   That file is also the only liveness signal: a reader pairs a row's
+   last timestamp with a probe of its writer's pid. *)
 
 module Bus = struct
   type event =
@@ -798,7 +806,14 @@ module Bus = struct
     | Solver_stalled of { conflicts_per_s : float; learnts_per_s : float }
     | Heartbeat
 
-  type stamped = { seq : int; ts : float; tid : int; label : string; ev : event }
+  type stamped = {
+    seq : int;
+    ts : float;
+    tid : int;
+    pid : int;
+    label : string;
+    ev : event;
+  }
 
   (* The label scope names whose work the events describe (a campaign
      entry, then entry/assertion inside [check_each]). It is
@@ -819,10 +834,6 @@ module Bus = struct
   let enabled () = Atomic.get on
   let bus_mutex = Mutex.create ()
   let seq = ref 0
-  let ring_buf : stamped array ref = ref [||]
-  let ring_start = ref 0
-  let ring_len = ref 0
-  let dropped_count = ref 0
 
   (* O_APPEND + single-write line emission: service workers from
      separate processes append to the same events.jsonl, and buffered
@@ -872,6 +883,7 @@ module Bus = struct
       (("seq", Json.Int st.seq)
       :: ("ts", Json.Float st.ts)
       :: ("tid", Json.Int st.tid)
+      :: ("pid", Json.Int st.pid)
       :: ("label", Json.Str st.label)
       :: ("type", Json.Str (type_name st.ev))
       :: payload st.ev)
@@ -889,6 +901,7 @@ module Bus = struct
     let* seq = int "seq" in
     let* ts = num "ts" in
     let* tid = int "tid" in
+    let* pid = int "pid" in
     let* label = str "label" in
     let* ty = str "type" in
     let* ev =
@@ -931,40 +944,26 @@ module Bus = struct
       | "heartbeat" -> Ok Heartbeat
       | other -> Error (Printf.sprintf "unknown event type %S" other)
     in
-    Ok { seq; ts; tid; label; ev }
-
-  (* Overflow drops used to be invisible outside {!dropped}; surfacing
-     them in the metrics registry puts them on the Prometheus exposition
-     where a scraper can alert on ring under-sizing. *)
-  let m_dropped = lazy (Metrics.counter "bus.dropped_events")
-
-  let push_locked st =
-    let buf = !ring_buf in
-    let cap = Array.length buf in
-    if cap > 0 then
-      if !ring_len < cap then begin
-        buf.((!ring_start + !ring_len) mod cap) <- st;
-        incr ring_len
-      end
-      else begin
-        (* Full: overwrite the oldest. The file sink (when attached)
-           still has it; only the in-process view drops. *)
-        buf.(!ring_start) <- st;
-        ring_start := (!ring_start + 1) mod cap;
-        incr dropped_count;
-        Metrics.add (Lazy.force m_dropped) 1
-      end
+    Ok { seq; ts; tid; pid; label; ev }
 
   let publish ?label ev =
     if Atomic.get on then begin
       let label = match label with Some l -> l | None -> current_label () in
       let tid = domain_id () in
       Mutex.lock bus_mutex;
-      incr seq;
-      let st = { seq = !seq; ts = Clock.wall_s (); tid; label; ev } in
-      push_locked st;
       (match !sink with
       | Some ap -> (
+          incr seq;
+          let st =
+            {
+              seq = !seq;
+              ts = Clock.wall_s ();
+              tid;
+              pid = Unix.getpid ();
+              label;
+              ev;
+            }
+          in
           try Appender.json_line ap (json_of_stamped st)
           with Sys_error _ | Unix.Unix_error _ ->
             Appender.close ap;
@@ -973,23 +972,14 @@ module Bus = struct
       Mutex.unlock bus_mutex
     end
 
-  let attach ?(ring_capacity = 1024) ?file () =
-    if ring_capacity <= 0 then
-      invalid_arg "Obs.Bus.attach: ring_capacity must be positive";
+  let attach ~file () =
     Mutex.lock bus_mutex;
     (match !sink with Some ap -> Appender.close ap | None -> ());
-    let dummy =
-      { seq = 0; ts = 0.; tid = 0; label = ""; ev = Heartbeat }
-    in
-    ring_buf := Array.make ring_capacity dummy;
-    ring_start := 0;
-    ring_len := 0;
-    dropped_count := 0;
     (* Each attach opens a fresh run: seq restarts at 1, which is how
        readers of a shared events.jsonl (Cockpit, validators) detect a
        process boundary after --resume. *)
     seq := 0;
-    sink := Option.map Appender.open_path file;
+    sink := Some (Appender.open_path file);
     Atomic.set on true;
     Mutex.unlock bus_mutex
 
@@ -1002,21 +992,13 @@ module Bus = struct
       Mutex.unlock bus_mutex
     end
 
-  let ring () =
-    Mutex.lock bus_mutex;
-    let buf = !ring_buf in
-    let cap = Array.length buf in
-    let r =
-      List.init !ring_len (fun i -> buf.((!ring_start + i) mod cap))
-    in
-    Mutex.unlock bus_mutex;
-    r
-
-  let dropped () =
-    Mutex.lock bus_mutex;
-    let d = !dropped_count in
-    Mutex.unlock bus_mutex;
-    d
+  let pid_alive pid =
+    pid > 0
+    &&
+    match Unix.kill pid 0 with
+    | () -> true
+    | exception Unix.Unix_error (Unix.EPERM, _, _) -> true
+    | exception Unix.Unix_error _ -> false
 end
 
 (* {1 Solver health watchdog}
@@ -1296,8 +1278,9 @@ end
    A pure fold over stamped events (usually parsed back from an
    events.jsonl a campaign process is appending to) into one row per
    label: current depth, verdict, cache hit ratio, conflict rate, and
-   an ETA extrapolated from the per-depth solve times. The CLI tails
-   the file and re-renders; tests feed lines directly. *)
+   an ETA extrapolated from the per-depth solve times, plus the pid of
+   the row's latest writer for the liveness note. The CLI tails the
+   file and re-renders; tests feed lines directly. *)
 
 module Cockpit = struct
   type row = {
@@ -1315,6 +1298,7 @@ module Cockpit = struct
     mutable ro_first_ts : float;
     mutable ro_last_ts : float;
     mutable ro_wall : float;
+    mutable ro_pid : int; (* writer of the latest event *)
   }
 
   type t = {
@@ -1347,6 +1331,7 @@ module Cockpit = struct
             ro_first_ts = ts;
             ro_last_ts = ts;
             ro_wall = Float.nan;
+            ro_pid = 0;
           }
         in
         Hashtbl.replace t.c_rows label r;
@@ -1359,6 +1344,7 @@ module Cockpit = struct
     t.c_last_seq <- st.Bus.seq;
     let r = find_row t st.Bus.label st.Bus.ts in
     r.ro_last_ts <- Float.max r.ro_last_ts st.Bus.ts;
+    r.ro_pid <- st.Bus.pid;
     match st.Bus.ev with
     | Bus.Job_start { goal_depth } ->
         r.ro_goal <- goal_depth;
@@ -1453,7 +1439,16 @@ module Cockpit = struct
     | Some s when s < 3600. -> Printf.sprintf "%.1fm" (s /. 60.)
     | Some s -> Printf.sprintf "%.1fh" (s /. 3600.)
 
-  let render ?now ?(note = fun _ -> None) t =
+  (* A running row that has been silent past [stale] is either slow
+     (its writer is alive) or orphaned (its writer is gone). Settled
+     rows are never annotated: their silence is expected. *)
+  let liveness_note ~now ~stale ~alive r =
+    let age = now -. r.ro_last_ts in
+    if r.ro_verdict <> "running" || age <= stale then None
+    else if alive r.ro_pid then Some (Printf.sprintf "silent %.0fs" age)
+    else Some (Printf.sprintf "CRASHED (pid %d gone)" r.ro_pid)
+
+  let render ?now ?(stale = 10.) ?(alive = Bus.pid_alive) t =
     let now = match now with Some n -> n | None -> Clock.wall_s () in
     let buf = Buffer.create 1024 in
     let rs = rows t in
@@ -1492,7 +1487,6 @@ module Cockpit = struct
           if Float.is_nan r.ro_cps then "-"
           else Printf.sprintf "%.3g" r.ro_cps
         in
-        let age = now -. r.ro_last_ts in
         let notes =
           List.filter
             (fun s -> s <> "")
@@ -1502,10 +1496,7 @@ module Cockpit = struct
                else "");
               (if r.ro_faults > 0 then Printf.sprintf "%d faults" r.ro_faults
                else "");
-              (if r.ro_verdict = "running" && age > 10. then
-                 Printf.sprintf "silent %.0fs" age
-               else "");
-              (match note r.ro_label with Some s -> s | None -> "");
+              Option.value ~default:"" (liveness_note ~now ~stale ~alive r);
             ]
         in
         Buffer.add_string buf
@@ -1522,7 +1513,7 @@ module Cockpit = struct
   (* Machine-readable snapshot of the same fold (`autocc top --json`):
      one object per row, every number raw (no terminal formatting), so
      scripts gate on verdicts or ETAs without scraping the table. *)
-  let render_json ?now ?(note = fun _ -> None) t =
+  let render_json ?now ?(stale = 10.) ?(alive = Bus.pid_alive) t =
     let now = match now with Some n -> n | None -> Clock.wall_s () in
     let opt_float f = if Float.is_nan f then Json.Null else Json.Float f in
     let rows_json =
@@ -1544,7 +1535,7 @@ module Cockpit = struct
               ("wall_s", opt_float r.ro_wall);
               ("silent_s", Json.Float (Float.max 0. (now -. r.ro_last_ts)));
               ( "note",
-                match note r.ro_label with
+                match liveness_note ~now ~stale ~alive r with
                 | Some s -> Json.Str s
                 | None -> Json.Null );
             ])
@@ -1933,8 +1924,8 @@ module Profile = struct
     | Some i -> String.sub name 0 i
     | None -> name
 
-  (* Sub-microsecond slack: timestamps round-trip through %.9g, so a
-     child's recorded end can exceed its parent's by a hair. *)
+  (* Sub-microsecond slack: a child's recorded end can exceed its
+     parent's by a float rounding hair. *)
   let eps = 0.5
 
   let of_trace j =
@@ -2074,12 +2065,7 @@ module Profile = struct
     | _ -> Error "not a trace: no traceEvents array"
 
   let of_file path =
-    match
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
+    match In_channel.with_open_bin path In_channel.input_all with
     | exception Sys_error e -> Result.Error e
     | body -> (
         match Json.parse body with

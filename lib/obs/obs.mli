@@ -277,11 +277,13 @@ end
     campaign driver) call {!Bus.publish}; with the bus detached (the
     default) that costs one atomic load. When attached, each event is
     stamped — monotone per-process sequence number, wall-clock
-    timestamp, domain id, current {!Bus.with_label} scope — into a
-    bounded in-process ring buffer and, when a file sink was given, as
-    one JSON line appended and flushed to an [events.jsonl], so another
-    process ([autocc top]) can follow a live campaign by tailing the
-    file with no IPC and a crash loses at most one partial line. *)
+    timestamp, domain id, writer pid, current {!Bus.with_label} scope —
+    and appended as one JSON line to an [events.jsonl], so another
+    process ([autocc top], the [serve] daemon) can follow a live run by
+    tailing the file with no IPC and a crash loses at most one partial
+    line. The stream is also the only liveness signal: a silent row
+    whose writer pid is gone has crashed, and serve workers renew their
+    lease by publishing {!Heartbeat}. *)
 module Bus : sig
   type event =
     | Depth_solved of { depth : int; seconds : float }
@@ -301,22 +303,26 @@ module Bus : sig
         conflicts_per_s : float;
       }  (** Periodic sample from the solver health watchdog. *)
     | Solver_stalled of { conflicts_per_s : float; learnts_per_s : float }
-    | Heartbeat
+    | Heartbeat  (** A serve worker's lease renewal, once per depth. *)
 
-  type stamped = { seq : int; ts : float; tid : int; label : string; ev : event }
+  type stamped = {
+    seq : int;
+    ts : float;
+    tid : int;
+    pid : int;
+    label : string;
+    ev : event;
+  }
   (** [seq] is monotone within one publishing process (a resumed
-      campaign restarts it); [ts] is [Clock.wall_s]. *)
+      campaign restarts it); [ts] is [Clock.wall_s]; [pid] is the
+      publishing process. *)
 
-  val attach : ?ring_capacity:int -> ?file:string -> unit -> unit
-  (** Turn the bus on. [ring_capacity] bounds the in-process buffer
-      (default 1024; oldest events are dropped on overflow — the file
-      sink, which never drops, still has them). [file] is opened in
-      append mode and flushed per event. Replaces any previous
-      attachment. *)
+  val attach : file:string -> unit -> unit
+  (** Turn the bus on, appending to [file] (one [write] per event).
+      Replaces any previous attachment. *)
 
   val detach : unit -> unit
-  (** Turn the bus off and close the file sink. The ring remains
-      readable. Idempotent. *)
+  (** Turn the bus off and close the file sink. Idempotent. *)
 
   val enabled : unit -> bool
 
@@ -336,14 +342,12 @@ module Bus : sig
   val sub_label : string -> string
   (** [sub_label n] is ["scope/n"], or just [n] at top level. *)
 
-  val ring : unit -> stamped list
-  (** The buffered events, oldest first. *)
-
-  val dropped : unit -> int
-  (** Events evicted from the ring since {!attach}. *)
-
   val json_of_stamped : stamped -> Json.t
   val stamped_of_json : Json.t -> (stamped, string) result
+
+  val pid_alive : int -> bool
+  (** [kill 0] probe of an event writer: [true] while the process
+      exists ([EPERM] counts as alive), [false] for pids [<= 0]. *)
 end
 
 (** {1 Solver health watchdog}
@@ -453,6 +457,7 @@ module Cockpit : sig
     mutable ro_first_ts : float;
     mutable ro_last_ts : float;
     mutable ro_wall : float;
+    mutable ro_pid : int;  (** writer pid of the row's latest event *)
   }
 
   type t
@@ -476,23 +481,29 @@ module Cockpit : sig
       of the recorded per-depth times with a clamped growth ratio.
       [None] when the row is finished or has no depth data yet. *)
 
-  val render : ?now:float -> ?note:(string -> string option) -> t -> string
+  val render :
+    ?now:float -> ?stale:float -> ?alive:(int -> bool) -> t -> string
   (** The terminal table: a header (event/cache totals) and one line per
-      row. [note] appends an extra annotation per label (used by [top]
-      for heartbeat staleness). *)
+      row. A running row silent for more than [stale] seconds (default
+      10) is noted [CRASHED (pid N gone)] when [alive] (default
+      {!Bus.pid_alive}) says its latest writer is gone, and
+      [silent Ns] otherwise. Settled rows are never annotated. *)
 
-  val render_json : ?now:float -> ?note:(string -> string option) -> t -> Json.t
+  val render_json :
+    ?now:float -> ?stale:float -> ?alive:(int -> bool) -> t -> Json.t
   (** The same snapshot as an [autocc.top/1] JSON object (one element of
-      ["rows"] per cockpit row, raw numbers, [null] for unknowns) — the
+      ["rows"] per cockpit row, raw numbers, [null] for unknowns, the
+      liveness note of {!render} under ["note"]) — the
       [autocc top --json] payload for scripting. *)
 end
 
 (** {1 File tailing}
 
     Follow an append-only JSONL file by byte offset — the cross-process
-    half of [autocc top]. Torn trailing lines (a writer mid-append) are
-    carried to the next poll; a file that shrank (a fresh campaign
-    truncated it) restarts the tail from byte zero. *)
+    half of [autocc top] and of the serve daemon's lease renewals. Torn
+    trailing lines (a writer mid-append) are carried to the next poll; a
+    file that shrank (a fresh campaign truncated it) restarts the tail
+    from byte zero. *)
 module Tail : sig
   type t
 

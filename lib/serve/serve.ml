@@ -306,11 +306,7 @@ module Store = struct
     let p = path dir in
     if not (Sys.file_exists p) then Ok None
     else
-      let ic = open_in_bin p in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      match Json.parse s with
+      match Json.parse (In_channel.with_open_bin p In_channel.input_all) with
       | Error msg -> Error ("queue.json: " ^ msg)
       | Ok j when Json.str "schema" j <> Some schema ->
           Error "queue.json: unrecognized schema"
@@ -508,18 +504,17 @@ end
 
 (* {1 Per-job files}
 
-   jobs/<id>.json   the immutable spec, written at accept time
-   hb/<id>.json     the worker's lease renewal, atomically rewritten
+   jobs/<id>.json    the immutable spec, written at accept time
    results/<id>.json the deposited verdict, atomically written once
 
-   All three are tmp+rename so the daemon never reads a torn file. *)
+   Both are tmp+rename so the daemon never reads a torn file. Lease
+   renewals are not files: workers publish [Heartbeat] events to the
+   shared events.jsonl, which the daemon tails. *)
 
 let job_schema = "autocc.serve.job/1"
-let lease_schema = "autocc.serve.lease/1"
 let result_schema = "autocc.serve.result/1"
 
 let job_file dir id = dir // "jobs" // (id ^ ".json")
-let lease_file dir id = dir // "hb" // (id ^ ".json")
 let result_file dir id = dir // "results" // (id ^ ".json")
 
 let write_job_spec dir id (s : Machine.spec) =
@@ -536,10 +531,7 @@ let write_job_spec dir id (s : Machine.spec) =
 
 let read_job_spec dir id =
   let p = job_file dir id in
-  let ic = open_in_bin p in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  match Json.parse s with
+  match Json.parse (In_channel.with_open_bin p In_channel.input_all) with
   | Error msg -> failwith (p ^ ": " ^ msg)
   | Ok j -> (
       if Json.str "schema" j <> Some job_schema then failwith (p ^ ": bad schema");
@@ -557,10 +549,7 @@ let read_result dir id : Machine.result option =
   let p = result_file dir id in
   if not (Sys.file_exists p) then None
   else
-    let ic = open_in_bin p in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Json.parse s with
+    match Json.parse (In_channel.with_open_bin p In_channel.input_all) with
     | Error _ -> None
     | Ok j ->
         if Json.str "schema" j <> Some result_schema || Json.str "id" j <> Some id
@@ -576,36 +565,12 @@ let read_result dir id : Machine.result option =
               Some { Machine.w_verdict; w_depth; w_wall_ms; w_cache_hits }
           | _ -> None)
 
-let read_lease dir id =
-  let p = lease_file dir id in
-  if not (Sys.file_exists p) then None
-  else
-    let ic = open_in_bin p in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Json.parse s with
-    | Error _ -> None
-    | Ok j -> (
-        if Json.str "schema" j <> Some lease_schema then None
-        else
-          match (Json.int "pid" j, Json.num "beat_s" j) with
-          | Some pid, Some beat -> Some (pid, beat)
-          | _ -> None)
-
 module Worker = struct
-  let renew_lease dir id attempt =
+  let renew_lease () =
     (* The "serve.lease" site models a lost renewal (NFS hiccup, paging
-       stall): the write is skipped, the solve continues, and the
+       stall): the heartbeat is skipped, the solve continues, and the
        supervisor's expiry machinery must cope. *)
-    if not (Fault.fire "serve.lease") then
-      atomic_write_json (lease_file dir id)
-        (Json.Obj
-           [
-             ("schema", Json.Str lease_schema);
-             ("pid", Json.Int (Unix.getpid ()));
-             ("attempt", Json.Int attempt);
-             ("beat_s", Json.Float (Unix.gettimeofday ()));
-           ])
+    if not (Fault.fire "serve.lease") then Obs.Bus.publish Obs.Bus.Heartbeat
 
   let crash_probe () =
     (* The "serve.worker" site is the real thing, not an exception the
@@ -620,7 +585,7 @@ module Worker = struct
     Fun.protect ~finally:Obs.Bus.detach @@ fun () ->
     Obs.Bus.with_label (job_id ^ "/" ^ spec.sp_dut) @@ fun () ->
     Obs.Bus.publish (Obs.Bus.Job_start { goal_depth = spec.sp_depth });
-    renew_lease dir job_id attempt;
+    renew_lease ();
     crash_probe ();
     let cache =
       match Sys.getenv_opt "AUTOCC_CACHE_DIR" with
@@ -630,7 +595,7 @@ module Worker = struct
     let dut = Duts.Bundled.build spec.sp_dut in
     let ft = Duts.Bundled.ft_for ~threshold:spec.sp_threshold spec.sp_dut dut in
     let progress _k =
-      renew_lease dir job_id attempt;
+      renew_lease ();
       crash_probe ()
     in
     let t0 = Unix.gettimeofday () in
@@ -733,53 +698,6 @@ module Daemon = struct
 
   let pid_path dir = dir // "serve.pid"
 
-  let pid_alive pid =
-    match Unix.kill pid 0 with
-    | () -> true
-    | exception Unix.Unix_error (Unix.EPERM, _, _) -> true
-    | exception Unix.Unix_error _ -> false
-
-  (* Aggregate per-job liveness into the campaign heartbeat schema so
-     `autocc top` renders service jobs exactly like campaign entries:
-     entry keys match the job half of the workers' "id/dut" bus
-     labels. *)
-  let write_heartbeats dir (m : Machine.t) started =
-    let entries =
-      List.filter_map
-        (fun (j : Machine.job) ->
-          let start =
-            match Hashtbl.find_opt started j.Machine.j_id with
-            | Some t -> t
-            | None -> 0.
-          in
-          let beat, fin =
-            match j.Machine.j_state with
-            | Machine.Leased l -> (l.last_beat, false)
-            | Machine.Done _ | Machine.Quarantined _ -> (start, true)
-            | Machine.Pending _ -> (start, false)
-          in
-          if start = 0. then None
-          else
-            Some
-              ( j.Machine.j_id,
-                Json.Obj
-                  [
-                    ("started_s", Json.Float start);
-                    ("beat_s", Json.Float beat);
-                    ("done", Json.Bool fin);
-                  ] ))
-        m.Machine.m_jobs
-    in
-    try
-      atomic_write_json (dir // "heartbeats.json")
-        (Json.Obj
-           [
-             ("schema", Json.Str "autocc.heartbeat/1");
-             ("pid", Json.Int (Unix.getpid ()));
-             ("entries", Json.Obj entries);
-           ])
-    with Sys_error _ -> ()
-
   let m_queue = lazy (Obs.Metrics.gauge "serve.queue_depth")
   let m_leased = lazy (Obs.Metrics.gauge "serve.leased")
   let m_submitted = lazy (Obs.Metrics.counter "serve.submitted")
@@ -793,7 +711,7 @@ module Daemon = struct
     Obs.Files.mkdir_p dir;
     List.iter
       (fun d -> Obs.Files.mkdir_p (dir // d))
-      [ "jobs"; "hb"; "results"; "logs" ];
+      [ "jobs"; "results"; "logs" ];
     (* Exactly one daemon per directory: two supervisors would lease the
        same jobs to different pools. *)
     (match
@@ -802,7 +720,7 @@ module Daemon = struct
        close_in ic;
        int_of_string_opt (String.trim line)
      with
-    | Some pid when pid <> Unix.getpid () && pid_alive pid ->
+    | Some pid when pid <> Unix.getpid () && Obs.Bus.pid_alive pid ->
         Printf.eprintf "autocc serve: %s is already served by pid %d\n%!" dir pid;
         exit 1
     | _ | (exception Sys_error _) -> ());
@@ -833,7 +751,6 @@ module Daemon = struct
         (fun s -> if not cfg.d_quiet then Printf.printf "serve: %s\n%!" s)
         fmt
     in
-    let started : (string, float) Hashtbl.t = Hashtbl.create 16 in
     let dirty = ref true in
     let exit_requested = ref false in
     let pid_to_id : (int * string) list ref = ref [] in
@@ -904,7 +821,6 @@ module Daemon = struct
     and apply = function
       | Machine.Accept { id } ->
           Obs.Metrics.add (Lazy.force m_submitted) 1;
-          Hashtbl.replace started id (Unix.gettimeofday ());
           (match Machine.find !machine id with
           | Some j -> write_job_spec dir id j.Machine.j_spec
           | None -> ());
@@ -1058,17 +974,30 @@ module Daemon = struct
                       { id; pid; result; now = Unix.gettimeofday () })));
           reap ()
     in
-    let poll_beats () =
-      List.iter
+    (* Lease renewals are the workers' Heartbeat events. The tail starts
+       at byte 0, and that needs no seek: a beat from before this
+       incarnation (or from an expired attempt) cannot extend a lease,
+       because its pid leases nothing now or its timestamp is older
+       than the [Spawned] that set [last_beat]. *)
+    let events = Obs.Tail.create (dir // "events.jsonl") in
+    let leased_to pid =
+      List.find_map
         (fun (j : Machine.job) ->
           match j.Machine.j_state with
-          | Machine.Leased l when l.pid > 0 -> (
-              match read_lease dir j.Machine.j_id with
-              | Some (pid, beat) when pid = l.pid && beat > l.last_beat ->
-                  ignore (feed (Machine.Beat { id = j.Machine.j_id; now = beat }))
-              | _ -> ())
-          | _ -> ())
+          | Machine.Leased l when l.pid = pid -> Some j.Machine.j_id
+          | _ -> None)
         !machine.Machine.m_jobs
+    in
+    let poll_beats () =
+      List.iter
+        (fun line ->
+          match Result.bind (Json.parse line) Obs.Bus.stamped_of_json with
+          | Ok { Obs.Bus.ev = Obs.Bus.Heartbeat; pid; ts; _ } -> (
+              match leased_to pid with
+              | Some id -> ignore (feed (Machine.Beat { id; now = ts }))
+              | None -> ())
+          | _ -> ())
+        (Obs.Tail.poll events)
     in
     let serve_waiters () =
       let ready, rest =
@@ -1090,16 +1019,15 @@ module Daemon = struct
           | None -> reply fd (Proto.error ("no such job " ^ id)))
         ready
     in
-    let hb_last = ref 0. in
+    let gauges_last = ref 0. in
     let persist_and_observe () =
       if !dirty then begin
         Store.save ~dir !machine;
         dirty := false
       end;
       let now = Unix.gettimeofday () in
-      if now -. !hb_last >= 0.2 then begin
-        hb_last := now;
-        write_heartbeats dir !machine started;
+      if now -. !gauges_last >= 0.2 then begin
+        gauges_last := now;
         Obs.Metrics.set (Lazy.force m_queue) (float_of_int (Machine.live !machine));
         Obs.Metrics.set (Lazy.force m_leased)
           (float_of_int (Machine.leased !machine))
@@ -1144,15 +1072,11 @@ module Daemon = struct
     List.iter (fun (fd, _) -> reply fd (Proto.error "draining")) !waiters;
     List.iter (fun (fd, _) -> drop_client fd) !clients;
     if !dirty then Store.save ~dir !machine;
-    write_heartbeats dir !machine started;
     Obs.Bus.detach ();
     (try Unix.close sock with Unix.Unix_error _ -> ());
     (try Unix.close devnull with Unix.Unix_error _ -> ());
     (try Sys.remove sock_path with Sys_error _ -> ());
     (try Sys.remove (pid_path dir) with Sys_error _ -> ());
-    (* Clean shutdown: like a completed campaign, drop the heartbeat
-       sidecar so `autocc top` doesn't report a CRASHED owner. *)
-    (try Sys.remove (dir // "heartbeats.json") with Sys_error _ -> ());
     Option.iter (fun _ -> Obs.Exposition.stop ()) cfg.d_metrics_file;
     let done_n, quar_n, pend_n =
       List.fold_left

@@ -13,11 +13,11 @@
     The supervisor owns the robustness contract:
 
     - {b Leases.} A dispatched job is leased to one worker pid. The
-      worker renews the lease by atomically rewriting a per-job
-      heartbeat file at every solved depth; a lease whose beat goes
-      stale past the configured horizon is expired and the worker
-      SIGKILLed (it may be hung in the solver with signals blocked by
-      no one — SIGKILL is the only honest option).
+      worker renews the lease by publishing an {!Obs.Bus.Heartbeat}
+      event to the service's [events.jsonl] before every depth; a lease
+      whose beat goes stale past the configured horizon is expired and
+      the worker SIGKILLed (it may be hung in the solver with signals
+      blocked by no one — SIGKILL is the only honest option).
     - {b Crash detection.} [waitpid] reaping plus lease expiry. A
       worker that exits without depositing a well-formed result file —
       whatever the exit status — crashed.
@@ -113,7 +113,7 @@ module Machine : sig
     | Spawned of { id : string; pid : int; now : float }
         (** the daemon forked a worker for a [Start] action *)
     | Beat of { id : string; now : float }
-        (** lease renewal observed from the worker's heartbeat file *)
+        (** lease renewal: a worker's [Heartbeat] event, stamped [now] *)
     | Exited of { id : string; pid : int; result : result option; now : float }
         (** worker reaped; [result] is its deposited result file, if a
             well-formed one exists — [None] means the attempt crashed *)
@@ -229,12 +229,12 @@ module Worker : sig
   val run : dir:string -> job_id:string -> attempt:int -> int
   (** Read the job spec ([jobs/<id>.json]), build the DUT and property
       set via {!Duts.Bundled}, solve with the verdict cache from
-      [AUTOCC_CACHE_DIR] (if set), renew the heartbeat lease
-      ([hb/<id>.json]) at every solved depth, deposit the result
-      atomically ([results/<id>.json]), append a ledger row and publish
-      [Job_start]/[Job_done] to the service's event stream. Returns the
-      process exit code (0 on any deposited verdict, including
-      [unknown:*]).
+      [AUTOCC_CACHE_DIR] (if set), renew the lease by publishing
+      [Heartbeat] to the service's event stream before every depth,
+      deposit the result atomically ([results/<id>.json]), append a
+      ledger row and publish [Job_start]/[Job_done] to the same stream.
+      Returns the process exit code (0 on any deposited verdict,
+      including [unknown:*]).
 
       [attempt] > 0 rotates the fault-injection seed by the attempt
       number, so an injected crash does not replay deterministically on
@@ -265,9 +265,11 @@ module Daemon : sig
       [<dir>/serve.sock], reload any persisted queue (leases revert to
       pending; a pending job whose result file already exists is
       absorbed without re-solving), then loop: accept, dispatch, reap,
-      observe heartbeats, tick. Maintains [<dir>/heartbeats.json] in
-      the [autocc.heartbeat/1] schema so [autocc top] renders service
-      jobs exactly like campaign entries. Refuses to start (exit 1)
-      when a live daemon already owns the directory. Exit 0 on a clean
-      drain. *)
+      tail [<dir>/events.jsonl] for the workers' [Heartbeat] events,
+      tick. A heartbeat renews the lease of the job leased to its pid;
+      the tail starts at byte 0, and older beats are ignored because
+      none is newer than the [Spawned] that set the lease. The same
+      pid-stamped stream lets [autocc top] render service jobs like
+      campaign entries. Refuses to start (exit 1) when a live daemon
+      already owns the directory. Exit 0 on a clean drain. *)
 end

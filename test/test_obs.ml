@@ -59,13 +59,16 @@ let test_json_roundtrip () =
       Json.Int 0;
       Json.Int (-42);
       Json.Int max_int;
-      (* Floats survive as long as 9 significant digits do (the
-         printer's %.9g); integral floats print as "x.0" so they come
-         back as Float, not Int. *)
+      (* Floats survive exactly, wall-clock stamps included (bus events
+         carry them); integral floats print as "x.0" so they come back
+         as Float, not Int. *)
       Json.Float 1.5;
       Json.Float (-0.25);
       Json.Float 3.0;
       Json.Float 1e-9;
+      Json.Float 0.1;
+      Json.Float 1792208453.1234567;
+      Json.Float (Float.pred 1792208453.5);
       Json.Str "";
       Json.Str "plain";
       Json.Str "esc \"quotes\" \\back\nnewline\ttab\x01ctl";
@@ -234,8 +237,8 @@ let test_trace_file_roundtrip () =
     (fun () ->
       Obs.trace_to_file path;
       Obs.span "t.once" (fun () -> ());
-      (* Normalize the in-memory value through the printer: timestamps
-         are full-precision floats in memory but %.9g on disk. *)
+      (* Normalize the in-memory value through the printer the file was
+         written with. *)
       let in_memory =
         match Json.parse (Json.to_string (Obs.trace_json ())) with
         | Ok v -> v
@@ -377,65 +380,74 @@ let test_concurrent_metrics () =
         (Array.length vs)
   | _ -> Alcotest.fail "conc.series missing"
 
-(* {1 Event bus} *)
+(* {1 Event bus}
 
-let with_bus ?ring_capacity ?file f =
-  with_clean_obs @@ fun () ->
-  Obs.Bus.attach ?ring_capacity ?file ();
-  Fun.protect ~finally:Obs.Bus.detach f
+   The file sink is the bus's only output, so every bus test publishes
+   through a fresh temp file and reads the stamped events back. *)
 
-let seqs () = List.map (fun (s : Obs.Bus.stamped) -> s.Obs.Bus.seq) (Obs.Bus.ring ())
+let published f =
+  let path = Filename.temp_file "test_obs" ".events.jsonl" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  (with_clean_obs @@ fun () ->
+   Obs.Bus.attach ~file:path ();
+   Fun.protect ~finally:Obs.Bus.detach f);
+  In_channel.with_open_bin path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+  |> List.map (fun line ->
+         match Result.bind (Json.parse line) Obs.Bus.stamped_of_json with
+         | Ok s -> s
+         | Error e -> Alcotest.failf "sink line %S is not a stamped event: %s" line e)
+
+let seqs = List.map (fun (s : Obs.Bus.stamped) -> s.Obs.Bus.seq)
 
 let test_bus_ordering () =
-  with_bus ~ring_capacity:64 @@ fun () ->
-  for d = 1 to 10 do
-    Obs.Bus.publish (Obs.Bus.Depth_solved { depth = d; seconds = 0.01 })
-  done;
-  Obs.Bus.publish (Obs.Bus.Cex_found { depth = 11 });
+  let events =
+    published @@ fun () ->
+    for d = 1 to 10 do
+      Obs.Bus.publish (Obs.Bus.Depth_solved { depth = d; seconds = 0.01 })
+    done;
+    Obs.Bus.publish (Obs.Bus.Cex_found { depth = 11 })
+  in
   Alcotest.(check (list int)) "seqs are 1..11 in publish order"
     (List.init 11 (fun i -> i + 1))
-    (seqs ());
-  let ring = Obs.Bus.ring () in
+    (seqs events);
   ignore
     (List.fold_left
        (fun prev (s : Obs.Bus.stamped) ->
          Alcotest.(check bool) "timestamps non-decreasing" true
            (s.Obs.Bus.ts >= prev);
          s.Obs.Bus.ts)
-       0. ring);
-  Alcotest.(check int) "nothing dropped" 0 (Obs.Bus.dropped ())
-
-let test_bus_ring_overflow () =
-  with_bus ~ring_capacity:8 @@ fun () ->
-  for d = 1 to 20 do
-    Obs.Bus.publish (Obs.Bus.Depth_solved { depth = d; seconds = 0. })
-  done;
-  Alcotest.(check (list int)) "ring keeps the newest 8"
-    [ 13; 14; 15; 16; 17; 18; 19; 20 ]
-    (seqs ());
-  Alcotest.(check int) "oldest 12 dropped" 12 (Obs.Bus.dropped ())
+       0. events);
+  List.iter
+    (fun (s : Obs.Bus.stamped) ->
+      Alcotest.(check int) "stamped with the writer's pid" (Unix.getpid ())
+        s.Obs.Bus.pid)
+    events
 
 let test_bus_concurrent_publish () =
-  with_bus ~ring_capacity:1024 @@ fun () ->
   let domains = 4 and per_domain = 50 in
-  let worker d =
-    Domain.spawn (fun () ->
-        Obs.Bus.with_label (Printf.sprintf "d%d" d) @@ fun () ->
-        for i = 1 to per_domain do
-          Obs.Bus.publish (Obs.Bus.Retry { attempt = i; reason = "conc" })
-        done)
+  let events =
+    published @@ fun () ->
+    let worker d =
+      Domain.spawn (fun () ->
+          Obs.Bus.with_label (Printf.sprintf "d%d" d) @@ fun () ->
+          for i = 1 to per_domain do
+            Obs.Bus.publish (Obs.Bus.Retry { attempt = i; reason = "conc" })
+          done)
+    in
+    List.iter Domain.join (List.init domains worker)
   in
-  List.iter Domain.join (List.init domains worker);
-  let got = List.sort compare (seqs ()) in
-  Alcotest.(check (list int)) "seqs contiguous and unique across domains"
+  Alcotest.(check (list int)) "seqs contiguous, unique and in file order"
     (List.init (domains * per_domain) (fun i -> i + 1))
-    got;
+    (seqs events);
   (* Every publish kept the domain-local label of its publisher. *)
   List.iter
     (fun (s : Obs.Bus.stamped) ->
       Alcotest.(check bool) "label is some d<i>" true
         (String.length s.Obs.Bus.label = 2 && s.Obs.Bus.label.[0] = 'd'))
-    (Obs.Bus.ring ())
+    events
 
 let all_events =
   [
@@ -454,36 +466,9 @@ let all_events =
   ]
 
 let test_bus_file_sink_roundtrip () =
-  let path = Filename.temp_file "test_obs" ".events.jsonl" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-  @@ fun () ->
-  (with_bus ~file:path @@ fun () ->
-   Obs.Bus.with_label "rt" @@ fun () ->
-   List.iter Obs.Bus.publish all_events);
-  let ic = open_in path in
-  let lines =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let rec go acc =
-          match input_line ic with
-          | l -> go (l :: acc)
-          | exception End_of_file -> List.rev acc
-        in
-        go [])
-  in
-  Alcotest.(check int) "one line per event" (List.length all_events)
-    (List.length lines);
   let parsed =
-    List.map
-      (fun line ->
-        match Json.parse line with
-        | Error e -> Alcotest.failf "sink line does not parse: %s (%s)" line e
-        | Ok j -> (
-            match Obs.Bus.stamped_of_json j with
-            | Error e -> Alcotest.failf "line is not a stamped event: %s" e
-            | Ok s -> s))
-      lines
+    published @@ fun () ->
+    Obs.Bus.with_label "rt" @@ fun () -> List.iter Obs.Bus.publish all_events
   in
   Alcotest.(check bool) "file sink round-trips every constructor" true
     (List.map (fun (s : Obs.Bus.stamped) -> s.Obs.Bus.ev) parsed = all_events);
@@ -499,7 +484,9 @@ let test_bus_file_sink_roundtrip () =
    state advances between batches. *)
 
 let test_cockpit_incremental () =
-  let stamp seq label ev = { Obs.Bus.seq; ts = float_of_int seq; tid = 0; label; ev } in
+  let stamp seq label ev =
+    { Obs.Bus.seq; ts = float_of_int seq; tid = 0; pid = 4242; label; ev }
+  in
   let line s = Json.to_string (Obs.Bus.json_of_stamped s) in
   let t = Obs.Cockpit.create () in
   List.iter
@@ -767,22 +754,6 @@ let test_tail_seq_restart_mid_tail () =
   Alcotest.(check int) "no bad lines across the restart" 0
     (Obs.Cockpit.bad_lines cockpit)
 
-(* {1 Bus: dropped-event counter mirrors the ring} *)
-
-let test_bus_dropped_metric () =
-  with_clean_obs @@ fun () ->
-  Obs.Metrics.enable ();
-  Obs.Bus.attach ~ring_capacity:4 ();
-  for _ = 1 to 10 do
-    Obs.Bus.publish Obs.Bus.Cache_hit
-  done;
-  Alcotest.(check int) "ring dropped" 6 (Obs.Bus.dropped ());
-  (match List.assoc_opt "bus.dropped_events" (Obs.Metrics.snapshot ()) with
-  | Some (Obs.Metrics.Counter n) ->
-      Alcotest.(check int) "metric mirrors ring drops" 6 n
-  | _ -> Alcotest.fail "bus.dropped_events counter missing from the registry");
-  Obs.Bus.detach ()
-
 (* {1 Prometheus: render invariants}
 
    Property test over random observation sets: bucket counts are
@@ -868,7 +839,7 @@ let test_cockpit_render_json () =
       (Json.to_string
          (Obs.Bus.json_of_stamped
             { Obs.Bus.seq; ts = 1000. +. float_of_int seq; tid = 0;
-              label = "leaky"; ev }))
+              pid = 4242; label = "leaky"; ev }))
   in
   feed 0 (Obs.Bus.Job_start { goal_depth = 8 });
   feed 1 (Obs.Bus.Depth_solved { depth = 1; seconds = 0.01 });
@@ -894,6 +865,123 @@ let test_cockpit_render_json () =
       | Some (Json.Str v) -> Alcotest.(check string) "row verdict" "cex" v
       | _ -> Alcotest.fail "row lacks verdict")
   | _ -> Alcotest.fail "snapshot lacks its single row"
+
+(* {1 Cockpit: liveness from each row's last event and writer pid}
+
+   Pid-stamped lines fed to a cockpit, rendered with a fake liveness
+   probe in which pid 101 is gone and every other pid is alive. *)
+
+let crash_probe_cockpit () =
+  let cockpit = Obs.Cockpit.create () in
+  let seq = ref 0 in
+  let feed ~ts ~pid label ev =
+    incr seq;
+    Obs.Cockpit.feed_line cockpit
+      (Json.to_string
+         (Obs.Bus.json_of_stamped
+            { Obs.Bus.seq = !seq; ts; tid = 0; pid; label; ev }))
+  in
+  (cockpit, feed)
+
+let alive pid = pid <> 101
+
+(* label -> the text in the table's last (NOTE) column. *)
+let rendered_notes ~now ~stale cockpit =
+  match
+    String.split_on_char '\n' (Obs.Cockpit.render ~now ~stale ~alive cockpit)
+  with
+  | _totals :: header :: rows ->
+      let col = String.length header - String.length "NOTE" in
+      List.filter_map
+        (fun l ->
+          if l = "" then None
+          else
+            let note =
+              if String.length l <= col then ""
+              else String.trim (String.sub l col (String.length l - col))
+            in
+            Some (List.hd (String.split_on_char ' ' l), note))
+        rows
+  | _ -> Alcotest.fail "render lacks a header"
+
+let json_notes ~now ~stale cockpit =
+  match
+    Json.member "rows" (Obs.Cockpit.render_json ~now ~stale ~alive cockpit)
+  with
+  | Some (Json.List rows) ->
+      List.map
+        (fun row ->
+          ( Option.get (Json.str "label" row),
+            match Json.member "note" row with
+            | Some (Json.Str s) -> s
+            | Some Json.Null -> ""
+            | _ -> Alcotest.fail "row lacks a note field" ))
+        rows
+  | _ -> Alcotest.fail "snapshot lacks rows"
+
+let check_notes what expected ~now ~stale cockpit =
+  let sorted = List.sort compare in
+  Alcotest.(check (list (pair string string)))
+    (what ^ " (render)") (sorted expected)
+    (sorted (rendered_notes ~now ~stale cockpit));
+  Alcotest.(check (list (pair string string)))
+    (what ^ " (render_json)") (sorted expected)
+    (sorted (json_notes ~now ~stale cockpit))
+
+let test_cockpit_crash_note () =
+  let cockpit, feed = crash_probe_cockpit () in
+  feed ~ts:100. ~pid:101 "gone" (Obs.Bus.Job_start { goal_depth = 8 });
+  feed ~ts:100. ~pid:102 "slow" (Obs.Bus.Job_start { goal_depth = 8 });
+  feed ~ts:100. ~pid:102 "slow/a0" (Obs.Bus.Job_start { goal_depth = 8 });
+  check_notes "within the threshold"
+    [ ("gone", ""); ("slow", ""); ("slow/a0", "") ]
+    ~now:120. ~stale:20. cockpit;
+  check_notes "silent past the threshold"
+    [
+      ("gone", "CRASHED (pid 101 gone)");
+      ("slow", "silent 30s");
+      ("slow/a0", "silent 30s");
+    ]
+    ~now:130. ~stale:20. cockpit;
+  (* The threshold is the caller's: a longer one quiets every row. *)
+  check_notes "under a longer threshold"
+    [ ("gone", ""); ("slow", ""); ("slow/a0", "") ]
+    ~now:130. ~stale:60. cockpit
+
+let test_cockpit_settled_rows_quiet () =
+  let cockpit, feed = crash_probe_cockpit () in
+  List.iter
+    (fun (label, ev) ->
+      feed ~ts:100. ~pid:101 label (Obs.Bus.Job_start { goal_depth = 8 });
+      feed ~ts:101. ~pid:101 label ev)
+    [
+      ("proof", Obs.Bus.Job_done { verdict = "proof"; wall_s = 1. });
+      ("cex", Obs.Bus.Cex_found { depth = 3 });
+      ("unknown", Obs.Bus.Unknown { reason = "budget" });
+    ];
+  check_notes "settled rows of a dead writer"
+    [ ("cex", ""); ("proof", ""); ("unknown", "") ]
+    ~now:1000. ~stale:10. cockpit
+
+let test_cockpit_new_writer_clears_note () =
+  let cockpit, feed = crash_probe_cockpit () in
+  feed ~ts:100. ~pid:101 "j1/leaky" (Obs.Bus.Job_start { goal_depth = 6 });
+  feed ~ts:101. ~pid:101 "j1/leaky"
+    (Obs.Bus.Depth_solved { depth = 0; seconds = 0.5 });
+  check_notes "the first attempt died"
+    [ ("j1/leaky", "CRASHED (pid 101 gone)") ]
+    ~now:130. ~stale:10. cockpit;
+  (* Redelivery: a new process starts the same label over. *)
+  feed ~ts:125. ~pid:201 "j1/leaky" (Obs.Bus.Job_start { goal_depth = 6 });
+  check_notes "the new attempt is fresh" [ ("j1/leaky", "") ] ~now:130.
+    ~stale:10. cockpit;
+  check_notes "the new attempt is only silent" [ ("j1/leaky", "silent 15s") ]
+    ~now:140. ~stale:10. cockpit;
+  match Obs.Cockpit.rows cockpit with
+  | [ r ] ->
+      Alcotest.(check int) "row keeps its latest writer" 201
+        r.Obs.Cockpit.ro_pid
+  | _ -> Alcotest.fail "expected one row"
 
 (* {1 Ledger: round-trip, crash tolerance, run references} *)
 
@@ -1108,14 +1196,10 @@ let () =
         [
           Alcotest.test_case "publish order and stamping" `Quick
             test_bus_ordering;
-          Alcotest.test_case "ring drops oldest on overflow" `Quick
-            test_bus_ring_overflow;
           Alcotest.test_case "concurrent publish from 4 domains" `Quick
             test_bus_concurrent_publish;
           Alcotest.test_case "file sink round-trips every event" `Quick
             test_bus_file_sink_roundtrip;
-          Alcotest.test_case "dropped-event counter mirrors the ring" `Quick
-            test_bus_dropped_metric;
         ] );
       ( "tail",
         [
@@ -1130,6 +1214,12 @@ let () =
             test_cockpit_incremental;
           Alcotest.test_case "autocc.top/1 JSON snapshot" `Quick
             test_cockpit_render_json;
+          Alcotest.test_case "silent row: CRASHED for a dead writer" `Quick
+            test_cockpit_crash_note;
+          Alcotest.test_case "settled rows are never annotated" `Quick
+            test_cockpit_settled_rows_quiet;
+          Alcotest.test_case "a new writer's job_start clears the note" `Quick
+            test_cockpit_new_writer_clears_note;
         ] );
       ( "ledger",
         [

@@ -529,6 +529,55 @@ let test_campaign_resume_validates () =
   | _ -> Alcotest.fail "one result expected");
   rm_rf dir
 
+let test_campaign_live_writer_warning () =
+  (* --resume warns when the directory's last event was written by
+     another process that is still alive, and only then. *)
+  let dir = tmp_dir "live_writer" in
+  Obs.Files.mkdir_p dir;
+  let warned_pids ~last_pid =
+    Obs.Files.write_atomic
+      ~path:(Filename.concat dir "events.jsonl")
+      (Obs.Json.to_string
+         (Obs.Bus.json_of_stamped
+            {
+              Obs.Bus.seq = 1;
+              ts = 0.;
+              tid = 0;
+              pid = last_pid;
+              label = "leaky";
+              ev = Obs.Bus.Job_start { goal_depth = 8 };
+            })
+      ^ "\n");
+    let lines = ref [] in
+    Obs.set_log_sink (Some (fun l -> lines := l :: !lines));
+    Fun.protect ~finally:Obs.close_log (fun () ->
+        ignore (Explain.Campaign.run ~resume:true ~out_dir:dir []));
+    List.filter_map
+      (fun l ->
+        match Obs.Json.parse l with
+        | Ok j when Obs.Json.str "event" j = Some "explain.live_campaign_conflict"
+          ->
+            Obs.Json.int "pid" j
+        | _ -> None)
+      !lines
+  in
+  let child =
+    Unix.create_process "sleep" [| "sleep"; "60" |] Unix.stdin Unix.stdout
+      Unix.stderr
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill child Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] child))
+    (fun () ->
+      Alcotest.(check (list int)) "a live other writer is flagged" [ child ]
+        (warned_pids ~last_pid:child));
+  Alcotest.(check (list int)) "a gone writer is not" []
+    (warned_pids ~last_pid:child);
+  Alcotest.(check (list int)) "nor is this process" []
+    (warned_pids ~last_pid:(Unix.getpid ()));
+  rm_rf dir
+
 let test_campaign_unwritable_out_dir () =
   (* A file where the output directory should be: diagnosed before any
      solving (works even as root, where permission bits don't bite). *)
@@ -577,6 +626,8 @@ let () =
           Alcotest.test_case "resume is byte-stable" `Quick test_campaign_resume_bytes;
           Alcotest.test_case "interrupted resume" `Quick test_campaign_interrupted_resume;
           Alcotest.test_case "resume validates records" `Quick test_campaign_resume_validates;
+          Alcotest.test_case "resume warns about a live writer" `Quick
+            test_campaign_live_writer_warning;
           Alcotest.test_case "unwritable out dir" `Quick test_campaign_unwritable_out_dir;
         ] );
     ]

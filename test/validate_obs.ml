@@ -3,7 +3,8 @@
 
      validate_obs.exe events FILE [LABEL,...]
        every line of FILE must parse as a stamped bus event
-       (Obs.Bus.stamped_of_json); sequence numbers must be strictly
+       (Obs.Bus.stamped_of_json) carrying a positive writer pid, the
+       stream's liveness signal; sequence numbers must be strictly
        increasing and timestamps non-decreasing within a process run
        (seq restarting at 1 marks a new process, e.g. --resume); the
        stream must open and close every given campaign label with a
@@ -82,6 +83,10 @@ let parse_events path =
 
 let validate_events path labels =
   let events = parse_events path in
+  List.iteri
+    (fun i (s : Obs.Bus.stamped) ->
+      if s.pid <= 0 then fail "%s:%d: pid %d is not a process id" path (i + 1) s.pid)
+    events;
   (* Monotonicity per process run: a seq restart (<=) opens a new run
      (resumed campaign); within a run seq is strictly increasing and ts
      non-decreasing. At least one run must exist (trivially true). *)

@@ -16,7 +16,11 @@
       phase-B cache completes the queue with warm cache hits recorded
       in the service ledger;
    E. a SIGTERMed `autocc campaign` checkpoints, exits cleanly, and
-      `--resume` finishes it byte-stably.
+      `--resume` finishes it byte-stably;
+   F. a job that outlives its short lease several times over finishes
+      without a crash (its heartbeat events in events.jsonl renew the
+      lease), the same job with every renewal dropped is quarantined as
+      unknown:worker_crashed, and neither run leaves an hb/ directory.
 
    Usage: validate_serve <path-to-autocc-cli-exe> *)
 
@@ -393,6 +397,78 @@ let phase_e () =
     failf "campaign.json not byte-stable across --resume"
   else infof "campaign.json byte-stable across --resume"
 
+(* {1 Phase F: leases renewed through events.jsonl}
+
+   AES bounded to depth 120: the worker publishes a Heartbeat before
+   each of its 121 depths, and no depth is slow. Measured on a 2-vCPU
+   host, the solve took 2.0-2.6 s idle and 2.6-2.7 s inside a full
+   `dune runtest` (5-6.7 leases of 0.4 s), and the widest gap between
+   two heartbeats was 0.054-0.069 s idle, under a sixth of the lease.
+   A host twice as loaded still leaves every gap under a third of the
+   lease and the job over 3 leases long. *)
+
+let lease_s = 0.4
+
+let lease_job =
+  { Serve.Machine.sp_dut = "aes"; sp_engine = "check"; sp_depth = 120;
+    sp_threshold = threshold }
+
+(* A fresh directory, one worker, the short lease; returns the job row. *)
+let run_lease_job ?env dir args =
+  ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; dir ]));
+  let pid =
+    start_daemon ?env ~dir
+      ([ "--workers"; "1"; "--no-cache"; "--lease"; string_of_float lease_s ]
+      @ args)
+  in
+  let row =
+    match Serve.Client.submit ~dir lease_job with
+    | Error e ->
+        failf "submit to %s: %s" dir e;
+        None
+    | Ok id -> (
+        match Serve.Client.wait ~dir ~timeout_s:120. id with
+        | Error e ->
+            failf "wait %s in %s: %s" id dir e;
+            None
+        | Ok resp -> J.member "job" resp)
+  in
+  drain_daemon pid;
+  if Sys.file_exists (Filename.concat dir "hb") then
+    failf "%s/hb exists: leases are events, not files" dir;
+  row
+
+let phase_f () =
+  phase "F: leases renewed by heartbeat events in events.jsonl";
+  let str k j = Option.value ~default:"" (J.str k j)
+  and int k j = Option.value ~default:(-1) (J.int k j) in
+  (match run_lease_job "sserve_f" [] with
+  | None -> ()
+  | Some job ->
+      let wall_s = float_of_int (int "wall_ms" job) /. 1000. in
+      if str "verdict" job <> "proof" || int "crashes" job <> 0 then
+        failf
+          "lease job ended %s after %d crash(es), want proof with none: \
+           renewals did not reach the daemon"
+          (str "verdict" job) (int "crashes" job)
+      else if wall_s < 3. *. lease_s then
+        failf "lease job took %.2fs, under 3 leases of %.1fs: raise its depth"
+          wall_s lease_s
+      else
+        infof "%.2fs job (%.1f leases of %.1fs) finished with 0 crashes" wall_s
+          (wall_s /. lease_s) lease_s);
+  match
+    run_lease_job
+      ~env:[ "AUTOCC_FAULT=seed=1,rate=1,sites=serve.lease" ]
+      "sserve_f_starved" [ "--max-crashes"; "1" ]
+  with
+  | None -> ()
+  | Some job ->
+      if str "verdict" job <> Serve.Machine.crashed_verdict then
+        failf "with every renewal dropped the job ended %s, want %s"
+          (str "verdict" job) Serve.Machine.crashed_verdict
+      else infof "with every renewal dropped the job ended %s" (str "verdict" job)
+
 let () =
   if Array.length Sys.argv < 2 then (
     prerr_endline "usage: validate_serve <autocc-cli-exe>";
@@ -408,8 +484,10 @@ let () =
   phase_c ();
   phase_d ();
   phase_e ();
+  phase_f ();
   if !failures > 0 then (
     Printf.printf "serve smoke: %d FAILURE(S)\n" !failures;
     exit 1)
   else print_endline "serve smoke: service survived the crash storm, \
-                      drained byte-stably and reused the warm cache"
+                      drained byte-stably, reused the warm cache and \
+                      renewed leases through events.jsonl"
