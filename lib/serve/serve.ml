@@ -178,13 +178,15 @@ module Machine = struct
             | Pending _, None -> (t, [])))
     | Drain -> ({ t with m_draining = true }, [])
     | Tick { now } ->
-        (* Expire leases whose beat went stale. *)
+        (* Expire leases whose beat went stale. [crashed] rewrites only
+           the job it is given, so each job the fold reaches is current
+           and needs no lookup: a tick stays linear in the job history,
+           which --shed does not bound. *)
         let t, acts =
           List.fold_left
-            (fun (t, acts) j0 ->
-              match find t j0.j_id with
-              | Some ({ j_state = Leased l; _ } as j)
-                when now -. l.last_beat > t.m_cfg.c_lease_s ->
+            (fun (t, acts) j ->
+              match j.j_state with
+              | Leased l when now -. l.last_beat > t.m_cfg.c_lease_s ->
                   let kill =
                     if l.pid > 0 then [ Kill { id = j.j_id; pid = l.pid } ] else []
                   in
@@ -261,17 +263,39 @@ module Store = struct
         ("cache_hits", Json.Int cache_hits);
       ]
 
-  let render (t : Machine.t) =
-    Json.to_string
-      (Json.Obj
-         [
-           ("schema", Json.Str schema);
-           ("next", Json.Int t.m_next);
-           ("jobs", Json.List (List.map json_of_job t.m_jobs));
-         ])
-    ^ "\n"
+  (* The queue document, {"schema":…,"next":…,"jobs":[…]} plus a
+     newline, handed to [out] one job at a time through one reused
+     buffer: a save never holds the whole rendering or its JSON tree. *)
+  let write (t : Machine.t) out =
+    let b = Buffer.create 512 in
+    let flush () =
+      out b;
+      Buffer.clear b
+    in
+    Buffer.add_string b "{\"schema\":";
+    Json.to_buffer b (Json.Str schema);
+    Buffer.add_string b ",\"next\":";
+    Json.to_buffer b (Json.Int t.m_next);
+    Buffer.add_string b ",\"jobs\":[";
+    List.iteri
+      (fun i j ->
+        if i > 0 then Buffer.add_char b ',';
+        Json.to_buffer b (json_of_job j);
+        flush ())
+      t.m_jobs;
+    Buffer.add_string b "]}\n";
+    flush ()
 
-  let save ~dir t = Obs.Files.write_atomic ~path:(path dir) (render t)
+  let render t =
+    let all = Buffer.create 4096 in
+    write t (Buffer.add_buffer all);
+    Buffer.contents all
+
+  let save ~dir t =
+    let p = path dir in
+    let tmp = p ^ ".tmp" in
+    Out_channel.with_open_bin tmp (fun oc -> write t (Buffer.output_buffer oc));
+    Sys.rename tmp p
 
   let job_of_json j =
     let ( let* ) = Result.bind in
@@ -417,13 +441,16 @@ end
 module Client = struct
   let socket_path dir = dir // "serve.sock"
 
+  (* One write(2) per step, so a signal (the daemon's SIGCHLD) that
+     interrupts a blocked send is retried without resending bytes:
+     [Unix.write] loops internally and loses its count on EINTR. *)
   let write_all fd s =
     let b = Bytes.of_string s in
     let rec go pos len =
-      if len > 0 then begin
-        let n = Unix.write fd b pos len in
-        go (pos + n) (len - n)
-      end
+      if len > 0 then
+        match Unix.single_write fd b pos len with
+        | n -> go (pos + n) (len - n)
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go pos len
     in
     go 0 (Bytes.length b)
 
@@ -763,6 +790,31 @@ module Daemon = struct
       (Sys.Signal_handle (fun _ -> Atomic.set drain_req true));
     Sys.set_signal Sys.sigint
       (Sys.Signal_handle (fun _ -> Atomic.set drain_req true));
+    (* A worker's exit wakes [select] through a self-pipe, so the job is
+       reaped and answered in the same loop iteration. [EINTR] alone is
+       not enough: the OCaml handler may run on another domain (the
+       --metrics-file ticker) or just before [select] blocks, and only a
+       byte in the pipe makes those wake-ups visible. *)
+    let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+    Unix.set_nonblock wake_r;
+    Unix.set_nonblock wake_w;
+    let wake_byte = Bytes.make 1 'c' in
+    Sys.set_signal Sys.sigchld
+      (Sys.Signal_handle
+         (fun _ ->
+           (* A full pipe (EAGAIN) already holds a wake-up, and a handler
+              must not raise into the code it interrupted. *)
+           try ignore (Unix.single_write wake_w wake_byte 0 1)
+           with Unix.Unix_error _ -> ()));
+    let drain_wakeups () =
+      let buf = Bytes.create 64 in
+      let rec go () =
+        match Unix.read wake_r buf 0 (Bytes.length buf) with
+        | n when n = Bytes.length buf -> go ()
+        | _ | (exception Unix.Unix_error _) -> ()
+      in
+      go ()
+    in
     let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
     let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     let sock_path = Client.socket_path dir in
@@ -887,6 +939,12 @@ module Daemon = struct
     Obs.Bus.attach ~file:(dir // "events.jsonl") ();
     say "listening on %s (%d workers, lease %.1fs, quarantine after %d)"
       sock_path cfg.d_workers cfg.d_lease_s cfg.d_max_crashes;
+    let persist () =
+      if !dirty then begin
+        Store.save ~dir !machine;
+        dirty := false
+      end
+    in
     let handle_request fd line =
       match Json.parse line with
       | Error msg -> reply fd (Proto.error ("malformed request: " ^ msg))
@@ -910,7 +968,12 @@ module Daemon = struct
                       | _ -> None)
                     acts
                 with
-                | Some (Ok id) -> reply fd (Proto.ok [ ("job", Json.Str id) ])
+                | Some (Ok id) ->
+                    (* Acknowledge only what queue.json holds: a daemon
+                       killed after the reply must not restart without
+                       the job and hand its id to another one. *)
+                    persist ();
+                    reply fd (Proto.ok [ ("job", Json.Str id) ])
                 | Some (Error reason) -> reply fd (Proto.error reason)
                 | None -> reply fd (Proto.error "internal: no decision")
               end
@@ -1021,10 +1084,7 @@ module Daemon = struct
     in
     let gauges_last = ref 0. in
     let persist_and_observe () =
-      if !dirty then begin
-        Store.save ~dir !machine;
-        dirty := false
-      end;
+      persist ();
       let now = Unix.gettimeofday () in
       if now -. !gauges_last >= 0.2 then begin
         gauges_last := now;
@@ -1040,12 +1100,15 @@ module Daemon = struct
           (Machine.leased !machine);
         ignore (feed Machine.Drain)
       end;
-      let rfds = sock :: List.map fst !clients @ List.map fst !waiters in
+      (* The timeout is the idle tick for lease expiry, backoff gates
+         and drain; worker exits arrive through [wake_r]. *)
+      let rfds = wake_r :: sock :: List.map fst !clients @ List.map fst !waiters in
       let ready, _, _ =
         match Unix.select rfds [] [] 0.05 with
         | r -> r
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
       in
+      if List.mem wake_r ready then drain_wakeups ();
       if List.mem sock ready then begin
         match Unix.accept sock with
         | fd, _ -> clients := (fd, Buffer.create 256) :: !clients
@@ -1071,10 +1134,14 @@ module Daemon = struct
        the next incarnation. *)
     List.iter (fun (fd, _) -> reply fd (Proto.error "draining")) !waiters;
     List.iter (fun (fd, _) -> drop_client fd) !clients;
-    if !dirty then Store.save ~dir !machine;
+    persist ();
     Obs.Bus.detach ();
     (try Unix.close sock with Unix.Unix_error _ -> ());
     (try Unix.close devnull with Unix.Unix_error _ -> ());
+    Sys.set_signal Sys.sigchld Sys.Signal_default;
+    List.iter
+      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+      [ wake_r; wake_w ];
     (try Sys.remove sock_path with Sys_error _ -> ());
     (try Sys.remove (pid_path dir) with Sys_error _ -> ());
     Option.iter (fun _ -> Obs.Exposition.stop ()) cfg.d_metrics_file;

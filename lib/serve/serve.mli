@@ -18,9 +18,9 @@
       whose beat goes stale past the configured horizon is expired and
       the worker SIGKILLed (it may be hung in the solver with signals
       blocked by no one — SIGKILL is the only honest option).
-    - {b Crash detection.} [waitpid] reaping plus lease expiry. A
-      worker that exits without depositing a well-formed result file —
-      whatever the exit status — crashed.
+    - {b Crash detection.} [waitpid] reaping, woken by SIGCHLD, plus
+      lease expiry. A worker that exits without depositing a well-formed
+      result file — whatever the exit status — crashed.
     - {b Redelivery.} A crashed job goes back to pending after the
       capped exponential backoff of the {!Retry} schedule
       ([backoff_s ~attempt:crashes]), and the respawned worker is told
@@ -168,6 +168,9 @@ module Store : sig
   (** The exact bytes {!save} writes (including trailing newline). *)
 
   val save : dir:string -> Machine.t -> unit
+  (** Streams {!render}'s bytes into the tmp file one job at a time
+      through one small reused buffer, then renames it into place: a
+      save never builds the whole queue as one string or JSON tree. *)
 
   val load : dir:string -> Machine.config -> (Machine.t option, string) result
   (** [Ok None] when no queue file exists; [Error] on a malformed one
@@ -182,6 +185,7 @@ module Proto : sig
 
   type request =
     | Submit of Machine.spec
+        (** answered with the job id once [queue.json] holds the job *)
     | Status
     | Wait of string  (** block until the named job is terminal *)
     | Drain  (** same effect as SIGTERM *)
@@ -213,7 +217,8 @@ module Client : sig
       30s), EOF or a malformed/negative response. *)
 
   val submit : dir:string -> Machine.spec -> (string, string) result
-  (** Returns the accepted job id. *)
+  (** Returns the accepted job id. The daemon sends it only after the
+      job is persisted in [queue.json]. *)
 
   val wait :
     dir:string -> ?timeout_s:float -> string -> (Obs.Json.t, string) result
@@ -266,7 +271,13 @@ module Daemon : sig
       pending; a pending job whose result file already exists is
       absorbed without re-solving), then loop: accept, dispatch, reap,
       tail [<dir>/events.jsonl] for the workers' [Heartbeat] events,
-      tick. A heartbeat renews the lease of the job leased to its pid;
+      tick. The loop wakes on a worker's exit: a SIGCHLD handler writes
+      to a self-pipe in the [select] set, so the job is reaped, recorded
+      and answered in the same iteration; the 50 ms [select] timeout is
+      only the idle tick for lease expiry, backoff gates and drain. A
+      [submit] is answered only once [queue.json] holds the job, so a
+      daemon killed after the reply restarts with it and never reissues
+      its id. A heartbeat renews the lease of the job leased to its pid;
       the tail starts at byte 0, and older beats are ignored because
       none is newer than the [Spawned] that set the lease. The same
       pid-stamped stream lets [autocc top] render service jobs like

@@ -225,6 +225,27 @@ let test_drain_finishes_leased_then_exits () =
     (List.exists (function M.Exit -> true | _ -> false) acts);
   Alcotest.(check string) "j3 survives as pending" "pending" (state_of m "j3")
 
+let test_tick_over_long_history () =
+  (* One worker; j1's lease went stale, j2 waits. A daemon's history of
+     finished jobs must not change what a tick decides. *)
+  let m = M.create (cfg ~workers:1 ~lease_s:5. ()) in
+  let m, _ = fold m [ M.Submit (spec ()); M.Submit (spec ~dut:"divider" ()) ] in
+  let m, _ = M.step m (M.Tick { now = 0. }) in
+  let m, _ = M.step m (M.Spawned { id = "j1"; pid = 77; now = 0. }) in
+  let tick m = snd (M.step m (M.Tick { now = 9. })) in
+  let acts = tick m in
+  (match acts with
+  | [ M.Kill { id = "j1"; pid = 77 }; M.Redeliver { id = "j1"; attempt = 1; _ };
+      M.Persist; M.Start { id = "j2"; attempt = 0; _ } ] -> ()
+  | _ -> Alcotest.fail "expected Kill, Redeliver, Persist, then Start j2");
+  let history =
+    List.init 2000 (fun i ->
+        { M.j_id = Printf.sprintf "h%d" i; j_spec = spec (); j_crashes = 0;
+          j_state = M.Done (result ()) })
+  in
+  Alcotest.(check bool) "2,000 done jobs change no action" true
+    (tick { m with M.m_jobs = history @ m.M.m_jobs } = acts)
+
 (* {1 Crash-storm fuzz}
 
    Random event streams — including nonsense the daemon would never
@@ -361,21 +382,60 @@ let test_store_roundtrip_bytes () =
       m [ 10.; 20.; 30. ]
   in
   let m = quarantine_j2 m in
-  Serve.Store.save ~dir m;
-  (match Serve.Store.load ~dir c with
-  | Error e -> Alcotest.fail e
-  | Ok None -> Alcotest.fail "queue file vanished"
-  | Ok (Some m') ->
-      (* save∘load is the identity on bytes — the drain/restart
-         stability the smoke test cmp(1)s end-to-end. *)
-      Alcotest.(check string) "byte-stable rendering"
-        (Serve.Store.render m) (Serve.Store.render m');
-      Alcotest.(check string) "done survives" "done" (state_of m' "j1");
-      Alcotest.(check string) "quarantine survives" "quarantined" (state_of m' "j2");
-      Alcotest.(check string) "a lease reloads as pending" "pending" (state_of m' "j3");
-      Alcotest.(check int) "crash count survives" 3
-        (match M.find m' "j2" with Some j -> j.M.j_crashes | None -> -1);
-      Alcotest.(check int) "id counter survives" m.M.m_next m'.M.m_next);
+  (* save writes exactly render's bytes, and save∘load is the identity
+     on them — the drain/restart stability the smoke test cmp(1)s
+     end-to-end. *)
+  let roundtrip what m =
+    Serve.Store.save ~dir m;
+    Alcotest.(check string) (what ^ ": save writes render's bytes")
+      (Serve.Store.render m)
+      (In_channel.with_open_bin (Serve.Store.path dir) In_channel.input_all);
+    match Serve.Store.load ~dir c with
+    | Error e -> Alcotest.fail e
+    | Ok None -> Alcotest.fail "queue file vanished"
+    | Ok (Some m') ->
+        Alcotest.(check string) (what ^ ": byte-stable rendering")
+          (Serve.Store.render m) (Serve.Store.render m');
+        m'
+  in
+  let m' = roundtrip "four jobs" m in
+  Alcotest.(check string) "done survives" "done" (state_of m' "j1");
+  Alcotest.(check string) "quarantine survives" "quarantined" (state_of m' "j2");
+  Alcotest.(check string) "a lease reloads as pending" "pending" (state_of m' "j3");
+  Alcotest.(check int) "crash count survives" 3
+    (match M.find m' "j2" with Some j -> j.M.j_crashes | None -> -1);
+  Alcotest.(check int) "id counter survives" m.M.m_next m'.M.m_next;
+  (* A queue long enough that the streamed save crosses many buffer
+     flushes (tens of KB), every state in turn, and a DUT name that
+     needs escaping. *)
+  let long =
+    List.init 400 (fun i ->
+        let j_state =
+          match i mod 4 with
+          | 0 -> M.Pending { not_before = 0. }
+          | 1 ->
+              M.Leased { pid = 100 + i; attempt = 1; leased_at = 1.; last_beat = 2. }
+          | 2 -> M.Done (result ~verdict:"proof" ~depth:(i mod 9) ())
+          | _ -> M.Quarantined { q_crashes = 3 }
+        in
+        let dut =
+          if i = 7 then "we\"ird\\dut"
+          else List.nth [ "leaky"; "maple"; "aes" ] (i mod 3)
+        in
+        { M.j_id = Printf.sprintf "j%d" (i + 1); j_spec = spec ~dut ();
+          j_crashes = (if i mod 4 = 3 then 3 else i mod 2); j_state })
+  in
+  ignore (roundtrip "400 jobs" { m with M.m_jobs = long; m_next = 401 });
+  (* The autocc.serve/1 bytes themselves. *)
+  Alcotest.(check string) "empty queue bytes"
+    "{\"schema\":\"autocc.serve/1\",\"next\":1,\"jobs\":[]}\n"
+    (Serve.Store.render (M.create c));
+  Alcotest.(check string) "one-job queue bytes"
+    "{\"schema\":\"autocc.serve/1\",\"next\":2,\"jobs\":[{\"id\":\"j1\",\"dut\":\"leaky\",\
+     \"engine\":\"check\",\"max_depth\":6,\"threshold\":2,\"crashes\":0,\
+     \"state\":\"pending\",\"verdict\":\"\",\"depth\":-1,\"wall_ms\":0,\
+     \"cache_hits\":0}]}\n"
+    (Serve.Store.render (fst (M.step (M.create c) (M.Submit (spec ())))));
   (* Missing file and corrupt file. *)
   Sys.remove (Serve.Store.path dir);
   (match Serve.Store.load ~dir c with
@@ -508,6 +568,8 @@ let () =
             test_late_result_completes_once;
           Alcotest.test_case "drain finishes leased jobs then exits" `Quick
             test_drain_finishes_leased_then_exits;
+          Alcotest.test_case "tick over a long history" `Quick
+            test_tick_over_long_history;
         ] );
       ("fuzz", [ test_fuzz_invariants ]);
       ( "store",

@@ -1,6 +1,6 @@
 (* End-to-end smoke for the crash-isolated verification service
    (@serve-smoke): drives the real `autocc serve` daemon, real forked
-   workers and the real wire protocol through four phases, asserting
+   workers and the real wire protocol through phases B-G, asserting
    the ISSUE-level robustness contract:
 
    B. a crash-free service run completes four DUTs with verdicts
@@ -20,7 +20,9 @@
    F. a job that outlives its short lease several times over finishes
       without a crash (its heartbeat events in events.jsonl renew the
       lease), the same job with every renewal dropped is quarantined as
-      unknown:worker_crashed, and neither run leaves an hb/ directory.
+      unknown:worker_crashed, and neither run leaves an hb/ directory;
+   G. a daemon SIGKILLed as soon as it acknowledges a submit restarts
+      with the job in its queue and never reissues the job's id.
 
    Usage: validate_serve <path-to-autocc-cli-exe> *)
 
@@ -469,6 +471,74 @@ let phase_f () =
           (str "verdict" job) Serve.Machine.crashed_verdict
       else infof "with every renewal dropped the job ended %s" (str "verdict" job)
 
+(* {1 Phase G: an acknowledged submit is already in queue.json}
+
+   Each trial SIGKILLs a queue-only daemon the moment its accept reply
+   arrives: a daemon that replied before saving would restart without
+   the job and hand its id to the next submission. The kill is reaped
+   before the restart: a zombie still answers kill 0, and the restart
+   would refuse to run beside it. *)
+
+let ack_trials = 10
+
+let phase_g () =
+  phase "G: a daemon SIGKILLed after acknowledging a submit keeps the job";
+  let dir = "sserve_g" in
+  ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; dir ]));
+  let start () = start_daemon ~dir [ "--workers"; "0" ] in
+  let submit trial =
+    let dut = List.nth duts (trial mod List.length duts) in
+    match
+      Serve.Client.submit ~dir
+        { Serve.Machine.sp_dut = dut; sp_engine = "check"; sp_depth = depth;
+          sp_threshold = threshold }
+    with
+    | Ok id -> Some id
+    | Error e ->
+        failf "trial %d: submit %s: %s" trial dut e;
+        None
+  in
+  let acked = ref [] in
+  let fresh trial id =
+    if List.mem id !acked then
+      failf "trial %d: id %s was acknowledged before the restart" trial id;
+    acked := id :: !acked
+  in
+  let lost = ref 0 in
+  for trial = 1 to ack_trials do
+    let pid = start () in
+    let id = submit trial in
+    Unix.kill pid Sys.sigkill;
+    ignore (Unix.waitpid [] pid);
+    Option.iter
+      (fun id ->
+        fresh trial id;
+        match Serve.Store.load ~dir Serve.Machine.default_config with
+        | Ok (Some m) when Serve.Machine.find m id <> None -> ()
+        | Ok _ ->
+            incr lost;
+            failf "trial %d: acknowledged %s is missing from queue.json" trial id
+        | Error e -> failf "trial %d: %s" trial e)
+      id
+  done;
+  (* One more restart: its submit is new, and a clean drain keeps every
+     acknowledged job. *)
+  let pid = start () in
+  Option.iter (fresh (ack_trials + 1)) (submit (ack_trials + 1));
+  drain_daemon pid;
+  (match Serve.Store.load ~dir Serve.Machine.default_config with
+  | Ok (Some m) ->
+      List.iter
+        (fun id ->
+          if Serve.Machine.find m id = None then
+            failf "%s is missing from the drained queue" id)
+        !acked
+  | Ok None -> failf "no queue.json after the drain"
+  | Error e -> failf "%s" e);
+  infof "%d acknowledged job(s) lost in %d SIGKILL trials; %d distinct ids"
+    !lost ack_trials
+    (List.length (List.sort_uniq compare !acked))
+
 let () =
   if Array.length Sys.argv < 2 then (
     prerr_endline "usage: validate_serve <autocc-cli-exe>";
@@ -485,9 +555,11 @@ let () =
   phase_d ();
   phase_e ();
   phase_f ();
+  phase_g ();
   if !failures > 0 then (
     Printf.printf "serve smoke: %d FAILURE(S)\n" !failures;
     exit 1)
   else print_endline "serve smoke: service survived the crash storm, \
-                      drained byte-stably, reused the warm cache and \
-                      renewed leases through events.jsonl"
+                      drained byte-stably, reused the warm cache, \
+                      renewed leases through events.jsonl and kept \
+                      every acknowledged job"
