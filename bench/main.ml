@@ -7,20 +7,17 @@
    fixes turn CEXs into proofs — must match.
 
    Usage: dune exec bench/main.exe [table1|table2|exploit|aes_proof|
-                                    fixes|baseline|flush_tdd|parallel|
-                                    opt|incremental|cache|symmetric|
+                                    fixes|baseline|flush_tdd|opt|
+                                    counters|incremental|cache|symmetric|
                                     campaign|smoke|diff|bechamel|all]
 
-   The [parallel] subcommand re-runs representative Table 1 rows on the
-   sequential engine and on the domain-sharded parallel engine
-   (lib/bmc/parallel.ml), checks the verdicts and CEX depths agree, and
-   prints the per-row speedup (AUTOCC_JOBS overrides the worker count).
    The [opt] subcommand re-runs the Table 1 rows end-to-end at -O0 and
    -O2, asserts identical verdicts and CEX depths, and reports the
-   wall-clock speedup from the lib/opt netlist pipeline; [smoke] is its
+   wall-clock speedup from the lib/opt netlist pipeline, writing a
+   machine-readable BENCH_opt.json next to the table; [smoke] is its
    single-row variant hooked into [dune runtest] via @bench-smoke.
-   [parallel] and [opt] each write a machine-readable BENCH_<name>.json
-   next to the table.
+   [counters] prints the exact solver counters of a fixed row set, which
+   [dune runtest] compares against test/COUNTERS.json.
 
    The [bechamel] subcommand runs one Bechamel micro-benchmark per table
    on representative kernels. *)
@@ -500,98 +497,6 @@ let flush_tdd () =
     (Unix.gettimeofday () -. t0)
     r2.Autocc.Synthesis.proved
 
-(* {1 Parallel engine: sequential vs sharded/portfolio wall-clock} *)
-
-let parallel_bench () =
-  header
-    "Parallel — sequential engine vs domain-sharded verification (same verdicts, wall-clock speedup)";
-  Obs.Metrics.reset ();
-  Obs.Metrics.enable ();
-  let jobs =
-    match Sys.getenv_opt "AUTOCC_JOBS" with
-    | Some s -> ( try int_of_string s with _ -> Parallel.default_jobs ())
-    | None -> Parallel.default_jobs ()
-  in
-  Printf.printf "worker domains: %d (cores: %d; set AUTOCC_JOBS to override)\n\n"
-    jobs
-    (Domain.recommended_domain_count ());
-  let describe = function
-    | Bmc.Cex (cex, _) -> Printf.sprintf "CEX depth %d" (cex.Bmc.cex_depth + 1)
-    | Bmc.Bounded_proof st -> Printf.sprintf "proof to %d" (st.Bmc.depth_reached + 1)
-    | Bmc.Unknown (r, _) ->
-        Printf.sprintf "unknown (%s)" (Bmc.unknown_reason_to_string r)
-  in
-  let mismatches = ref 0 in
-  let json_rows = ref [] in
-  let row id description ?portfolio ft ~max_depth =
-    let t0 = Unix.gettimeofday () in
-    let seq = Autocc.Ft.check ~max_depth ft in
-    let seq_t = Unix.gettimeofday () -. t0 in
-    let t0 = Unix.gettimeofday () in
-    let par, detail = Autocc.Ft.check_detailed ~max_depth ~jobs ?portfolio ft in
-    let par_t = Unix.gettimeofday () -. t0 in
-    (* The acceptance bar: identical outcome kind, CEX depth and (for
-       sharding, which re-validates on the full property) a failing set
-       that the sequential engine could also have reported. *)
-    let agree =
-      match (seq, par) with
-      | Bmc.Cex (c1, _), Bmc.Cex (c2, _) -> c1.Bmc.cex_depth = c2.Bmc.cex_depth
-      | Bmc.Bounded_proof _, Bmc.Bounded_proof _ -> true
-      | _ -> false
-    in
-    if not agree then incr mismatches;
-    Printf.printf "%-4s %-40s seq %-14s %7.2fs | par %-14s %7.2fs | %5.2fx%s\n" id
-      description (describe seq) seq_t (describe par) par_t
-      (seq_t /. Float.max 1e-9 par_t)
-      (if agree then "" else "  MISMATCH");
-    let merged = Autocc.Report.merge_stats detail in
-    Printf.printf "     %s\n"
-      (Format.asprintf "%a" Autocc.Report.pp_merged merged);
-    json_rows :=
-      Json.Obj
-        [
-          ("id", Json.Str id);
-          ("description", Json.Str description);
-          ( "portfolio",
-            match portfolio with Some p -> Json.Int p | None -> Json.Null );
-          ("max_depth", Json.Int max_depth);
-          ("sequential", json_of_outcome seq ~wall:seq_t);
-          ("parallel", json_of_outcome par ~wall:par_t);
-          ("merged", Autocc.Report.json_of_merged merged);
-          ("speedup", Json.Float (seq_t /. Float.max 1e-9 par_t));
-          ("agree", Json.Bool agree);
-        ]
-      :: !json_rows
-  in
-  let vscale = V.create () in
-  row "V5" "Vscale: pending-IRQ channel (Table 1 row)"
-    (V.ft_for_stage V.Arch_pipeline vscale)
-    ~max_depth:8;
-  row "M3" "MAPLE: base-address leak"
-    (maple_ft { M.fix_m2 = true; fix_m3 = false })
-    ~max_depth:10;
-  row "C0" "CVA6: microreset, all fixes (bounded proof)" (cva6_ft C.microreset_fixed)
-    ~max_depth:11;
-  row "A1" "AES: idle flush, portfolio of 4" ~portfolio:4
-    (Autocc.Ft.generate ~threshold:2 ~flush_done:(A.flush_done_idle ()) (A.create ()))
-    ~max_depth:12;
-  print_newline ();
-  Json.write ~path:"BENCH_parallel.json"
-    (Json.Obj
-       [
-         ("bench", Json.Str "parallel");
-         ("jobs", Json.Int jobs);
-         ("rows", Json.List (List.rev !json_rows));
-         ("mismatches", Json.Int !mismatches);
-         ("telemetry", Obs.Metrics.json_of_snapshot ());
-       ]);
-  if !mismatches = 0 then
-    print_endline "     all parallel verdicts and CEX depths match the sequential engine"
-  else begin
-    Printf.printf "     %d MISMATCH(ES) between sequential and parallel runs\n" !mismatches;
-    exit 1
-  end
-
 (* {1 Optimizer benchmark: -O0 vs -O2 end-to-end, identical verdicts} *)
 
 (* The Table-1 row set shared by [opt_bench] and the [@bench-smoke]
@@ -718,6 +623,65 @@ let opt_bench () =
     Printf.printf "     %d MISMATCH(ES) between -O0 and -O2 runs\n" mismatches;
     exit 1
   end
+
+(* {1 Exact counters: the search trajectory of a fixed row set}
+
+   The -O2 pipeline is deterministic, so a row's verdict, depth, solver
+   counters and CNF size repeat exactly from run to run. Printed with no
+   timings, one row per line, and compared byte for byte against the
+   committed test/COUNTERS.json by [dune runtest]: a change that moves
+   any trajectory fails there until the file is re-promoted. The deep
+   rows V and C0+ are left out to keep the check to seconds. *)
+let counter_row_ids = [ "V5"; "C1"; "C2"; "M2"; "M3"; "A1"; "C0"; "V3" ]
+
+let counters () =
+  let json_of_counters id verdict depth (st : Bmc.stats) =
+    Json.Obj
+      [
+        ("id", Json.Str id);
+        ("verdict", Json.Str verdict);
+        ("depth", Json.Int depth);
+        ("conflicts", Json.Int st.Bmc.conflicts);
+        ("decisions", Json.Int st.Bmc.decisions);
+        ("propagations", Json.Int st.Bmc.propagations);
+        ("vars", Json.Int st.Bmc.vars);
+        ("clauses", Json.Int st.Bmc.clauses);
+      ]
+  in
+  let check_row (id, _, mk_ft, max_depth) =
+    match Autocc.Ft.check ~max_depth ~opt:Opt.O2 (mk_ft ()) with
+    | Bmc.Cex (cex, st) -> json_of_counters id "cex" cex.Bmc.cex_depth st
+    | Bmc.Bounded_proof st ->
+        json_of_counters id "bounded_proof" st.Bmc.depth_reached st
+    | Bmc.Unknown (r, st) ->
+        json_of_counters id
+          ("unknown:" ^ Bmc.unknown_reason_to_string r)
+          st.Bmc.depth_reached st
+  in
+  (* [aes_proof]'s k-induction row. *)
+  let prove_row () =
+    let ft =
+      Autocc.Ft.generate ~threshold:2 ~flush_done:(A.flush_done_idle ())
+        (A.create ())
+    in
+    match Autocc.Ft.prove ~max_depth:20 ft with
+    | Bmc.Proved (k, st) -> json_of_counters "A.prove" "proved" k st
+    | Bmc.Refuted (cex, st) ->
+        json_of_counters "A.prove" "refuted" cex.Bmc.cex_depth st
+    | Bmc.Unknown (r, st) ->
+        json_of_counters "A.prove"
+          ("unknown:" ^ Bmc.unknown_reason_to_string r)
+          st.Bmc.depth_reached st
+  in
+  let rows =
+    List.map check_row
+      (List.filter
+         (fun (id, _, _, _) -> List.mem id counter_row_ids)
+         (opt_rows ()))
+    @ [ prove_row () ]
+  in
+  Printf.printf "{\"bench\":\"counters\",\"rows\":[\n%s\n]}\n"
+    (String.concat ",\n" (List.map Json.to_string rows))
 
 (* {1 Incremental-engine benchmark: persistent solver vs scratch re-blast} *)
 
@@ -1358,15 +1322,26 @@ let robustness_bench () =
     Retry.policy ~max_attempts:3 ~backoff_base_s:0.001 ~backoff_cap_s:0.002 ()
   in
   let t0 = Unix.gettimeofday () in
-  let budgeted, detail =
-    Autocc.Ft.check_detailed ~max_depth ~jobs:2 ~budget:tiny ~retry (mk_ft ())
-  in
+  let budgeted = Autocc.Ft.check ~max_depth ~budget:tiny ~retry (mk_ft ()) in
   let budget_t = Unix.gettimeofday () -. t0 in
-  let merged = Autocc.Report.merge_stats detail in
+  let unknown, timeouts =
+    match budgeted with
+    | Bmc.Unknown
+        (Bmc.Budget_exhausted { ub_budget = Sat.Solver.Wall_clock; _ }, _) ->
+        (1, 1)
+    | Bmc.Unknown _ -> (1, 0)
+    | _ -> (0, 0)
+  in
+  (* Retries counted by [Retry.run] itself; the unbudgeted run below
+     never retries, so the counter is this run's alone. *)
+  let retries =
+    match Obs.Metrics.find "bmc.retries" with
+    | Some (Obs.Metrics.Counter n) -> n
+    | _ -> 0
+  in
   Printf.printf
     "tiny budget : %-36s %6.2fs  (%d unknown, %d timeouts, %d retries)\n"
-    (describe budgeted) budget_t merged.Autocc.Report.m_unknown
-    merged.Autocc.Report.m_timeout merged.Autocc.Report.m_retries;
+    (describe budgeted) budget_t unknown timeouts retries;
   let t0 = Unix.gettimeofday () in
   let full = Autocc.Ft.check ~max_depth (mk_ft ()) in
   let full_t = Unix.gettimeofday () -. t0 in
@@ -1388,9 +1363,8 @@ let robustness_bench () =
       print_endline "     FAILED: the unbudgeted run did not complete";
       incr failures
   | _ -> ());
-  if merged.Autocc.Report.m_unknown > 0 && merged.Autocc.Report.m_retries = 0
-  then begin
-    print_endline "     FAILED: Unknown jobs recorded no retry attempts";
+  if unknown > 0 && retries = 0 then begin
+    print_endline "     FAILED: the Unknown run recorded no retry attempts";
     incr failures
   end;
   Json.write ~path:"BENCH_robustness.json"
@@ -1400,10 +1374,9 @@ let robustness_bench () =
          ("max_depth", Json.Int max_depth);
          ("budgeted", json_of_outcome budgeted ~wall:budget_t);
          ("unbudgeted", json_of_outcome full ~wall:full_t);
-         ("merged", Autocc.Report.json_of_merged merged);
-         ("unknown", Json.Int merged.Autocc.Report.m_unknown);
-         ("timeouts", Json.Int merged.Autocc.Report.m_timeout);
-         ("retries", Json.Int merged.Autocc.Report.m_retries);
+         ("unknown", Json.Int unknown);
+         ("timeouts", Json.Int timeouts);
+         ("retries", Json.Int retries);
          ("failures", Json.Int !failures);
          ("telemetry", Obs.Metrics.json_of_snapshot ());
        ]);
@@ -1897,8 +1870,8 @@ let () =
   | "divider" -> divider ()
   | "scaling" -> scaling ()
   | "flush_tdd" -> flush_tdd ()
-  | "parallel" -> parallel_bench ()
   | "opt" -> opt_bench ()
+  | "counters" -> counters ()
   | "incremental" -> incremental_bench ()
   | "cache" -> cache_bench ()
   | "symmetric" -> symmetric_bench ()
@@ -1916,7 +1889,7 @@ let () =
   | "all" -> all ()
   | other ->
       Printf.eprintf
-        "unknown experiment %s (try table1|table2|exploit|aes_proof|fixes|baseline|latency|flush_tdd|parallel|opt|incremental|cache|symmetric|campaign|robustness|serve|smoke|diff|bechamel|all)\n"
+        "unknown experiment %s (try table1|table2|exploit|aes_proof|fixes|baseline|latency|flush_tdd|opt|counters|incremental|cache|symmetric|campaign|robustness|serve|smoke|diff|bechamel|all)\n"
         other;
       exit 1);
   ledger_record sub ~t0 ~cpu0

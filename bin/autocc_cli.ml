@@ -147,7 +147,7 @@ let ft_for name dut ~stage ~threshold = Duts.Bundled.ft_for ~stage ~threshold na
 
 (* [--timeout]/[--conflict-budget] become a per-solver-run [Bmc.budget];
    [--retries n] becomes a [Retry] policy with n retries over escalated
-   budgets and the portfolio's alternate configurations. *)
+   budgets and alternate solver configurations. *)
 let budget_of timeout conflicts =
   match (timeout, conflicts) with
   | None, None -> Bmc.no_budget
@@ -175,7 +175,7 @@ let print_cache_summary cache =
         st.Cache.evictions st.Cache.size
         (match Cache.dir c with Some d -> d | None -> "memory")
 
-let analyze dut_name verilog top blackbox stage threshold max_depth jobs portfolio
+let analyze dut_name verilog top blackbox stage threshold max_depth
     timeout conflict_budget retries
     opt_level no_incremental no_symmetric cache_dir no_cache
     fix_m2 fix_m3 fix_c1 fix_c2 fix_c3 full_flush
@@ -208,37 +208,21 @@ let analyze dut_name verilog top blackbox stage threshold max_depth jobs portfol
     | _ -> Autocc.Ft.generate ~threshold ~blackbox dut
   in
   Format.printf "FT : %a@." Rtl.Circuit.pp_stats ft.Autocc.Ft.wrapper;
-  let jobs = if jobs = 0 then Parallel.default_jobs () else jobs in
   let opt = Opt.level_of_int opt_level in
   let progress d = if verbose then Format.printf "  depth %d@." d in
-  Format.printf "Running BMC to depth %d at -O%d%s...@." max_depth
-    (Opt.level_to_int opt)
-    (if portfolio > 1 then Printf.sprintf " (portfolio of %d on %d domains)" portfolio jobs
-     else if jobs > 1 then Printf.sprintf " (%d worker domains)" jobs
-     else "");
+  Format.printf "Running BMC to depth %d at -O%d...@." max_depth
+    (Opt.level_to_int opt);
   let t0 = Unix.gettimeofday () in
   let budget = budget_of timeout conflict_budget in
   let retry = retry_of retries in
   let outcome =
-    if jobs > 1 || portfolio > 1 then begin
-      let portfolio = if portfolio > 1 then Some portfolio else None in
-      let outcome, detail =
-        Autocc.Ft.check_detailed ~max_depth ~progress ~jobs ?portfolio ~budget
-          ?retry ~opt ~incremental ~symmetric ?cache ft
-      in
-      Format.printf "Parallel run: %a@." Autocc.Report.pp_merged
-        (Autocc.Report.merge_stats detail);
-      outcome
-    end
-    else
-      Autocc.Ft.check ~max_depth ~progress ~budget ?retry ~opt ~incremental
-        ~symmetric ?cache ft
+    Autocc.Ft.check ~max_depth ~progress ~budget ?retry ~opt ~incremental
+      ~symmetric ?cache ft
   in
   let report_opt (stats : Bmc.stats) =
     match stats.Bmc.opt with
-    | Some o when jobs <= 1 && portfolio <= 1 ->
-        Format.printf "Optimizer: %a@." Opt.pp_stats o
-    | _ -> ()
+    | Some o -> Format.printf "Optimizer: %a@." Opt.pp_stats o
+    | None -> ()
   in
   (match outcome with
   | Bmc.Cex (cex, stats) ->
@@ -305,7 +289,7 @@ let analyze dut_name verilog top blackbox stage threshold max_depth jobs portfol
 
 (* {1 prove} *)
 
-let prove dut_name verilog top stage threshold max_depth jobs timeout
+let prove dut_name verilog top stage threshold max_depth timeout
     conflict_budget retries opt_level no_incremental no_symmetric cache_dir
     no_cache verbose vcd trace log_json log_level metrics_file =
   let incremental = not no_incremental in
@@ -331,17 +315,15 @@ let prove dut_name verilog top stage threshold max_depth jobs timeout
     | _ -> Autocc.Ft.generate ~threshold dut
   in
   Format.printf "FT : %a@." Rtl.Circuit.pp_stats ft.Autocc.Ft.wrapper;
-  let jobs = if jobs = 0 then Parallel.default_jobs () else jobs in
   let opt = Opt.level_of_int opt_level in
   let progress k = if verbose then Format.printf "  k=%d@." k in
-  Format.printf "Running k-induction to depth %d at -O%d%s...@." max_depth
-    (Opt.level_to_int opt)
-    (if jobs > 1 then Printf.sprintf " (%d worker domains)" jobs else "");
+  Format.printf "Running k-induction to depth %d at -O%d...@." max_depth
+    (Opt.level_to_int opt);
   let t0 = Unix.gettimeofday () in
   let budget = budget_of timeout conflict_budget in
   let outcome =
-    Autocc.Ft.prove ~max_depth ~progress ~jobs ~budget
-      ?retry:(retry_of retries) ~opt ~incremental ~symmetric ?cache ft
+    Autocc.Ft.prove ~max_depth ~progress ~budget ?retry:(retry_of retries) ~opt
+      ~incremental ~symmetric ?cache ft
   in
   (match outcome with
   | Bmc.Proved (k, stats) ->
@@ -482,7 +464,7 @@ let export dut_name dir threshold depth arch_regs =
 
 (* {1 stats} *)
 
-let stats dut_name max_depth jobs opt_level trace log_json log_level
+let stats dut_name max_depth opt_level trace log_json log_level
     metrics_file =
   with_telemetry ?metrics_file ~cmd:"stats" trace log_json log_level @@ fun () ->
   List.iter
@@ -502,7 +484,6 @@ let stats dut_name max_depth jobs opt_level trace log_json log_level
       ~fix_c2:false ~fix_c3:false ~full_flush:false
   in
   let ft = ft_for dut_name dut ~stage:0 ~threshold:2 in
-  let jobs = if jobs = 0 then Parallel.default_jobs () else jobs in
   let opt = Opt.level_of_int opt_level in
   Format.printf "@.Instrumented BMC on %s to depth %d at -O%d...@." dut_name
     max_depth (Opt.level_to_int opt);
@@ -512,7 +493,7 @@ let stats dut_name max_depth jobs opt_level trace log_json log_level
      solver counters — the sweep re-queries shared cones, so even a
      single run exercises them. *)
   let cache = Cache.create () in
-  let outcome = Autocc.Ft.check ~max_depth ~jobs ~opt ~cache ft in
+  let outcome = Autocc.Ft.check ~max_depth ~opt ~cache ft in
   (match outcome with
   | Bmc.Cex (cex, _) ->
       Format.printf "verdict: CEX at depth %d@." cex.Bmc.cex_depth;
@@ -933,9 +914,9 @@ let why dut_name assertion stage threshold max_depth timeout conflict_budget
                  dut_name
                  (String.concat ", " (List.map fst property.Bmc.asserts)))
         | Some (n, s) ->
-            (* Per-assertion entries (campaign sweeps / the sharded
-               engine) key the single-assertion sub-property, always on
-               a persistent solver. *)
+            (* Per-assertion entries (campaign sweeps) key the
+               single-assertion sub-property, always on a persistent
+               solver. *)
             let sub = { property with Bmc.asserts = [ (n, s) ] } in
             audit
               (Printf.sprintf "per-assertion entry %S" n)
@@ -994,10 +975,9 @@ let threshold_arg =
 let max_depth_arg =
   Arg.(value & opt int 12 & info [ "max-depth" ] ~doc:"BMC unrolling bound in cycles.")
 
-(* A non-negative int converter: --jobs/-portfolio semantics give 0 a
-   meaning ("auto" / "off"), but negative values used to fall through to
-   the domain-pool layer — reject them here with a proper cmdliner
-   error. *)
+(* A non-negative int converter for counts where 0 has a meaning
+   (--retries 0 disables retries, --workers 0 runs no worker): reject a
+   negative value at parse time with a proper cmdliner error. *)
 let nonneg_int what =
   let parse s =
     match Arg.conv_parser Arg.int s with
@@ -1010,8 +990,8 @@ let nonneg_int what =
 
 (* Strictly-positive converters for the resource budgets: a zero or
    negative budget would make every run Unknown at depth 0, which is
-   never what the user meant — reject it at parse time like --jobs
-   does. *)
+   never what the user meant — reject it at parse time like
+   {!nonneg_int} does. *)
 let pos_float what =
   let parse s =
     match Arg.conv_parser Arg.float s with
@@ -1058,26 +1038,6 @@ let retries_arg =
           "Retry inconclusive (budget/fault) verdicts up to $(docv) times \
            with escalated budgets, alternate solver configurations and \
            capped exponential backoff. 0 (the default) disables retries.")
-
-let jobs_arg =
-  Arg.(
-    value
-    & opt (nonneg_int "--jobs") 1
-    & info [ "jobs"; "j" ]
-        ~doc:
-          "Worker domains for parallel verification: assertions are sharded \
-           across this many domains. 1 (the default) runs the sequential \
-           engine; 0 uses one domain per core.")
-
-let portfolio_arg =
-  Arg.(
-    value
-    & opt (nonneg_int "--portfolio") 0
-    & info [ "portfolio" ]
-        ~doc:
-          "Race this many solver configurations on the whole property instead \
-           of sharding assertions; the first answer wins. Implies the parallel \
-           engine.")
 
 let opt_arg =
   let level =
@@ -1187,7 +1147,7 @@ let analyze_cmd =
           & opt string ""
           & info [ "blackbox" ]
               ~doc:"Comma-separated submodule boundaries/instances to blackbox.")
-      $ stage_arg $ threshold_arg $ max_depth_arg $ jobs_arg $ portfolio_arg
+      $ stage_arg $ threshold_arg $ max_depth_arg
       $ timeout_arg $ conflict_budget_arg $ retries_arg $ opt_arg
       $ no_incremental_arg $ no_symmetric_arg $ cache_dir_arg $ no_cache_arg
       $ flag "fix-m2" "Apply the MAPLE M2 fix."
@@ -1213,7 +1173,7 @@ let prove_cmd =
           value
           & opt (some string) None
           & info [ "top" ] ~doc:"Top module of a multi-module Verilog source.")
-      $ stage_arg $ threshold_arg $ max_depth_arg $ jobs_arg $ timeout_arg
+      $ stage_arg $ threshold_arg $ max_depth_arg $ timeout_arg
       $ conflict_budget_arg $ retries_arg $ opt_arg $ no_incremental_arg
       $ no_symmetric_arg $ cache_dir_arg $ no_cache_arg
       $ flag "verbose" "Print per-depth progress."
@@ -1264,7 +1224,7 @@ let stats_cmd =
           (solver conflict/propagation counts, CNF sizes, per-depth \
           timings).")
     Term.(
-      const stats $ dut $ max_depth_arg $ jobs_arg $ opt_arg $ trace_arg
+      const stats $ dut $ max_depth_arg $ opt_arg $ trace_arg
       $ log_json_arg $ log_level_arg $ metrics_file_arg)
 
 let campaign_cmd =

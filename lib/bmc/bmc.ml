@@ -78,7 +78,6 @@ type outcome =
   | Unknown of unknown_reason * stats
 
 exception Replay_mismatch of string
-exception Cancelled of stats
 
 (* Relative budget -> absolute solver budget: the deadline is pinned to
    the wall clock at engine entry, so retries get a fresh allowance. *)
@@ -94,13 +93,13 @@ let solver_budget b =
         b_clock = clock;
       }
 
-(* Compose the fault probe into the stop hook: an armed [sat.stop] site
-   raises {!Fault.Injected} from the polling points, which the engine
-   downgrades to [Unknown (Faulted _)] — distinguishable from a real
-   external cancellation, which raises {!Sat.Solver.Stopped}. *)
-let fault_stop stop () =
+(* The solver's stop hook carries only the [sat.stop] fault probe: an
+   armed site raises {!Fault.Injected} from the solver's propagation
+   loop (and from the between-depth polls), which the engine downgrades
+   to [Unknown (Faulted _)]. Nothing else stops a search. *)
+let fault_stop () =
   Fault.point "sat.stop";
-  stop ()
+  false
 
 let check_width_1 what s =
   if Signal.width s <> 1 then
@@ -151,9 +150,9 @@ let check_property what property =
 (* Property signals are usually fresh nodes over the circuit's graph;
    elaborate an extended circuit that carries them as outputs so that the
    blaster and the replay simulator both know them. Creates no new signal
-   nodes, so it is safe to call from worker domains. Idempotent: ports
-   from an earlier instrumentation (a {!preoptimize}d circuit) are
-   dropped before the current property's are appended. *)
+   nodes. Idempotent: ports from an earlier instrumentation (a
+   {!preoptimize}d circuit) are dropped before the current property's
+   are appended. *)
 let is_prop_port name =
   String.length name >= 6 && String.sub name 0 6 = "__bmc_"
 
@@ -223,8 +222,8 @@ let optimize_instrumented ~opt ?(sym = []) full property =
 
 (* Instrument + optimize once, outside any engine: callers that run the
    same circuit/property through several engines (benchmarks comparing
-   them, a portfolio) can pay the optimizer once and hand each engine
-   the slim circuit with [~opt:O0]. *)
+   them) can pay the optimizer once and hand each engine the slim
+   circuit with [~opt:O0]. *)
 let preoptimize ?(opt = Opt.O2) ?(sym = []) circuit property =
   check_property "Bmc.preoptimize" property;
   let full = instrument circuit property in
@@ -236,8 +235,7 @@ let preoptimize ?(opt = Opt.O2) ?(sym = []) circuit property =
 (* {1 Telemetry}
 
    The solver stays dependency-free; this is where its sampling hook and
-   final counters get wired into {!Obs}. Counters are global atomics, so
-   worker domains running concurrent checks all fold into one total. *)
+   final counters get wired into {!Obs}. *)
 
 let m_sat_conflicts = lazy (Obs.Metrics.counter "sat.conflicts")
 let m_sat_decisions = lazy (Obs.Metrics.counter "sat.decisions")
@@ -249,7 +247,7 @@ let m_depth_seconds = lazy (Obs.Metrics.series "bmc.depth_seconds")
 
 (* Emit solver-progress counter tracks while tracing, feed the solver
    health watchdog, and publish progress/stall events on the bus. The
-   hook runs on the domain executing the solve. A stalled query with
+   hook runs inside the solve. A stalled query with
    [p_rebudget] set trips the solver budget: the query surfaces as
    [Out_of_budget Wall_clock] -> [Unknown (Budget_exhausted ...)], which
    the retry schedule already treats as transient — the "rebudget early"
@@ -309,16 +307,15 @@ let flush_solver_metrics solvers =
    with a unit clause. Learnt clauses and variable activity therefore
    survive across depths — the amortization the whole refactor is
    for. *)
-let check_incremental ~max_depth ~progress ?solver_config ~stop ~opt ~budget
+let check_incremental ~max_depth ~progress ?solver_config ~opt ~budget
     ~sym circuit property =
   check_property "Bmc.check" property;
   let full = instrument circuit property in
-  let stop = fault_stop stop in
   let solve_time = ref 0. in
   let cur_depth = ref 0 in
-  (* Filled in as the run sets up, so that abort paths (budget, fault,
-     cancellation) can report honest statistics even when the failure
-     precedes solver creation (e.g. a fault inside an opt pass). *)
+  (* Filled in as the run sets up, so that abort paths (budget, fault)
+     can report honest statistics even when the failure precedes solver
+     creation (e.g. a fault inside an opt pass). *)
   let solver_ref = ref None in
   let opt_ref = ref None in
   let stats depth =
@@ -351,7 +348,7 @@ let check_incremental ~max_depth ~progress ?solver_config ~stop ~opt ~budget
         }
   in
   let run () =
-  let solver = S.create ?config:solver_config ~stop () in
+  let solver = S.create ?config:solver_config ~stop:fault_stop () in
   S.set_budget solver (solver_budget budget);
   solver_ref := Some solver;
   attach_sampling "check" solver;
@@ -373,7 +370,7 @@ let check_incremental ~max_depth ~progress ?solver_config ~stop ~opt ~budget
     if depth > max_depth then Bounded_proof (stats max_depth)
     else begin
       cur_depth := depth;
-      if stop () then raise S.Stopped;
+      Fault.point "sat.stop";
       progress depth;
       let t_depth = Unix.gettimeofday () in
       let found =
@@ -455,7 +452,6 @@ let check_incremental ~max_depth ~progress ?solver_config ~stop ~opt ~budget
   go 0
   in
   try run () with
-  | S.Stopped -> raise (Cancelled (stats !cur_depth))
   | S.Out_of_budget kind ->
       Unknown
         ( Budget_exhausted
@@ -480,11 +476,10 @@ let check_incremental ~max_depth ~progress ?solver_config ~stop ~opt ~budget
    cumulative — depth k's solver receives the cap minus what earlier
    depths spent — so [Out_of_budget] fires when the run as a whole
    exceeds the grant and the report stays clean up to depth k-1. *)
-let check_scratch ~max_depth ~progress ?solver_config ~stop ~opt ~budget
+let check_scratch ~max_depth ~progress ?solver_config ~opt ~budget
     circuit property =
   check_property "Bmc.check" property;
   let full = instrument circuit property in
-  let stop = fault_stop stop in
   let solve_time = ref 0. in
   let cur_depth = ref 0 in
   let opt_ref = ref None in
@@ -532,7 +527,7 @@ let check_scratch ~max_depth ~progress ?solver_config ~stop ~opt ~budget
       if depth > max_depth then Bounded_proof (stats max_depth)
       else begin
         cur_depth := depth;
-        if stop () then raise S.Stopped;
+        Fault.point "sat.stop";
         progress depth;
         let t_depth = Unix.gettimeofday () in
         let found =
@@ -540,7 +535,7 @@ let check_scratch ~max_depth ~progress ?solver_config ~stop ~opt ~budget
           @@ fun () ->
           Obs.log ~attrs:[ ("depth", Obs.Json.Int depth) ] Debug "bmc.depth";
           Fault.point "bmc.alloc";
-          let solver = S.create ?config:solver_config ~stop () in
+          let solver = S.create ?config:solver_config ~stop:fault_stop () in
           S.set_budget solver
             {
               sbud with
@@ -617,7 +612,6 @@ let check_scratch ~max_depth ~progress ?solver_config ~stop ~opt ~budget
     go 0
   in
   try run () with
-  | S.Stopped -> raise (Cancelled (stats !cur_depth))
   | S.Out_of_budget kind ->
       Unknown
         ( Budget_exhausted
@@ -647,8 +641,8 @@ let cache_config ~engine ~max_depth ~opt ~incremental ~solver_config ~budget =
     match solver_config with
     | None -> "default"
     | Some c ->
-        Printf.sprintf "%s;%g;%d;%b;%g;%d" c.S.cfg_name c.S.var_decay
-          c.S.restart_first c.S.default_polarity c.S.random_freq c.S.seed
+        Printf.sprintf "%s;%g;%d;%b" c.S.cfg_name c.S.var_decay
+          c.S.restart_first c.S.default_polarity
   in
   let fl = function None -> "-" | Some f -> Printf.sprintf "%g" f in
   let it = function None -> "-" | Some i -> string_of_int i in
@@ -833,14 +827,14 @@ let store_check cache key canon property ~config = function
   | Unknown _ -> ()
 
 let check ?(max_depth = 30) ?(progress = fun _ -> ()) ?solver_config
-    ?(stop = fun () -> false) ?(opt = Opt.O0) ?(budget = no_budget)
-    ?(incremental = true) ?(sym = []) ?cache circuit property =
+    ?(opt = Opt.O0) ?(budget = no_budget) ?(incremental = true) ?(sym = [])
+    ?cache circuit property =
   let engine () =
     if incremental then
-      check_incremental ~max_depth ~progress ?solver_config ~stop ~opt ~budget
+      check_incremental ~max_depth ~progress ?solver_config ~opt ~budget
         ~sym circuit property
     else
-      check_scratch ~max_depth ~progress ?solver_config ~stop ~opt ~budget
+      check_scratch ~max_depth ~progress ?solver_config ~opt ~budget
         circuit property
   in
   match cache with
@@ -887,8 +881,8 @@ let check ?(max_depth = 30) ?(progress = fun _ -> ()) ?solver_config
    [check ~incremental:false] per assertion, each optimized down to its
    own cone. *)
 let check_each ?(max_depth = 30) ?(progress = fun _ -> ()) ?solver_config
-    ?(stop = fun () -> false) ?(opt = Opt.O0) ?(budget = no_budget)
-    ?(incremental = true) ?(sym = []) ?cache circuit property =
+    ?(opt = Opt.O0) ?(budget = no_budget) ?(incremental = true) ?(sym = [])
+    ?cache circuit property =
   if property.asserts = [] then []
   else if not incremental then
     List.map
@@ -897,13 +891,12 @@ let check_each ?(max_depth = 30) ?(progress = fun _ -> ()) ?solver_config
         ( name,
           Obs.span "bmc.check_each" ~attrs:[ ("assert", Obs.Json.Str name) ]
             (fun () ->
-              check ~max_depth ~progress ?solver_config ~stop ~opt ~budget
+              check ~max_depth ~progress ?solver_config ~opt ~budget
                 ~incremental:false ?cache circuit sub) ))
       property.asserts
   else begin
     check_property "Bmc.check_each" property;
     let full = instrument circuit property in
-    let stop = fault_stop stop in
     let opt_memo = ref None in
     let session = ref None in
     let all_solvers = ref [] in
@@ -911,7 +904,7 @@ let check_each ?(max_depth = 30) ?(progress = fun _ -> ()) ?solver_config
       match !session with
       | Some s -> s
       | None ->
-          let solver = S.create ?config:solver_config ~stop () in
+          let solver = S.create ?config:solver_config ~stop:fault_stop () in
           attach_sampling "check_each" solver;
           all_solvers := solver :: !all_solvers;
           let opt_result =
@@ -1005,7 +998,7 @@ let check_each ?(max_depth = 30) ?(progress = fun _ -> ()) ?solver_config
           if depth > max_depth then Bounded_proof (stats max_depth)
           else begin
             cur_depth := depth;
-            if stop () then raise S.Stopped;
+            Fault.point "sat.stop";
             progress depth;
             let t_depth = Unix.gettimeofday () in
             let found =
@@ -1071,9 +1064,6 @@ let check_each ?(max_depth = 30) ?(progress = fun _ -> ()) ?solver_config
         go 0
       in
       try run () with
-      | S.Stopped ->
-          session := None;
-          raise (Cancelled (stats !cur_depth))
       | S.Out_of_budget kind ->
           session := None;
           Unknown
@@ -1173,11 +1163,10 @@ type induction_outcome =
    constraints pairing cycle k against earlier cycles; the previously
    installed pairs persist, so after round k the step instance carries
    the full loop-free condition over cycles 0..k. *)
-let prove_incremental ~max_depth ~progress ?solver_config ~stop ~opt ~budget
+let prove_incremental ~max_depth ~progress ?solver_config ~opt ~budget
     ~sym circuit property =
   check_property "Bmc.prove" property;
   let full = instrument circuit property in
-  let stop = fault_stop stop in
   let solve_time = ref 0. in
   let cur_depth = ref 0 in
   let cur_case = ref Base in
@@ -1203,7 +1192,7 @@ let prove_incremental ~max_depth ~progress ?solver_config ~stop ~opt ~budget
   let run () =
   (* One absolute deadline shared by both solvers. *)
   let sbud = solver_budget budget in
-  let base_solver = S.create ?config:solver_config ~stop () in
+  let base_solver = S.create ?config:solver_config ~stop:fault_stop () in
   S.set_budget base_solver sbud;
   attach_sampling "base" base_solver;
   solvers_ref := [ base_solver ];
@@ -1214,7 +1203,7 @@ let prove_incremental ~max_depth ~progress ?solver_config ~stop ~opt ~budget
   let base =
     Cnf.Blast.create ~mode:Cnf.Blast.Template ~sym base_solver circuit
   in
-  let step_solver = S.create ?config:solver_config ~stop () in
+  let step_solver = S.create ?config:solver_config ~stop:fault_stop () in
   S.set_budget step_solver sbud;
   attach_sampling "step" step_solver;
   let step =
@@ -1262,7 +1251,7 @@ let prove_incremental ~max_depth ~progress ?solver_config ~stop ~opt ~budget
     if k > max_depth then Unknown (Bound_exhausted, stats max_depth)
     else begin
       cur_depth := k;
-      if stop () then raise S.Stopped;
+      Fault.point "sat.stop";
       progress k;
       let t_depth = Unix.gettimeofday () in
       Obs.log ~attrs:[ ("depth", Obs.Json.Int k) ] Debug "bmc.induction_depth";
@@ -1316,7 +1305,6 @@ let prove_incremental ~max_depth ~progress ?solver_config ~stop ~opt ~budget
   go 0
   in
   try run () with
-  | S.Stopped -> raise (Cancelled (stats !cur_depth))
   | S.Out_of_budget kind ->
       Unknown
         ( Budget_exhausted
@@ -1333,11 +1321,10 @@ let prove_incremental ~max_depth ~progress ?solver_config ~stop ~opt ~budget
    earlier rounds). The wall deadline is shared by every solver ever
    created; the conflict cap is cumulative across them (each new solver
    gets the cap minus what its predecessors spent). *)
-let prove_scratch ~max_depth ~progress ?solver_config ~stop ~opt ~budget
+let prove_scratch ~max_depth ~progress ?solver_config ~opt ~budget
     circuit property =
   check_property "Bmc.prove" property;
   let full = instrument circuit property in
-  let stop = fault_stop stop in
   let solve_time = ref 0. in
   let cur_depth = ref 0 in
   let cur_case = ref Base in
@@ -1386,7 +1373,7 @@ let prove_scratch ~max_depth ~progress ?solver_config ~stop ~opt ~budget
     in
     opt_ref := opt_stats;
     let new_solver label =
-      let solver = S.create ?config:solver_config ~stop () in
+      let solver = S.create ?config:solver_config ~stop:fault_stop () in
       S.set_budget solver
         {
           sbud with
@@ -1437,7 +1424,7 @@ let prove_scratch ~max_depth ~progress ?solver_config ~stop ~opt ~budget
       if k > max_depth then Unknown (Bound_exhausted, stats max_depth)
       else begin
         cur_depth := k;
-        if stop () then raise S.Stopped;
+        Fault.point "sat.stop";
         progress k;
         let t_depth = Unix.gettimeofday () in
         Obs.log ~attrs:[ ("depth", Obs.Json.Int k) ] Debug
@@ -1496,7 +1483,6 @@ let prove_scratch ~max_depth ~progress ?solver_config ~stop ~opt ~budget
     go 0
   in
   try run () with
-  | S.Stopped -> raise (Cancelled (stats !cur_depth))
   | S.Out_of_budget kind ->
       Unknown
         ( Budget_exhausted
@@ -1507,14 +1493,14 @@ let prove_scratch ~max_depth ~progress ?solver_config ~stop ~opt ~budget
       Unknown (Faulted site, stats (!cur_depth - 1))
 
 let prove ?(max_depth = 30) ?(progress = fun _ -> ()) ?solver_config
-    ?(stop = fun () -> false) ?(opt = Opt.O0) ?(budget = no_budget)
-    ?(incremental = true) ?(sym = []) ?cache circuit property =
+    ?(opt = Opt.O0) ?(budget = no_budget) ?(incremental = true) ?(sym = [])
+    ?cache circuit property =
   let engine () =
     if incremental then
-      prove_incremental ~max_depth ~progress ?solver_config ~stop ~opt ~budget
+      prove_incremental ~max_depth ~progress ?solver_config ~opt ~budget
         ~sym circuit property
     else
-      prove_scratch ~max_depth ~progress ?solver_config ~stop ~opt ~budget
+      prove_scratch ~max_depth ~progress ?solver_config ~opt ~budget
         circuit property
   in
   match cache with

@@ -107,12 +107,6 @@ exception Replay_mismatch of string
 (** Raised if a SAT counterexample fails to reproduce in simulation —
     indicates a bug in the blasting or solving layer. *)
 
-exception Cancelled of stats
-(** Raised by {!check} / {!prove} when the [stop] hook fires mid-search.
-    Carries the statistics accumulated up to the cancellation point;
-    [depth_reached] is the depth that was being explored. Used by
-    {!Parallel} to abandon jobs once a shallower counterexample exists. *)
-
 val cache_config :
   engine:string ->
   max_depth:int ->
@@ -149,7 +143,6 @@ val check :
   ?max_depth:int ->
   ?progress:(int -> unit) ->
   ?solver_config:Sat.Solver.config ->
-  ?stop:(unit -> bool) ->
   ?opt:Opt.level ->
   ?budget:budget ->
   ?incremental:bool ->
@@ -188,17 +181,11 @@ val check :
     replayed on the {e unoptimized} circuit, so [cex_circuit] and
     [cex_inputs] always describe the original instrumented design.
 
-    [progress] is invoked with each depth just before it is solved.
-    Reentrancy contract: it is always called from the domain that called
-    [check], never from another domain — {!Parallel} relies on this by
-    giving each worker job its own callback and marshalling user-visible
-    ticks back to the coordinating domain through a mutex-protected
-    queue. The callback must not call back into this [check] run.
+    [progress] is invoked with each depth just before it is solved. The
+    callback must not call back into this [check] run.
 
     [solver_config] selects the SAT heuristics (see
-    {!Sat.Solver.config}); [stop] is polled in the solver's propagation
-    loop and between depths, and a firing stop aborts the run by raising
-    {!Cancelled}.
+    {!Sat.Solver.config}).
 
     [sym] (default none; incremental engine only) declares symmetric
     node pairs of a two-universe miter — see {!Cnf.Blast.create}. The
@@ -225,7 +212,6 @@ val check_each :
   ?max_depth:int ->
   ?progress:(int -> unit) ->
   ?solver_config:Sat.Solver.config ->
-  ?stop:(unit -> bool) ->
   ?opt:Opt.level ->
   ?budget:budget ->
   ?incremental:bool ->
@@ -267,10 +253,9 @@ val check_each :
 val instrument : Rtl.Circuit.t -> property -> Rtl.Circuit.t
 (** The extended circuit [check] verifies: the original outputs plus one
     output per assumption ([__bmc_assume_<i>]) and per assertion
-    ([__bmc_assert_<name>]). Allocates no new signal nodes, so it is safe
-    to call concurrently from several domains on a shared signal graph.
-    Idempotent: property ports from an earlier instrumentation are
-    replaced, not duplicated. *)
+    ([__bmc_assert_<name>]). Allocates no new signal nodes. Idempotent:
+    property ports from an earlier instrumentation are replaced, not
+    duplicated. *)
 
 val preoptimize :
   ?opt:Opt.level ->
@@ -312,13 +297,6 @@ val replay_values : cex -> Rtl.Signal.t list -> (Rtl.Signal.t * Bitvec.t array) 
 val pp_cex : Format.formatter -> cex -> unit
 (** Print the trace: per-cycle inputs and the failing assertions. *)
 
-val miter : Rtl.Circuit.t -> Rtl.Circuit.t -> Rtl.Circuit.t * property
-(** The shared-input miter of two interface-identical circuits and the
-    per-output equality property {!equiv} checks. Raises
-    [Invalid_argument] if the interfaces differ — validated eagerly, so
-    parallel callers fail in the calling domain before any worker
-    spawns. *)
-
 val equiv :
   ?max_depth:int ->
   ?opt:Opt.level ->
@@ -353,7 +331,6 @@ val prove :
   ?max_depth:int ->
   ?progress:(int -> unit) ->
   ?solver_config:Sat.Solver.config ->
-  ?stop:(unit -> bool) ->
   ?opt:Opt.level ->
   ?budget:budget ->
   ?incremental:bool ->
@@ -364,9 +341,8 @@ val prove :
   induction_outcome
 (** [prove circuit property] interleaves the base case and the inductive
     step, deepening [k] until one of them answers. [progress],
-    [solver_config], [stop], [opt] and [incremental] behave exactly as
-    in {!check} (including the calling-domain-only contract on
-    [progress]). Incrementally the base and step solvers each persist
+    [solver_config], [opt] and [incremental] behave exactly as in
+    {!check}. Incrementally the base and step solvers each persist
     across rounds (template frames, per-round activation literals, the
     accumulated loop-free condition); the scratch oracle rebuilds both
     instances per round with direct unrollings and the full pairwise

@@ -1,5 +1,6 @@
-(* Pure retry schedule: budget escalation, config rotation, capped
-   exponential backoff. No clocks and no effects — see retry.mli. *)
+(* Retry schedule (budget escalation, config rotation, capped
+   exponential backoff) as pure functions, and [run], the loop that
+   drives it — see retry.mli. *)
 
 type policy = {
   max_attempts : int;
@@ -62,3 +63,33 @@ let should_retry p ~attempt reason =
   match reason with
   | Bmc.Budget_exhausted _ | Bmc.Faulted _ -> true
   | Bmc.Bound_exhausted -> false
+
+let m_retries = lazy (Obs.Metrics.counter "bmc.retries")
+
+let count n =
+  if Obs.Metrics.enabled () then Obs.Metrics.add (Lazy.force m_retries) n
+
+let run p ~budget ~reason_of f =
+  let rec loop attempt =
+    let r =
+      if attempt = 0 then f ~budget ~solver_config:None
+      else
+        f ~budget:(budget_for p budget ~attempt)
+          ~solver_config:(config_for p ~attempt)
+    in
+    match reason_of r with
+    | Some reason when should_retry p ~attempt reason ->
+        let attempt = attempt + 1 in
+        let reason = Bmc.unknown_reason_to_string reason in
+        count 1;
+        Obs.Bus.publish (Obs.Bus.Retry { attempt; reason });
+        Obs.log
+          ~attrs:
+            [ ("attempt", Obs.Json.Int attempt); ("reason", Obs.Json.Str reason) ]
+          Obs.Debug "bmc.retry";
+        let d = backoff_s p ~attempt in
+        if d > 0. then Unix.sleepf d;
+        loop attempt
+    | _ -> r
+  in
+  loop 0

@@ -3,10 +3,10 @@
     When a job comes back [Unknown] because a budget fired or a fault
     was injected, the runtime may try again with an escalated budget
     and/or an alternate solver configuration, after a capped exponential
-    backoff. This module is the {e pure} decision core of that loop —
-    every function is a total function of its arguments, so the whole
-    schedule is unit-testable without clocks, solvers, or domains. The
-    effectful half (sleeping, re-running) lives in {!Parallel}.
+    backoff. The schedule is a set of {e pure} functions of their
+    arguments ({!scale} to {!should_retry}), unit-testable without
+    clocks or solvers; {!run} is the effectful half that sleeps and
+    re-runs.
 
     Attempts are numbered from 0 (the original try); a policy with
     [max_attempts = 1] never retries. *)
@@ -62,3 +62,23 @@ val should_retry : policy -> attempt:int -> Bmc.unknown_reason -> bool
     and the reason is transient: budget exhaustion or an injected fault.
     [Bound_exhausted] is never retried — a deeper bound needs a
     different [max_depth], not a bigger budget. *)
+
+val run :
+  policy ->
+  budget:Bmc.budget ->
+  reason_of:('a -> Bmc.unknown_reason option) ->
+  (budget:Bmc.budget -> solver_config:Sat.Solver.config option -> 'a) ->
+  'a
+(** [run p ~budget ~reason_of f] calls [f] until its result is
+    conclusive ([reason_of] gives [None]) or {!should_retry} says stop,
+    and returns the last result. Attempt 0 gets [budget] itself and no
+    solver configuration, so under {!default} [run] is exactly one call
+    of [f]. Each retry publishes {!Obs.Bus.Retry}, adds one to the
+    [bmc.retries] counter, sleeps {!backoff_s}, then calls [f] with
+    {!budget_for} and {!config_for} of its attempt. *)
+
+val count : int -> unit
+(** Add [n] retries to the [bmc.retries] counter (registered on the
+    first retry, so a run without one shows no such metric). For retry
+    loops that do not go through {!run}, such as a campaign's
+    per-assertion retry rounds. *)

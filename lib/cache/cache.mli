@@ -97,8 +97,7 @@ type prov = {
 type t
 (** A verdict store: an in-memory table, optionally backed by an
     append-only [verdicts.jsonl] in a cache directory. One instance may
-    be shared by concurrent domains (operations are mutex-guarded; the
-    sharing engine keeps a single writer). *)
+    be shared by concurrent domains (operations are mutex-guarded). *)
 
 type stats = {
   hits : int;

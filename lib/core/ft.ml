@@ -212,41 +212,29 @@ let generate ?(threshold = 4) ?(sync = Flush_end) ?(common = []) ?(blackbox = []
     sym;
   }
 
-(* [jobs]/[portfolio] route through the parallel engine; the default (no
-   jobs, no portfolio) stays on the sequential engine so existing callers
-   and the differential-fuzz baseline are untouched. A [retry] policy
-   also routes through the parallel engine (which owns the retry loop)
-   even at one job. [opt] defaults to O2 here — the product path always
-   optimizes the miter; engines keep their raw O0 default for direct
-   callers. *)
+(* [opt] defaults to O2 here — the product path always optimizes the
+   miter; engines keep their raw O0 default for direct callers. *)
 let sym_of ~symmetric ft = if symmetric then ft.sym else []
 
-let check ?max_depth ?progress ?jobs ?portfolio ?budget ?retry
-    ?(opt = Opt.O2) ?incremental ?(symmetric = true) ?cache ft =
-  let sym = sym_of ~symmetric ft in
-  match (jobs, portfolio, retry) with
-  | (None | Some 1), None, None ->
-      Bmc.check ?max_depth ?progress ?budget ~opt ?incremental ~sym ?cache
-        ft.wrapper ft.property
-  | _ ->
-      Parallel.check ?jobs ?portfolio ?max_depth ?progress ?budget ?retry ~opt
-        ?incremental ~sym ?cache ft.wrapper ft.property
+let check ?max_depth ?progress ?(budget = Bmc.no_budget)
+    ?(retry = Retry.default) ?(opt = Opt.O2) ?incremental ?(symmetric = true)
+    ?cache ft =
+  Retry.run retry ~budget
+    ~reason_of:(function
+      | (Bmc.Unknown (r, _) : Bmc.outcome) -> Some r | _ -> None)
+    (fun ~budget ~solver_config ->
+      Bmc.check ?max_depth ?progress ?solver_config ~budget ~opt ?incremental
+        ~sym:(sym_of ~symmetric ft) ?cache ft.wrapper ft.property)
 
-let check_detailed ?max_depth ?progress ?jobs ?portfolio ?budget ?retry
-    ?(opt = Opt.O2) ?incremental ?(symmetric = true) ?cache ft =
-  Parallel.check_detailed ?jobs ?portfolio ?max_depth ?progress ?budget ?retry
-    ~opt ?incremental ~sym:(sym_of ~symmetric ft) ?cache ft.wrapper ft.property
-
-let prove ?max_depth ?progress ?jobs ?budget ?retry ?(opt = Opt.O2)
-    ?incremental ?(symmetric = true) ?cache ft =
-  let sym = sym_of ~symmetric ft in
-  match (jobs, retry) with
-  | (None | Some 1), None ->
-      Bmc.prove ?max_depth ?progress ?budget ~opt ?incremental ~sym ?cache
-        ft.wrapper ft.property
-  | _ ->
-      Parallel.prove ?jobs ?max_depth ?progress ?budget ?retry ~opt
-        ?incremental ~sym ?cache ft.wrapper ft.property
+let prove ?max_depth ?progress ?(budget = Bmc.no_budget)
+    ?(retry = Retry.default) ?(opt = Opt.O2) ?incremental ?(symmetric = true)
+    ?cache ft =
+  Retry.run retry ~budget
+    ~reason_of:(function
+      | (Bmc.Unknown (r, _) : Bmc.induction_outcome) -> Some r | _ -> None)
+    (fun ~budget ~solver_config ->
+      Bmc.prove ?max_depth ?progress ?solver_config ~budget ~opt ?incremental
+        ~sym:(sym_of ~symmetric ft) ?cache ft.wrapper ft.property)
 
 let spy_start_cycle ft cex =
   match Bmc.replay_values cex [ ft.spy_mode ] with

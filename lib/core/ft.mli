@@ -88,8 +88,6 @@ val generate :
 val check :
   ?max_depth:int ->
   ?progress:(int -> unit) ->
-  ?jobs:int ->
-  ?portfolio:int ->
   ?budget:Bmc.budget ->
   ?retry:Retry.policy ->
   ?opt:Opt.level ->
@@ -98,17 +96,14 @@ val check :
   ?cache:Cache.t ->
   t ->
   Bmc.outcome
-(** Run BMC over the generated property set. With [jobs] > 1 or
-    [portfolio] set the work runs on the parallel engine ({!Parallel}):
-    assertion sharding by default, a configuration race with
-    [~portfolio:k]. Without either, the sequential engine is used
-    unchanged — except that a [retry] policy also routes through the
-    parallel engine (which owns the retry loop), even at one job.
-    [budget] bounds each solver run; exhaustion yields
-    {!Bmc.outcome.Unknown} rather than an exception. [opt] (default
-    {!Opt.O2} — this is the product path) runs the {!Opt} netlist
-    pipeline on the miter before blasting; verdicts and CEX depths are
-    unchanged by construction.
+(** Run BMC over the generated property set ({!Bmc.check}). [budget]
+    bounds the solver run; exhaustion yields {!Bmc.outcome.Unknown}
+    rather than an exception. [retry] (default {!Retry.default}, no
+    retries) re-runs a transient Unknown through {!Retry.run}; the first
+    attempt is the same call as without it. [opt] (default {!Opt.O2} —
+    this is the product path) runs the {!Opt} netlist pipeline on the
+    miter before blasting; verdicts and CEX depths are unchanged by
+    construction.
 
     [symmetric] (default [true]) hands the two-universe pairing to the
     incremental engine's template blaster, which encodes the shared
@@ -118,26 +113,9 @@ val check :
     oracle for that claim. [cache] memoizes conclusive verdicts across
     runs (see {!Cache} and {!Bmc.check}). *)
 
-val check_detailed :
-  ?max_depth:int ->
-  ?progress:(int -> unit) ->
-  ?jobs:int ->
-  ?portfolio:int ->
-  ?budget:Bmc.budget ->
-  ?retry:Retry.policy ->
-  ?opt:Opt.level ->
-  ?incremental:bool ->
-  ?symmetric:bool ->
-  ?cache:Cache.t ->
-  t ->
-  Bmc.outcome * Parallel.detail
-(** {!check} via the parallel engine, returning per-job accounting
-    (always parallel-engine, even at [jobs:1]). *)
-
 val prove :
   ?max_depth:int ->
   ?progress:(int -> unit) ->
-  ?jobs:int ->
   ?budget:Bmc.budget ->
   ?retry:Retry.policy ->
   ?opt:Opt.level ->
@@ -146,11 +124,9 @@ val prove :
   ?cache:Cache.t ->
   t ->
   Bmc.induction_outcome
-(** Attempt an unbounded proof of the property set by k-induction — the
-    "full proof" the paper reaches on the AES accelerator. [jobs] > 1
-    shards assertions across domains (see the completeness caveat on
-    {!Parallel.prove}); as with {!check}, a [retry] policy forces the
-    parallel engine. *)
+(** Attempt an unbounded proof of the property set by k-induction
+    ({!Bmc.prove}) — the "full proof" the paper reaches on the AES
+    accelerator. The optional arguments behave as in {!check}. *)
 
 val spy_start_cycle : t -> Bmc.cex -> int option
 (** First cycle at which [spy_mode] is set along a counterexample

@@ -24,48 +24,6 @@ val pp_first_divergence : Format.formatter -> Ft.t -> Bmc.cex -> unit
     CEX-producing CLI command prints (analyze, prove, stats,
     campaign). *)
 
-(** {1 Parallel-run accounting} *)
-
-type merged_stats = {
-  m_strategy : string;  (** ["shard"] or ["portfolio"] *)
-  m_jobs : int;
-  m_workers : int;
-  m_cancelled : int;  (** jobs abandoned after another job answered *)
-  m_unknown : int;  (** jobs that ended [Job_unknown] after all retries *)
-  m_timeout : int;
-      (** subset of [m_unknown] whose final reason was the wall-clock
-          budget *)
-  m_retries : int;  (** re-runs performed across all jobs *)
-  m_solve_time : float;  (** total solver seconds, summed across jobs *)
-  m_critical_path : float;
-      (** longest single job's wall-clock — the lower bound on parallel
-          wall time with unlimited workers *)
-  m_wall : float;  (** wall-clock of the whole parallel run, spawn to join *)
-  m_busy : float;
-      (** summed per-job wall-clock; [m_busy / (m_workers * m_wall)] is
-          pool utilization *)
-  m_cpu : float;  (** summed per-domain CPU seconds across jobs *)
-  m_vars : int;
-  m_clauses : int;
-  m_conflicts : int;
-  m_decisions : int;
-  m_propagations : int;
-  m_restarts : int;
-  m_opt : Opt.stats option;
-      (** summed netlist-optimization counters across jobs; [None] when
-          every job ran at [-O0] *)
-}
-
-val merge_stats : Parallel.detail -> merged_stats
-(** Aggregate the per-job results of a {!Parallel} run: solver time,
-    CPU time and instance sizes are summed; the critical path is the
-    longest job; [m_wall] is the run's own wall-clock (maxing over jobs
-    would undercount coordinator time). *)
-
-val pp_merged : Format.formatter -> merged_stats -> unit
-(** Rendering of {!merge_stats}, as printed by the CLI under [--jobs]:
-    the one-line solver summary plus a pool-utilization line. *)
-
 (** {1 JSON schema}
 
     The single definition of the machine-readable stats shapes: the
@@ -76,7 +34,6 @@ val json_of_opt_stats : Opt.stats option -> Obs.Json.t
 (** [Null] for [None]. *)
 
 val json_of_bmc_stats : Bmc.stats -> Obs.Json.t
-val json_of_merged : merged_stats -> Obs.Json.t
 
 val dump_vcd : path:string -> Ft.t -> Bmc.cex -> unit
 (** Write the counterexample as a VCD waveform: the monitor signals

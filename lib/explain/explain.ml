@@ -911,6 +911,7 @@ h3 { margin-bottom: 0.2em; }
       if transient = [] then outcomes
       else begin
         let attempt = attempt + 1 in
+        Retry.count (List.length transient);
         List.iter
           (fun (n, r) ->
             Obs.Bus.publish

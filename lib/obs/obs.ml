@@ -295,36 +295,6 @@ module Clock = struct
   let epoch = Unix.gettimeofday ()
 
   let elapsed_us () = (Unix.gettimeofday () -. epoch) *. 1e6
-
-  (* Per-thread CPU: utime+stime from /proc/thread-self/stat (fields 14
-     and 15, counted after the parenthesized comm, in USER_HZ ticks —
-     100/s on every Linux ABI). Worker domains map 1:1 onto system
-     threads, so this is per-domain CPU. Non-Linux falls back to
-     process CPU time, which overcounts under parallelism but keeps the
-     field meaningful at -j1. *)
-  let user_hz = 100.0
-
-  let thread_cpu_s () =
-    match open_in "/proc/thread-self/stat" with
-    | exception _ -> Sys.time ()
-    | ic -> (
-        let line = try input_line ic with _ -> "" in
-        close_in ic;
-        match String.rindex_opt line ')' with
-        | None -> Sys.time ()
-        | Some i -> (
-            let rest = String.sub line (i + 1) (String.length line - i - 1) in
-            let fields =
-              String.split_on_char ' ' rest |> List.filter (fun s -> s <> "")
-            in
-            (* fields: state ppid pgrp session tty_nr tpgid flags minflt
-               cminflt majflt cmajflt utime stime ... *)
-            match (List.nth_opt fields 11, List.nth_opt fields 12) with
-            | Some ut, Some st -> (
-                match (float_of_string_opt ut, float_of_string_opt st) with
-                | Some u, Some s -> (u +. s) /. user_hz
-                | _ -> Sys.time ())
-            | _ -> Sys.time ()))
 end
 
 let domain_id () = (Domain.self () :> int)
@@ -777,7 +747,7 @@ end
 (* {1 Event bus}
 
    Structured, typed events for live campaign observability. Publishers
-   (BMC depth loop, the parallel engine, the cache, campaign drivers)
+   (BMC depth loop, the retry loop, the cache, campaign drivers)
    call {!Bus.publish}; when the bus is detached that is one atomic
    load. When attached, every event is stamped (monotone sequence
    number, wall-clock timestamp, domain id, writer pid, the current
@@ -817,8 +787,7 @@ module Bus = struct
 
   (* The label scope names whose work the events describe (a campaign
      entry, then entry/assertion inside [check_each]). It is
-     domain-local: worker domains must re-establish it — [Parallel]
-     captures the coordinator's label when it builds its job wrappers. *)
+     domain-local: a spawned domain starts with no label. *)
   let label_key = Domain.DLS.new_key (fun () -> "")
   let current_label () = Domain.DLS.get label_key
 

@@ -6,14 +6,12 @@
     - {b spans} ({!span}): nestable, domain-safe timed regions exported
       as Chrome/Perfetto trace-event JSON ({!trace_to_file}), so a whole
       [prove] run — elaborate, opt passes, per-depth unroll, blast, SAT
-      solve, across parallel shards — is visible on one timeline;
+      solve — is visible on one timeline;
     - {b metrics} ({!Metrics}): a registry of counters, gauges,
       histograms and series (append-only float sequences, used for
       per-depth timings), snapshotted into reports and [BENCH_*.json];
     - {b structured logging} ({!log}): leveled JSONL events through one
-      mutex-guarded sink, replacing scattered [Printf] progress output —
-      in particular, worker domains of {!Parallel} log through this sink
-      instead of interleaving writes to stderr.
+      mutex-guarded sink, replacing scattered [Printf] progress output.
 
     {b Overhead contract.} With telemetry disabled (no trace sink, no
     log sink, metrics off — the default), {!span} is one atomic load and
@@ -97,12 +95,6 @@ module Clock : sig
   val elapsed_us : unit -> float
   (** Microseconds since this module was initialized — the trace
       timestamp base. *)
-
-  val thread_cpu_s : unit -> float
-  (** CPU seconds consumed by the {e calling thread} (so, by the calling
-      domain): [/proc/thread-self/stat] utime+stime on Linux, process
-      CPU time as a fallback. Differences of this across a job measure
-      per-domain CPU. *)
 end
 
 val domain_id : unit -> int
@@ -167,7 +159,7 @@ val close_log : unit -> unit
 val log : ?attrs:(string * Json.t) list -> level -> string -> unit
 (** [log level event] emits one line if a sink is installed and [level]
     passes the filter. [event] names follow the span taxonomy
-    ("layer.what": [bmc.depth], [par.cancelled], ...). *)
+    ("layer.what": [bmc.depth], [bmc.retry], ...). *)
 
 val logging : level -> bool
 (** Would {!log} at this level emit? Lets callers skip building attrs. *)
@@ -187,13 +179,13 @@ val span : ?attrs:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
     event named [name] with the span's wall duration, the calling
     domain as [tid], and [attrs] as [args]. The category is the part of
     [name] before the first ['.']. Exceptions propagate (with their
-    backtrace) after the event is recorded, so a cancelled solve still
+    backtrace) after the event is recorded, so an aborted solve still
     closes its span. When tracing is off: one atomic load, then
     [f ()]. *)
 
 val instant : ?attrs:(string * Json.t) list -> string -> unit
-(** A zero-duration instant ("i") event — cancellation requests,
-    CEX-found moments. No-op when tracing is off. *)
+(** A zero-duration instant ("i") event, such as a CEX-found moment.
+    No-op when tracing is off. *)
 
 val counter_event : string -> (string * float) list -> unit
 (** A counter ("C") sample: Perfetto renders each key as a stacked
@@ -273,7 +265,7 @@ end
 (** {1 Event bus}
 
     Typed, structured events for live campaign observability. Publishers
-    (the BMC depth loop, the parallel engine, the verdict cache and the
+    (the BMC depth loop, the retry loop, the verdict cache and the
     campaign driver) call {!Bus.publish}; with the bus detached (the
     default) that costs one atomic load. When attached, each event is
     stamped — monotone per-process sequence number, wall-clock
@@ -327,17 +319,13 @@ module Bus : sig
   val enabled : unit -> bool
 
   val publish : ?label:string -> event -> unit
-  (** One atomic load when detached. [label] defaults to
-      {!current_label}. *)
+  (** One atomic load when detached. [label] defaults to the innermost
+      {!with_label} scope, or [""]. *)
 
   val with_label : string -> (unit -> 'a) -> 'a
   (** Run [f] with the domain-local label scope set — campaign entries
-      use their label, [check_each] nests [entry/assertion]. The scope
-      does {e not} cross [Domain.spawn]; the parallel engine re-applies
-      the coordinator's label inside each worker job. *)
-
-  val current_label : unit -> string
-  (** The innermost {!with_label} scope, or [""]. *)
+      use their label, [check_each] nests [entry/assertion]. A newly
+      spawned domain starts with no scope. *)
 
   val sub_label : string -> string
   (** [sub_label n] is ["scope/n"], or just [n] at top level. *)

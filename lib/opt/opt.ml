@@ -33,18 +33,6 @@ let empty_stats =
     o_time = 0.;
   }
 
-let add_stats a b =
-  {
-    o_nodes_before = a.o_nodes_before + b.o_nodes_before;
-    o_nodes_after = a.o_nodes_after + b.o_nodes_after;
-    o_coi_dropped = a.o_coi_dropped + b.o_coi_dropped;
-    o_cse_merged = a.o_cse_merged + b.o_cse_merged;
-    o_rewrites = a.o_rewrites + b.o_rewrites;
-    o_sweep_merged = a.o_sweep_merged + b.o_sweep_merged;
-    o_sat_queries = a.o_sat_queries + b.o_sat_queries;
-    o_time = a.o_time +. b.o_time;
-  }
-
 let pp_stats fmt s =
   Format.fprintf fmt "%d -> %d nodes (coi -%d, cse %d, rw %d) %.3fs"
     s.o_nodes_before s.o_nodes_after s.o_coi_dropped s.o_cse_merged s.o_rewrites

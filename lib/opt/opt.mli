@@ -53,9 +53,6 @@ type stats = {
 
 val empty_stats : stats
 
-val add_stats : stats -> stats -> stats
-(** Componentwise sum — used when merging per-shard reports. *)
-
 val pp_stats : Format.formatter -> stats -> unit
 
 val cone : Rtl.Circuit.t -> roots:Rtl.Signal.t list -> Rtl.Signal.t list

@@ -26,8 +26,8 @@ and t = {
   mutable s_name : string option;
 }
 
-(* Atomic so that signal construction is domain-safe: Parallel workers
-   run the Opt netlist passes, which build fresh nodes concurrently. *)
+(* Atomic so that signal construction is domain-safe: uids stay unique
+   even if several domains build nodes at once. *)
 let counter = Atomic.make 1
 
 let make width op args =

@@ -32,18 +32,15 @@ type lit = int
 type result = Sat | Unsat
 
 (* A solver configuration. All search heuristics that are safe to vary
-   without affecting soundness live here, so that a portfolio can race
-   differently-configured solvers on the same query. Every field is
-   deterministic: two solvers built from the same configuration and fed
-   the same clauses perform the same search (randomized decisions come
-   from a PRNG seeded by [seed]). *)
+   without affecting soundness live here, so that a retry can re-run a
+   query under a different search. Every field is deterministic: two
+   solvers built from the same configuration and fed the same clauses
+   perform the same search. *)
 type config = {
   cfg_name : string;
   var_decay : float; (* VSIDS decay, in (0, 1); MiniSat uses 0.95 *)
   restart_first : int; (* conflicts in the first Luby restart period *)
   default_polarity : bool; (* initial saved phase of fresh variables *)
-  random_freq : float; (* probability of a randomized decision, in [0, 1] *)
-  seed : int; (* PRNG seed for randomized decisions *)
 }
 
 let default_config =
@@ -52,13 +49,10 @@ let default_config =
     var_decay = 0.95;
     restart_first = 100;
     default_polarity = false;
-    random_freq = 0.0;
-    seed = 0;
   }
 
-(* Diverse configurations for portfolio solving. Index 0 is always the
-   default configuration so a 1-solver portfolio degenerates to the
-   sequential engine. *)
+(* Diverse configurations. Index 0 is always the default
+   configuration. *)
 let portfolio k =
   let decays = [| 0.95; 0.85; 0.99; 0.91 |] in
   let restarts = [| 100; 50; 400; 150 |] in
@@ -70,8 +64,6 @@ let portfolio k =
           var_decay = decays.(i mod 4);
           restart_first = restarts.((i + 1) mod 4);
           default_polarity = i mod 2 = 1;
-          random_freq = (if i >= 4 then 0.02 else 0.0);
-          seed = (91 * i) + 17;
         })
 
 exception Stopped
@@ -102,7 +94,6 @@ let no_reason = -1
 
 type t = {
   config : config;
-  rng : Random.State.t;
   stop : unit -> bool; (* polled during propagation; true aborts the search *)
   mutable vals : int array; (* literal -> 0/1/2 *)
   mutable level : int array;
@@ -188,7 +179,6 @@ let lit_sign l = l land 1 = 0
 let create ?(config = default_config) ?(stop = fun () -> false) () =
   {
     config;
-    rng = Random.State.make [| config.seed; 0x5a7; config.seed lxor 0x2c9 |];
     stop;
     vals = Array.make 32 0;
     level = Array.make 16 0;
@@ -800,20 +790,7 @@ let decide s =
       let v = heap_pop s in
       if unassigned s v then v else pick ()
   in
-  (* Occasional randomized decision (portfolio diversification): peek at a
-     random heap slot without disturbing the heap; assigned entries are
-     skipped, falling back to the activity order. *)
-  let random_pick () =
-    if
-      s.config.random_freq > 0.0
-      && s.heap_size > 0
-      && Random.State.float s.rng 1.0 < s.config.random_freq
-    then
-      let v = s.heap.(Random.State.int s.rng s.heap_size) in
-      if unassigned s v then v else -1
-    else -1
-  in
-  let v = match random_pick () with -1 -> pick () | v -> v in
+  let v = pick () in
   if v < 0 then false
   else begin
     s.decisions <- s.decisions + 1;

@@ -27,33 +27,29 @@ type lit = private int
 type result = Sat | Unsat
 
 type config = {
-  cfg_name : string;  (** label used in portfolio reports *)
+  cfg_name : string;  (** label, e.g. in retry logs *)
   var_decay : float;  (** VSIDS activity decay, in (0, 1) *)
   restart_first : int;  (** conflicts in the first Luby restart period *)
   default_polarity : bool;  (** initial saved phase of fresh variables *)
-  random_freq : float;  (** probability of a randomized decision *)
-  seed : int;  (** PRNG seed for randomized decisions *)
 }
 (** Search-heuristic knobs, none of which affect soundness. A solver's
     behaviour is a deterministic function of its configuration and the
-    clause/solve sequence it is fed: randomized decisions draw from a
-    private PRNG seeded by [seed], so two solvers with equal
-    configurations run identical searches — the property the portfolio
-    mode of {!Parallel} relies on before racing configurations across
-    domains. *)
+    clause/solve sequence it is fed, so two solvers with equal
+    configurations run identical searches — which is what lets a
+    [Retry] escalation re-run a query under a known alternate search. *)
 
 val default_config : config
 
 val portfolio : int -> config list
 (** [portfolio k] is [k] diverse configurations (varying decay, restart
-    cadence, default polarity and decision randomization). The first is
-    always {!default_config}. *)
+    cadence and default polarity). The first is always
+    {!default_config}; [Retry.policy] draws its alternates from the
+    rest. *)
 
 exception Stopped
 (** Raised from inside {!solve} when the [stop] hook passed to {!create}
     returns true. After [Stopped] the solver's search state is undefined
-    and the instance must be discarded — the mechanism used to cancel
-    still-running jobs once a counterexample is found elsewhere. *)
+    and the instance must be discarded. *)
 
 (** {1 Resource budgets}
 

@@ -70,7 +70,7 @@ let random_inputs st =
   List.map (fun (n, w) -> (n, Bitvec.random st w)) input_specs
 
 (* A random multi-assert property over an existing circuit, for
-   differential testing of the parallel engine. Assertion shapes are
+   differential testing of the engines. Assertion shapes are
    mixed so that counterexample depths vary within one property:
 
    - "reachable": simulate one random execution and assert a node never

@@ -10,10 +10,8 @@
    [~incremental:true] and [~incremental:false] and demands the same
    outcome kind, the same counterexample depth, and a counterexample
    trace that replays on the [Sim] interpreter ([Bmc.validate] raises
-   [Replay_mismatch] on divergence). The parallel engine is covered at
-   the worker counts the dune rules pin (AUTOCC_JOBS 1 and 4), and
-   budget-starved runs must downgrade identically — never flip — in
-   both modes. *)
+   [Replay_mismatch] on divergence). Budget-starved runs must downgrade
+   identically — never flip — in both modes. *)
 
 module S = Sat.Solver
 module Signal = Rtl.Signal
@@ -22,11 +20,6 @@ module V = Duts.Vscale
 module M = Duts.Maple
 module A = Duts.Aes
 module C = Duts.Cva6lite
-
-let jobs =
-  match Sys.getenv_opt "AUTOCC_JOBS" with
-  | Some s -> ( try max 1 (int_of_string s) with _ -> 4)
-  | None -> 4
 
 let unknown_to_string = Bmc.unknown_reason_to_string
 
@@ -329,15 +322,6 @@ let check_differential seed =
   let scr = Bmc.check ~max_depth ~incremental:false circuit property in
   outcomes_agree property property inc scr
 
-(* The parallel engine at the pinned worker count, incremental workers
-   against the sequential scratch oracle. *)
-let check_differential_parallel seed =
-  let circuit, property = gen_case (seed + 7_000_000) in
-  let max_depth = 6 in
-  let par = Parallel.check ~jobs ~incremental:true ~max_depth circuit property in
-  let scr = Bmc.check ~max_depth ~incremental:false circuit property in
-  outcomes_agree property property par scr
-
 (* Budget-starved runs on random instances: the engines may disagree on
    *where* a conflict cap lands, but never on conclusive-vs-conclusive
    content — a starved engine answers Unknown, and whenever both are
@@ -394,7 +378,6 @@ let () =
       ( "fuzz",
         [
           fuzz ~count:300 "incremental == scratch" check_differential;
-          fuzz ~count:60 "parallel incremental == scratch" check_differential_parallel;
           fuzz ~count:60 "budgeted runs never flip" check_differential_budgeted;
         ] );
     ]

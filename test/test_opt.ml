@@ -10,22 +10,13 @@
    - cycle-accuracy: the optimized circuit and the original produce
      identical output streams on the [Sim] interpreter under the same
      random stimulus;
-   - verdict stability: [Bmc.check] at -O0 and -O2, and
-     [Parallel.check ~opt:O2], agree on the outcome kind and the
-     counterexample depth, and every -O2 counterexample replays on the
-     full unoptimized circuit via [Bmc.validate].
-
-   Like test_parallel, the binary honours AUTOCC_JOBS so the dune rules
-   exercise both the in-calling-domain fallback (1) and a real worker
-   pool (4). *)
+   - verdict stability: [Bmc.check] at -O0 and -O2 agree on the
+     outcome kind and the counterexample depth, and every -O2
+     counterexample replays on the full unoptimized circuit via
+     [Bmc.validate]. *)
 
 module Signal = Rtl.Signal
 module Circuit = Rtl.Circuit
-
-let jobs =
-  match Sys.getenv_opt "AUTOCC_JOBS" with
-  | Some s -> ( try max 1 (int_of_string s) with _ -> 4)
-  | None -> 4
 
 (* {1 Deterministic pass tests} *)
 
@@ -221,7 +212,7 @@ let c1_ft () =
 
    Each seed draws one random circuit and checks, in order: simulator
    cycle-accuracy of the optimized netlist, then verdict/depth agreement
-   of -O0 vs -O2 vs the parallel engine at -O2 on a random property. *)
+   of -O0 vs -O2 on a random property. *)
 
 let outputs_agree c1 c2 cycles =
   let o1 = Gen_circuit.run_outputs (Sim.create c1) cycles in
@@ -249,7 +240,6 @@ let check_opt seed =
     let max_depth = 6 in
     let o0 = Bmc.check ~max_depth ~opt:Opt.O0 circuit property in
     let o2 = Bmc.check ~max_depth ~opt:Opt.O2 circuit property in
-    let par = Parallel.check ~jobs ~max_depth ~opt:Opt.O2 circuit property in
     let agree a b =
       match (a, b) with
       | Bmc.Bounded_proof _, Bmc.Bounded_proof _ -> true
@@ -263,7 +253,7 @@ let check_opt seed =
                     c2.Bmc.cex_depth)
       | _ -> false
     in
-    agree o0 o2 && agree o0 par
+    agree o0 o2
 
 let fuzz ~count name =
   QCheck_alcotest.to_alcotest
@@ -295,5 +285,5 @@ let () =
             (test_repeatable "C1" c1_ft 15);
         ] );
       ( "fuzz",
-        [ fuzz ~count:200 "optimized == original (sim, bmc, parallel)" ] );
+        [ fuzz ~count:200 "optimized == original (sim, bmc)" ] );
     ]

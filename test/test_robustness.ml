@@ -1,7 +1,8 @@
-(* Tests of the resource-governed runtime: the pure retry schedule, the
-   budget -> Unknown downgrade path, deterministic fault injection (a
-   fault may only downgrade a verdict, never flip it), campaign crash
-   isolation and crash-safe resume. *)
+(* Tests of the resource-governed runtime: the pure retry schedule and
+   the [Retry.run] loop that drives it, the budget -> Unknown downgrade
+   path, deterministic fault injection (a fault may only downgrade a
+   verdict, never flip it), campaign crash isolation and crash-safe
+   resume. *)
 
 module S = Sat.Solver
 
@@ -65,6 +66,94 @@ let test_retry_should_retry () =
   Alcotest.(check bool) "max_attempts 1 never retries" false
     (Retry.should_retry once ~attempt:0 budget_fired)
 
+(* {1 Retry.run: the effectful half} *)
+
+let wall_fired =
+  Bmc.Budget_exhausted { ub_budget = S.Wall_clock; ub_depth = 0; ub_case = Bmc.Base }
+
+(* [Retry.run] over a fake job that answers [reasons] in turn and is
+   conclusive ([None]) once they run out. Returns the final result,
+   the (budget, solver config) of every call, and the [bmc.retries]
+   count. *)
+let run_fake p ~budget reasons =
+  let calls = ref [] and pending = ref reasons in
+  let job ~budget ~solver_config =
+    calls := (budget, solver_config) :: !calls;
+    match !pending with
+    | r :: rest ->
+        pending := rest;
+        Some r
+    | [] -> None
+  in
+  Obs.Metrics.reset ();
+  Obs.Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.disable ();
+      Obs.Metrics.reset ())
+    (fun () ->
+      let result = Retry.run p ~budget ~reason_of:Fun.id job in
+      let retries =
+        match Obs.Metrics.find "bmc.retries" with
+        | Some (Obs.Metrics.Counter n) -> n
+        | _ -> 0
+      in
+      (result, List.rev !calls, retries))
+
+let quick_policy ~max_attempts =
+  Retry.policy ~max_attempts ~backoff_base_s:0.001 ~backoff_cap_s:0.002 ()
+
+let test_run_schedule () =
+  (* Two transient Unknowns, then an answer: three calls. Attempt 0 is
+     the caller's own call; each retry runs the schedule's escalated
+     budget and rotated alternate config. *)
+  let p = quick_policy ~max_attempts:5 in
+  let budget = Bmc.budget ~conflicts:10 () in
+  let result, calls, retries =
+    run_fake p ~budget [ wall_fired; Bmc.Faulted "sat.stop" ]
+  in
+  Alcotest.(check bool) "the conclusive result is returned" true (result = None);
+  Alcotest.(check int) "three calls" 3 (List.length calls);
+  List.iteri
+    (fun attempt (b, cfg) ->
+      let expected = if attempt = 0 then budget else Retry.budget_for p budget ~attempt in
+      Alcotest.(check bool)
+        (Printf.sprintf "attempt %d budget" attempt)
+        true (b = expected);
+      Alcotest.(check bool)
+        (Printf.sprintf "attempt %d config" attempt)
+        true
+        (cfg = Retry.config_for p ~attempt))
+    calls;
+  Alcotest.(check bool) "the first retry runs p1" true
+    (snd (List.nth calls 1) = Some (List.nth (S.portfolio 4) 1));
+  Alcotest.(check int) "bmc.retries counts each retry" 2 retries
+
+let test_run_gives_up () =
+  (* A job that never answers is called [max_attempts] times, and the
+     last Unknown comes back. *)
+  let p = quick_policy ~max_attempts:3 in
+  let result, calls, retries =
+    run_fake p ~budget:Bmc.no_budget
+      [ wall_fired; wall_fired; Bmc.Faulted "last"; wall_fired ]
+  in
+  Alcotest.(check bool) "the last Unknown is returned" true
+    (result = Some (Bmc.Faulted "last"));
+  Alcotest.(check int) "max_attempts calls" 3 (List.length calls);
+  Alcotest.(check int) "two retries counted" 2 retries
+
+let test_run_no_retry () =
+  (* A permanent reason is final under any policy, and under
+     [Retry.default] so is a transient one: one call, no retry counted. *)
+  let once p reason =
+    let result, calls, retries = run_fake p ~budget:Bmc.no_budget [ reason ] in
+    Alcotest.(check bool) "the Unknown is returned" true (result = Some reason);
+    Alcotest.(check int) "one call" 1 (List.length calls);
+    Alcotest.(check int) "no retry counted" 0 retries
+  in
+  once (quick_policy ~max_attempts:3) Bmc.Bound_exhausted;
+  once Retry.default wall_fired
+
 (* {1 Budgets: exhaustion downgrades to Unknown} *)
 
 module Signal = Rtl.Signal
@@ -112,21 +201,55 @@ let test_conflict_budget_unknown () =
 
 let test_budget_escalation_recovers () =
   (* A starved first attempt plus an escalating retry policy must end
-     conclusive: the parallel engine re-runs the job with grown budgets. *)
+     conclusive: [Retry.run] re-runs the check with grown budgets. *)
   let ft = Autocc.Ft.generate ~threshold:2 (leaky_dut ()) in
   let retry =
     Retry.policy ~max_attempts:6 ~growth:100. ~cap:1e9 ~backoff_base_s:0.001
       ~backoff_cap_s:0.002 ()
   in
   match
-    Autocc.Ft.check ~max_depth:8 ~jobs:2
-      ~budget:(Bmc.budget ~wall_s:1e-6 ())
-      ~retry ft
+    Autocc.Ft.check ~max_depth:8 ~budget:(Bmc.budget ~wall_s:1e-6 ()) ~retry
+      ft
   with
   | Bmc.Cex _ -> ()
   | Bmc.Bounded_proof _ -> Alcotest.fail "the leaky DUT must yield a CEX"
   | Bmc.Unknown (r, _) ->
       Alcotest.failf "escalation to ~100s never fired: %s" (unknown_to_string r)
+
+let same_counters what (a : Bmc.stats) (b : Bmc.stats) =
+  Alcotest.(check int) (what ^ ": conflicts") a.Bmc.conflicts b.Bmc.conflicts;
+  Alcotest.(check int) (what ^ ": decisions") a.Bmc.decisions b.Bmc.decisions;
+  Alcotest.(check int)
+    (what ^ ": propagations")
+    a.Bmc.propagations b.Bmc.propagations
+
+let test_retry_policy_keeps_engine () =
+  (* A retry policy that never fires (no budget, so no transient
+     Unknown) must leave the search untouched: same verdict, same depth,
+     same solver counters as the call without a policy. *)
+  let ft name ~fixes =
+    Duts.Bundled.ft_for ~threshold:2 name (Duts.Bundled.build ~fixes name)
+  in
+  let m3 =
+    ft "maple" ~fixes:{ Duts.Bundled.no_fixes with Duts.Bundled.fix_m2 = true }
+  in
+  (match
+     ( Autocc.Ft.check ~max_depth:10 m3,
+       Autocc.Ft.check ~max_depth:10 ~retry:(Retry.policy ()) m3 )
+   with
+  | Bmc.Cex (c1, s1), Bmc.Cex (c2, s2) ->
+      Alcotest.(check int) "M3: CEX depth" c1.Bmc.cex_depth c2.Bmc.cex_depth;
+      same_counters "M3" s1 s2
+  | _ -> Alcotest.fail "M3: both runs must find the CEX");
+  let aes = ft "aes" ~fixes:Duts.Bundled.no_fixes in
+  match
+    ( Autocc.Ft.prove ~max_depth:12 aes,
+      Autocc.Ft.prove ~max_depth:12 ~retry:(Retry.policy ()) aes )
+  with
+  | Bmc.Proved (k1, s1), Bmc.Proved (k2, s2) ->
+      Alcotest.(check int) "AES: induction depth" k1 k2;
+      same_counters "AES" s1 s2
+  | _ -> Alcotest.fail "AES: both runs must prove"
 
 (* {1 Fault injection: verdicts only ever degrade} *)
 
@@ -161,9 +284,9 @@ let verdict_flip ref_outcome outcome =
   | Bmc.Unknown _, _ -> true (* the fault-free reference must be conclusive *)
 
 let test_fault_fuzz () =
-  (* Random circuits under seeded fault injection, single-domain and
-     multi-domain: the governed engine may answer Unknown but must never
-     contradict the fault-free reference verdict. *)
+  (* Random circuits under seeded fault injection: the governed engine
+     may answer Unknown but must never contradict the fault-free
+     reference verdict. *)
   let total_fired = ref 0 in
   for seed = 1 to 8 do
     let st = Random.State.make [| seed |] in
@@ -175,25 +298,22 @@ let test_fault_fuzz () =
         Alcotest.failf "seed %d: fault-free reference is unknown (%s)" seed
           (unknown_to_string r)
     | _ -> ());
-    List.iter
-      (fun jobs ->
-        Fault.arm ~rate:0.05 ~seed ();
-        let outcome =
-          Fun.protect
-            ~finally:(fun () ->
-              total_fired := !total_fired + Fault.fired ();
-              Fault.disarm ())
-            (fun () -> Parallel.check ~jobs ~max_depth:5 circuit property)
-        in
-        if verdict_flip reference outcome then
-          Alcotest.failf "seed %d jobs %d: fault flipped the verdict" seed jobs)
-      [ 1; 4 ]
+    Fault.arm ~rate:0.05 ~seed ();
+    let outcome =
+      Fun.protect
+        ~finally:(fun () ->
+          total_fired := !total_fired + Fault.fired ();
+          Fault.disarm ())
+        (fun () -> Bmc.check ~max_depth:5 circuit property)
+    in
+    if verdict_flip reference outcome then
+      Alcotest.failf "seed %d: fault flipped the verdict" seed
   done;
   Alcotest.(check bool) "the corpus did exercise fault points" true (!total_fired > 0)
 
 let test_fault_fuzz_with_retry () =
   (* Same contract when a retry policy is allowed to rescue faulted
-     jobs; retries raise the odds of a conclusive (hence equal) verdict
+     runs; retries raise the odds of a conclusive (hence equal) verdict
      but must never manufacture a contradicting one. *)
   let retry =
     Retry.policy ~max_attempts:3 ~backoff_base_s:0.001 ~backoff_cap_s:0.002 ()
@@ -212,7 +332,12 @@ let test_fault_fuzz_with_retry () =
     let outcome =
       Fun.protect
         ~finally:(fun () -> Fault.disarm ())
-        (fun () -> Parallel.check ~jobs:4 ~retry ~max_depth:5 circuit property)
+        (fun () ->
+          Retry.run retry ~budget:Bmc.no_budget
+            ~reason_of:(function
+              | (Bmc.Unknown (r, _) : Bmc.outcome) -> Some r | _ -> None)
+            (fun ~budget ~solver_config ->
+              Bmc.check ~max_depth:5 ?solver_config ~budget circuit property))
     in
     if verdict_flip reference outcome then
       Alcotest.failf "seed %d: fault flipped the verdict under retry" seed
@@ -256,9 +381,8 @@ let test_fault_incr_site () =
 
 let test_fault_incr_fuzz () =
   (* Seeded fuzz restricted to the "bmc.incr" site: random circuits on
-     the incremental engine (sequential and parallel) may downgrade to
-     Unknown but must never contradict the fault-free scratch
-     reference. *)
+     the incremental engine may downgrade to Unknown but must never
+     contradict the fault-free scratch reference. *)
   let total_fired = ref 0 in
   for seed = 21 to 28 do
     let st = Random.State.make [| seed |] in
@@ -270,26 +394,20 @@ let test_fault_incr_fuzz () =
         Alcotest.failf "seed %d: fault-free reference is unknown (%s)" seed
           (unknown_to_string r)
     | _ -> ());
-    List.iter
-      (fun jobs ->
-        Fault.arm ~sites:[ "bmc.incr" ] ~rate:0.3 ~seed ();
-        let outcome =
-          Fun.protect
-            ~finally:(fun () ->
-              total_fired := !total_fired + Fault.fired ();
-              Fault.disarm ())
-            (fun () ->
-              Parallel.check ~jobs ~incremental:true ~max_depth:5 circuit
-                property)
-        in
-        if verdict_flip reference outcome then
-          Alcotest.failf "seed %d jobs %d: bmc.incr fault flipped the verdict"
-            seed jobs;
-        match outcome with
-        | Bmc.Unknown (Bmc.Faulted site, _) ->
-            Alcotest.(check string) "only the armed site fires" "bmc.incr" site
-        | _ -> ())
-      [ 1; 4 ]
+    Fault.arm ~sites:[ "bmc.incr" ] ~rate:0.3 ~seed ();
+    let outcome =
+      Fun.protect
+        ~finally:(fun () ->
+          total_fired := !total_fired + Fault.fired ();
+          Fault.disarm ())
+        (fun () -> Bmc.check ~incremental:true ~max_depth:5 circuit property)
+    in
+    if verdict_flip reference outcome then
+      Alcotest.failf "seed %d: bmc.incr fault flipped the verdict" seed;
+    match outcome with
+    | Bmc.Unknown (Bmc.Faulted site, _) ->
+        Alcotest.(check string) "only the armed site fires" "bmc.incr" site
+    | _ -> ()
   done;
   Alcotest.(check bool) "the corpus did pass the bmc.incr site" true
     (!total_fired > 0)
@@ -601,12 +719,17 @@ let () =
           Alcotest.test_case "config rotation" `Quick test_retry_config_for;
           Alcotest.test_case "capped backoff" `Quick test_retry_backoff;
           Alcotest.test_case "transience" `Quick test_retry_should_retry;
+          Alcotest.test_case "run re-runs until conclusive" `Quick test_run_schedule;
+          Alcotest.test_case "run stops at max_attempts" `Quick test_run_gives_up;
+          Alcotest.test_case "run keeps a final Unknown" `Quick test_run_no_retry;
         ] );
       ( "budget",
         [
           Alcotest.test_case "wall-clock exhaustion" `Quick test_wall_budget_unknown;
           Alcotest.test_case "conflict exhaustion" `Quick test_conflict_budget_unknown;
           Alcotest.test_case "escalation recovers" `Quick test_budget_escalation_recovers;
+          Alcotest.test_case "a retry policy keeps the engine" `Quick
+            test_retry_policy_keeps_engine;
         ] );
       ( "fault",
         [

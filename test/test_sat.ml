@@ -1,11 +1,14 @@
 (* The SAT solver is validated against brute-force enumeration on random
    instances, plus directed tests: unit propagation chains, pigeonhole
-   principle (unsat), assumptions, and incremental use. *)
+   principle (unsat), assumptions, and incremental use.
+
+   Every case runs once per solver configuration a retry may use (see
+   [Solver_configs]). *)
 
 module S = Sat.Solver
 
-let make_solver nvars =
-  let s = S.create () in
+let make_solver cfg nvars =
+  let s = S.create ~config:cfg () in
   for _ = 1 to nvars do
     ignore (S.new_var s)
   done;
@@ -29,8 +32,8 @@ let brute_force nvars cnf =
   in
   go (Array.make nvars false) 0
 
-let solve_cnf nvars cnf =
-  let s = make_solver nvars in
+let solve_cnf cfg nvars cnf =
+  let s = make_solver cfg nvars in
   List.iter (fun clause -> S.add_clause s (List.map (fun (v, sign) -> S.lit v sign) clause)) cnf;
   (s, S.solve s)
 
@@ -45,18 +48,18 @@ let random_cnf st nvars nclauses =
       List.init len (fun _ ->
           (Random.State.int st nvars, Random.State.bool st)))
 
-let prop_random_cnf seed =
+let prop_random_cnf cfg seed =
   let st = Random.State.make [| seed |] in
   let nvars = 1 + Random.State.int st 12 in
   let nclauses = 1 + Random.State.int st 50 in
   let cnf = random_cnf st nvars nclauses in
   let expected = brute_force nvars cnf in
-  let s, result = solve_cnf nvars cnf in
+  let s, result = solve_cnf cfg nvars cnf in
   match result with
   | S.Sat -> expected && check_model s cnf
   | S.Unsat -> not expected
 
-let prop_assumptions seed =
+let prop_assumptions cfg seed =
   (* Solving under assumptions must agree with adding them as unit
      clauses, and must not poison later solves. *)
   let st = Random.State.make [| seed |] in
@@ -64,7 +67,7 @@ let prop_assumptions seed =
   let cnf = random_cnf st nvars (1 + Random.State.int st 30) in
   let n_assum = 1 + Random.State.int st 3 in
   let assum = List.init n_assum (fun _ -> (Random.State.int st nvars, Random.State.bool st)) in
-  let s, _ = solve_cnf nvars cnf in
+  let s, _ = solve_cnf cfg nvars cnf in
   let assumptions = List.map (fun (v, sign) -> S.lit v sign) assum in
   let with_assumptions = S.solve ~assumptions s in
   let expected =
@@ -75,13 +78,13 @@ let prop_assumptions seed =
   (match with_assumptions with S.Sat -> expected | S.Unsat -> not expected)
   && (match plain_after with S.Sat -> plain_expected | S.Unsat -> not plain_expected)
 
-let prop_incremental seed =
+let prop_incremental cfg seed =
   (* Adding clauses one batch at a time must give the same verdicts as
      solving each prefix from scratch. *)
   let st = Random.State.make [| seed |] in
   let nvars = 1 + Random.State.int st 10 in
   let batches = List.init 3 (fun _ -> random_cnf st nvars (1 + Random.State.int st 15)) in
-  let s = make_solver nvars in
+  let s = make_solver cfg nvars in
   let acc = ref [] in
   List.for_all
     (fun batch ->
@@ -94,8 +97,8 @@ let prop_incremental seed =
       match S.solve s with S.Sat -> expected | S.Unsat -> not expected)
     batches
 
-let test_trivial () =
-  let s = make_solver 2 in
+let test_trivial cfg () =
+  let s = make_solver cfg 2 in
   Alcotest.(check bool) "empty instance sat" true (S.solve s = S.Sat);
   S.add_clause s [ S.lit 0 true ];
   S.add_clause s [ S.lit 0 false; S.lit 1 true ];
@@ -105,17 +108,17 @@ let test_trivial () =
   S.add_clause s [ S.lit 1 false ];
   Alcotest.(check bool) "now unsat" true (S.solve s = S.Unsat)
 
-let test_empty_clause () =
-  let s = make_solver 1 in
+let test_empty_clause cfg () =
+  let s = make_solver cfg 1 in
   S.add_clause s [];
   Alcotest.(check bool) "empty clause unsat" true (S.solve s = S.Unsat)
 
-let test_pigeonhole () =
+let test_pigeonhole cfg () =
   (* PHP(n+1, n): n+1 pigeons in n holes, classic unsat family that
      requires real conflict analysis. Variable p*n + h = pigeon p in hole
      h. *)
   let pigeons = 5 and holes = 4 in
-  let s = make_solver (pigeons * holes) in
+  let s = make_solver cfg (pigeons * holes) in
   let v p h = (p * holes) + h in
   for p = 0 to pigeons - 1 do
     S.add_clause s (List.init holes (fun h -> S.lit (v p h) true))
@@ -129,11 +132,11 @@ let test_pigeonhole () =
   done;
   Alcotest.(check bool) "pigeonhole unsat" true (S.solve s = S.Unsat)
 
-let test_graph_coloring () =
+let test_graph_coloring cfg () =
   (* 3-coloring of a 5-cycle is satisfiable; 2-coloring is not. *)
   let cycle = [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 0) ] in
   let solve_coloring colors =
-    let s = make_solver (5 * colors) in
+    let s = make_solver cfg (5 * colors) in
     let v node c = (node * colors) + c in
     for node = 0 to 4 do
       S.add_clause s (List.init colors (fun c -> S.lit (v node c) true))
@@ -149,8 +152,8 @@ let test_graph_coloring () =
   Alcotest.(check bool) "3-colorable" true (solve_coloring 3 = S.Sat);
   Alcotest.(check bool) "not 2-colorable" true (solve_coloring 2 = S.Unsat)
 
-let test_assumption_basics () =
-  let s = make_solver 2 in
+let test_assumption_basics cfg () =
+  let s = make_solver cfg 2 in
   S.add_clause s [ S.lit 0 false; S.lit 1 true ];
   Alcotest.(check bool) "assume x0 -> sat with x1" true
     (S.solve ~assumptions:[ S.lit 0 true ] s = S.Sat && S.value s 1);
@@ -158,7 +161,7 @@ let test_assumption_basics () =
     (S.solve ~assumptions:[ S.lit 1 false; S.lit 0 true ] s = S.Unsat);
   Alcotest.(check bool) "recovers" true (S.solve s = S.Sat)
 
-let test_larger_random_unsat () =
+let test_larger_random_unsat cfg () =
   (* A dense random instance far above the sat threshold: should be unsat
      and exercise restarts/learning. 20 vars, clause ratio ~ 10. *)
   let st = Random.State.make [| 42 |] in
@@ -167,16 +170,16 @@ let test_larger_random_unsat () =
     List.init 200 (fun _ ->
         List.init 3 (fun _ -> (Random.State.int st nvars, Random.State.bool st)))
   in
-  let _, result = solve_cnf nvars cnf in
+  let _, result = solve_cnf cfg nvars cnf in
   let expected = brute_force nvars cnf in
   Alcotest.(check bool) "matches brute force" true
     (match result with S.Sat -> expected | S.Unsat -> not expected)
 
-let test_implication_chain () =
+let test_implication_chain cfg () =
   (* x0 and a 300-long implication chain force every variable true; the
      model must reflect the full propagation. *)
   let n = 300 in
-  let s = make_solver n in
+  let s = make_solver cfg n in
   S.add_clause s [ S.lit 0 true ];
   for i = 0 to n - 2 do
     S.add_clause s [ S.lit i false; S.lit (i + 1) true ]
@@ -190,11 +193,11 @@ let test_implication_chain () =
   S.add_clause s [ S.lit (n - 1) false ];
   Alcotest.(check bool) "contradiction" true (S.solve s = S.Unsat)
 
-let test_resolve_no_repropagation () =
+let test_resolve_no_repropagation cfg () =
   (* The level-0 trail is propagated once: re-solving the unchanged
      300-literal implication chain must not walk it again. *)
   let n = 300 in
-  let s = make_solver n in
+  let s = make_solver cfg n in
   S.add_clause s [ S.lit 0 true ];
   for i = 0 to n - 2 do
     S.add_clause s [ S.lit i false; S.lit (i + 1) true ]
@@ -207,11 +210,11 @@ let test_resolve_no_repropagation () =
     (S.last_solve s).S.s_propagations;
   Alcotest.(check bool) "model intact" true (S.value s (n - 1))
 
-let test_xor_chain_unsat () =
+let test_xor_chain_unsat cfg () =
   (* Tseitin-encoded xor chain with contradictory endpoints: classic
      resolution-hard family at small size. y_i = y_{i-1} xor x_i. *)
   let n = 12 in
-  let s = make_solver (2 * n + 1) in
+  let s = make_solver cfg (2 * n + 1) in
   let y i = i and x i = n + i in
   let xor_clauses a b c =
     (* c = a xor b *)
@@ -235,10 +238,10 @@ let test_xor_chain_unsat () =
 (* {1 Activation literals and per-query statistics — the incremental
    BMC protocol} *)
 
-let test_activation_lifecycle () =
+let test_activation_lifecycle cfg () =
   (* One clause group per activation literal: dormant until assumed,
      selectable per query, and permanently disabled by [retire]. *)
-  let s = make_solver 1 in
+  let s = make_solver cfg 1 in
   let a1 = S.new_act s in
   let a2 = S.new_act s in
   S.add_clause_act s ~act:a1 [ S.lit 0 true ];
@@ -287,13 +290,13 @@ let add_php ?act s ~pigeons ~holes ~base =
     done
   done
 
-let test_learnt_survival () =
+let test_learnt_survival cfg () =
   (* The point of keeping one solver alive: clauses learnt by query N
      make query N+1 cheaper than solving it from scratch. Query the same
      guarded pigeonhole group twice on one instance; a fresh solver
      facing the identical question is the scratch baseline. *)
   let pigeons = 6 and holes = 5 in
-  let persistent = make_solver (pigeons * holes) in
+  let persistent = make_solver cfg (pigeons * holes) in
   let act = S.new_act persistent in
   add_php ~act persistent ~pigeons ~holes ~base:0;
   Alcotest.(check bool) "query 1 unsat" true
@@ -303,7 +306,7 @@ let test_learnt_survival () =
   Alcotest.(check bool) "query 2 unsat" true
     (S.solve ~assumptions:[ act ] persistent = S.Unsat);
   let second = (S.last_solve persistent).S.s_conflicts in
-  let scratch = make_solver (pigeons * holes) in
+  let scratch = make_solver cfg (pigeons * holes) in
   add_php scratch ~pigeons ~holes ~base:0;
   Alcotest.(check bool) "scratch baseline unsat" true (S.solve scratch = S.Unsat);
   let baseline = (S.last_solve scratch).S.s_conflicts in
@@ -312,10 +315,10 @@ let test_learnt_survival () =
       "learnt clauses did not survive: query 2 took %d conflicts, scratch %d"
       second baseline
 
-let test_last_solve_resets () =
+let test_last_solve_resets cfg () =
   (* [last_solve] is a per-query delta — each solve re-bases it — while
      [stats] stays cumulative across the instance's lifetime. *)
-  let s = make_solver 20 in
+  let s = make_solver cfg 20 in
   add_php s ~pigeons:5 ~holes:4 ~base:0;
   Alcotest.(check bool) "unsat" true (S.solve s = S.Unsat);
   let q1 = (S.last_solve s).S.s_conflicts in
@@ -339,8 +342,8 @@ let test_last_solve_resets () =
    these instances are sized to cross that threshold: the arena is
    compacted mid-search while reason clauses are locked on the trail. *)
 
-let test_reduce_pigeonhole () =
-  let s = make_solver (9 * 8) in
+let test_reduce_pigeonhole cfg () =
+  let s = make_solver cfg (9 * 8) in
   add_php s ~pigeons:9 ~holes:8 ~base:0;
   Alcotest.(check bool) "PHP(9,8) unsat" true (S.solve s = S.Unsat);
   let st = S.last_solve s in
@@ -358,12 +361,12 @@ let planted_3sat st ~nvars ~nclauses =
   in
   List.init nclauses (fun _ -> clause ())
 
-let test_reduce_planted () =
+let test_reduce_planted cfg () =
   let reduces = ref 0 in
   for seed = 1 to 5 do
     let st = Random.State.make [| seed |] in
     let cnf = planted_3sat st ~nvars:200 ~nclauses:900 in
-    let s, result = solve_cnf 200 cnf in
+    let s, result = solve_cnf cfg 200 cnf in
     if result <> S.Sat then Alcotest.failf "seed %d: planted instance unsat" seed;
     if not (check_model s cnf) then
       Alcotest.failf "seed %d: model violates a clause" seed;
@@ -375,10 +378,10 @@ let test_reduce_planted () =
    groups are added, solved under assumptions and retired in any order,
    and every answer must match brute force over the clauses still live —
    the permanent ones plus the groups assumed in that query. *)
-let prop_activation seed =
+let prop_activation cfg seed =
   let st = Random.State.make [| seed |] in
   let nvars = 1 + Random.State.int st 8 in
-  let s = make_solver nvars in
+  let s = make_solver cfg nvars in
   let to_lits = List.map (fun (v, sign) -> S.lit v sign) in
   let permanent = ref [] in
   (* (activation literal, its clauses, retired) *)
@@ -427,46 +430,43 @@ let prop_activation seed =
   done;
   !ok && check_query ()
 
-let qprop name f =
+let qprop cfg name f =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:300 ~name QCheck.(make Gen.(int_bound 1_000_000)) f)
+    (QCheck.Test.make ~count:300 ~name QCheck.(make Gen.(int_bound 1_000_000)) (f cfg))
 
-let () =
-  Alcotest.run "sat"
-    [
-      ( "directed",
-        [
-          Alcotest.test_case "trivial" `Quick test_trivial;
-          Alcotest.test_case "empty clause" `Quick test_empty_clause;
-          Alcotest.test_case "pigeonhole" `Quick test_pigeonhole;
-          Alcotest.test_case "graph coloring" `Quick test_graph_coloring;
-          Alcotest.test_case "assumptions" `Quick test_assumption_basics;
-          Alcotest.test_case "dense random" `Quick test_larger_random_unsat;
-          Alcotest.test_case "implication chain" `Quick test_implication_chain;
-          Alcotest.test_case "re-solve skips the propagated root" `Quick
-            test_resolve_no_repropagation;
-          Alcotest.test_case "xor chain" `Quick test_xor_chain_unsat;
-        ] );
-      ( "clause database",
-        [
-          Alcotest.test_case "pigeonhole across reductions" `Quick
-            test_reduce_pigeonhole;
-          Alcotest.test_case "planted 3-SAT across reductions" `Quick
-            test_reduce_planted;
-        ] );
-      ( "incremental",
-        [
-          Alcotest.test_case "activation lifecycle" `Quick test_activation_lifecycle;
-          Alcotest.test_case "learnt clauses survive queries" `Quick
-            test_learnt_survival;
-          Alcotest.test_case "last_solve re-bases per query" `Quick
-            test_last_solve_resets;
-        ] );
-      ( "properties",
-        [
-          qprop "random cnf vs brute force" prop_random_cnf;
-          qprop "assumptions vs unit clauses" prop_assumptions;
-          qprop "incremental prefixes" prop_incremental;
-          qprop "activation protocol vs brute force" prop_activation;
-        ] );
-    ]
+let suite cfg =
+  let case name f = Alcotest.test_case name `Quick (f cfg) in
+  [
+    ( "directed",
+      [
+        case "trivial" test_trivial;
+        case "empty clause" test_empty_clause;
+        case "pigeonhole" test_pigeonhole;
+        case "graph coloring" test_graph_coloring;
+        case "assumptions" test_assumption_basics;
+        case "dense random" test_larger_random_unsat;
+        case "implication chain" test_implication_chain;
+        case "re-solve skips the propagated root" test_resolve_no_repropagation;
+        case "xor chain" test_xor_chain_unsat;
+      ] );
+    ( "clause database",
+      [
+        case "pigeonhole across reductions" test_reduce_pigeonhole;
+        case "planted 3-SAT across reductions" test_reduce_planted;
+      ] );
+    ( "incremental",
+      [
+        case "activation lifecycle" test_activation_lifecycle;
+        case "learnt clauses survive queries" test_learnt_survival;
+        case "last_solve re-bases per query" test_last_solve_resets;
+      ] );
+    ( "properties",
+      [
+        qprop cfg "random cnf vs brute force" prop_random_cnf;
+        qprop cfg "assumptions vs unit clauses" prop_assumptions;
+        qprop cfg "incremental prefixes" prop_incremental;
+        qprop cfg "activation protocol vs brute force" prop_activation;
+      ] );
+  ]
+
+let () = Solver_configs.run "sat" suite
