@@ -14,17 +14,15 @@ open Cmdliner
 
 (* {1 Telemetry}
 
-   Every verification subcommand accepts --trace/--log-json/--log-level;
-   any of the outputs being requested also turns the metric registry on,
-   so the run's counters land in the [stats]-style summary and the
-   structured logs. *)
+   Every verification subcommand accepts --trace and --metrics-file;
+   analyze, prove and stats also --log-json, which attaches the event bus
+   to a file (a campaign's stream always goes to <out>/events.jsonl).
+   Any of the outputs being requested also turns the metric registry
+   on, so the run's counters land in the [stats]-style summary. *)
 
-let setup_telemetry ?metrics_file trace log_json log_level =
-  (match Obs.level_of_string log_level with
-  | Ok l -> Obs.set_level l
-  | Error msg -> failwith msg);
+let setup_telemetry ?metrics_file ?log_json trace =
   Option.iter Obs.trace_to_file trace;
-  Option.iter Obs.log_to_file log_json;
+  Option.iter (fun file -> Obs.Bus.attach ~file ()) log_json;
   if trace <> None || log_json <> None || metrics_file <> None then
     Obs.Metrics.enable ();
   (* --metrics-file: a Prometheus text snapshot of the whole registry,
@@ -72,8 +70,8 @@ let record_run ?(asserts = []) ?(artifacts = []) ?(config = "")
         r_artifacts = List.filter Sys.file_exists artifacts;
       }
 
-let with_telemetry ?metrics_file ?ledger_dir ~cmd trace log_json log_level f =
-  setup_telemetry ?metrics_file trace log_json log_level;
+let with_telemetry ?metrics_file ?log_json ?ledger_dir ~cmd trace f =
+  setup_telemetry ?metrics_file ?log_json trace;
   pending_run := None;
   let t0 = Unix.gettimeofday () in
   let cpu0 = Sys.time () in
@@ -107,7 +105,7 @@ let with_telemetry ?metrics_file ?ledger_dir ~cmd trace log_json log_level f =
     r
   in
   Option.iter (fun p -> Format.printf "Trace written to %s (load at ui.perfetto.dev)@." p) trace;
-  Option.iter (fun p -> Format.printf "Structured log written to %s@." p) log_json;
+  Option.iter (fun p -> Format.printf "Event stream written to %s@." p) log_json;
   Option.iter (fun p -> Format.printf "Metrics snapshot written to %s@." p) metrics_file;
   r
 
@@ -115,10 +113,6 @@ let print_metrics_summary () =
   let render = function
     | Obs.Metrics.Counter n -> string_of_int n
     | Obs.Metrics.Gauge g -> Printf.sprintf "%.6g" g
-    | Obs.Metrics.Histogram h ->
-        Printf.sprintf "count=%d sum=%.4fs%s" h.count h.sum
-          (if h.count = 0 then ""
-           else Printf.sprintf " mean=%.4fs" (h.sum /. float_of_int h.count))
     | Obs.Metrics.Series a ->
         String.concat " "
           (Array.to_list
@@ -179,12 +173,12 @@ let analyze dut_name verilog top blackbox stage threshold max_depth
     timeout conflict_budget retries
     opt_level no_incremental no_symmetric cache_dir no_cache
     fix_m2 fix_m3 fix_c1 fix_c2 fix_c3 full_flush
-    verbose vcd trace log_json log_level metrics_file =
+    verbose vcd trace log_json metrics_file =
   let incremental = not no_incremental in
   let symmetric = not no_symmetric in
   let cache = cache_of cache_dir no_cache in
-  with_telemetry ?metrics_file ?ledger_dir:cache_dir ~cmd:"analyze" trace
-    log_json log_level
+  with_telemetry ?metrics_file ?log_json ?ledger_dir:cache_dir ~cmd:"analyze"
+    trace
   @@ fun () ->
   let dut =
     match verilog with
@@ -291,12 +285,12 @@ let analyze dut_name verilog top blackbox stage threshold max_depth
 
 let prove dut_name verilog top stage threshold max_depth timeout
     conflict_budget retries opt_level no_incremental no_symmetric cache_dir
-    no_cache verbose vcd trace log_json log_level metrics_file =
+    no_cache verbose vcd trace log_json metrics_file =
   let incremental = not no_incremental in
   let symmetric = not no_symmetric in
   let cache = cache_of cache_dir no_cache in
-  with_telemetry ?metrics_file ?ledger_dir:cache_dir ~cmd:"prove" trace
-    log_json log_level
+  with_telemetry ?metrics_file ?log_json ?ledger_dir:cache_dir ~cmd:"prove"
+    trace
   @@ fun () ->
   let dut =
     match verilog with
@@ -464,9 +458,8 @@ let export dut_name dir threshold depth arch_regs =
 
 (* {1 stats} *)
 
-let stats dut_name max_depth opt_level trace log_json log_level
-    metrics_file =
-  with_telemetry ?metrics_file ~cmd:"stats" trace log_json log_level @@ fun () ->
+let stats dut_name max_depth opt_level trace log_json metrics_file =
+  with_telemetry ?metrics_file ?log_json ~cmd:"stats" trace @@ fun () ->
   List.iter
     (fun name ->
       let dut =
@@ -514,12 +507,11 @@ let stats dut_name max_depth opt_level trace log_json log_level
 
 let campaign duts threshold max_depth timeout conflict_budget retries resume
     opt_level no_incremental no_symmetric cache_dir no_cache out_dir trace
-    log_json log_level metrics_file =
+    metrics_file =
   let incremental = not no_incremental in
   let symmetric = not no_symmetric in
   let cache = cache_of cache_dir no_cache in
   with_telemetry ?metrics_file ?ledger_dir:cache_dir ~cmd:"campaign" trace
-    log_json log_level
   @@ fun () ->
   (* The artifacts embed a telemetry snapshot, so the registry is always
      on for a campaign. *)
@@ -542,6 +534,17 @@ let campaign duts threshold max_depth timeout conflict_budget retries resume
       duts
   in
   let opt = Opt.level_of_int opt_level in
+  (* A resume racing a live campaign on the same directory is almost
+     always a mistake: warn, don't refuse (the pid may be recycled). *)
+  (if resume then
+     match Explain.Campaign.live_writer out_dir with
+     | Some pid ->
+         Format.eprintf
+           "autocc: warning: pid %d, which wrote the last event of \
+            %s/events.jsonl, is still running; another campaign may be \
+            using this directory@."
+           pid out_dir
+     | None -> ());
   Format.printf
     "Campaign over %s: per-assertion CEX sweep to depth %d at -O%d, then \
      slice, minimize and cluster.@.@."
@@ -1115,13 +1118,11 @@ let log_json_arg =
     value
     & opt (some string) None
     & info [ "log-json" ] ~docv:"FILE"
-        ~doc:"Write structured logs to $(docv), one JSON object per line.")
-
-let log_level_arg =
-  Arg.(
-    value & opt string "info"
-    & info [ "log-level" ] ~docv:"LEVEL"
-        ~doc:"Structured-log verbosity: error, warn, info or debug.")
+        ~doc:
+          "Append the run's event stream to $(docv): one JSON object per \
+           event (a depth solved, a CEX found, a retry, a cache hit or \
+           miss, ...), stamped with a sequence number, time and pid, in \
+           the format of a campaign's events.jsonl.")
 
 let metrics_file_arg =
   Arg.(
@@ -1161,7 +1162,7 @@ let analyze_cmd =
           value
           & opt (some string) None
           & info [ "vcd" ] ~doc:"Write the counterexample waveform to this VCD file.")
-      $ trace_arg $ log_json_arg $ log_level_arg $ metrics_file_arg)
+      $ trace_arg $ log_json_arg $ metrics_file_arg)
   in
   Cmd.v (Cmd.info "analyze" ~doc:"Generate the AutoCC FT for a DUT and search for covert channels.") term
 
@@ -1182,7 +1183,7 @@ let prove_cmd =
           & opt (some string) None
           & info [ "vcd" ]
               ~doc:"Write the refutation waveform to this VCD file.")
-      $ trace_arg $ log_json_arg $ log_level_arg $ metrics_file_arg)
+      $ trace_arg $ log_json_arg $ metrics_file_arg)
   in
   Cmd.v
     (Cmd.info "prove"
@@ -1225,7 +1226,7 @@ let stats_cmd =
           timings).")
     Term.(
       const stats $ dut $ max_depth_arg $ opt_arg $ trace_arg
-      $ log_json_arg $ log_level_arg $ metrics_file_arg)
+      $ log_json_arg $ metrics_file_arg)
 
 let campaign_cmd =
   let duts =
@@ -1270,7 +1271,7 @@ let campaign_cmd =
       const campaign $ duts $ threshold_arg $ max_depth_arg $ timeout_arg
       $ conflict_budget_arg $ retries_arg $ resume $ opt_arg
       $ no_incremental_arg $ no_symmetric_arg $ cache_dir_arg $ no_cache_arg
-      $ out_dir $ trace_arg $ log_json_arg $ log_level_arg $ metrics_file_arg)
+      $ out_dir $ trace_arg $ metrics_file_arg)
 
 let top_cmd =
   let out_dir =

@@ -251,10 +251,13 @@ let m_depth_seconds = lazy (Obs.Metrics.series "bmc.depth_seconds")
    [p_rebudget] set trips the solver budget: the query surfaces as
    [Out_of_budget Wall_clock] -> [Unknown (Budget_exhausted ...)], which
    the retry schedule already treats as transient — the "rebudget early"
-   hint without [lib/sat] ever depending on [lib/obs]. *)
+   hint without [lib/sat] ever depending on [lib/obs]. Because rebudget
+   can change the verdict, the hook is installed whenever it is set, not
+   only when telemetry is on: turning telemetry on must not change a
+   verdict. *)
 let attach_sampling label solver =
-  if Obs.enabled () then begin
-    let policy = Obs.Watchdog.policy () in
+  let policy = Obs.Watchdog.policy () in
+  if Obs.enabled () || policy.Obs.Watchdog.p_rebudget then begin
     let dog =
       Obs.Watchdog.create ~policy
         ~on_stall:(fun ~cps:_ ~lps:_ ->
@@ -298,6 +301,17 @@ let flush_solver_metrics solvers =
         Obs.Metrics.add (Lazy.force m_sat_reduces) st.S.s_reduces;
         Obs.Metrics.add (Lazy.force m_sat_learned) st.S.s_learned_total)
       solvers
+
+(* How one depth ended, published once: [Cex_found], or [Depth_solved]
+   with the wall seconds since [t0]. With [series] (the default) the
+   seconds also join [bmc.depth_seconds]. *)
+let depth_closed ?(series = true) ~t0 depth ~cex =
+  let seconds = Unix.gettimeofday () -. t0 in
+  if series && Obs.Metrics.enabled () then
+    Obs.Metrics.record (Lazy.force m_depth_seconds) seconds;
+  Obs.Bus.publish
+    (if cex then Obs.Bus.Cex_found { depth }
+     else Obs.Bus.Depth_solved { depth; seconds })
 
 (* The incremental engine: ONE solver instance lives for the whole run.
    Each depth adds only the new transition frame (a [Template]
@@ -376,7 +390,6 @@ let check_incremental ~max_depth ~progress ?solver_config ~opt ~budget
       let found =
         Obs.span "bmc.depth" ~attrs:[ ("depth", Obs.Json.Int depth) ]
         @@ fun () ->
-        Obs.log ~attrs:[ ("depth", Obs.Json.Int depth) ] Debug "bmc.depth";
         (* Fault probe for the incremental path: fires between depth
            [k-1]'s clean verdict and depth [k]'s clause addition, so the
            robustness fuzz can hit the solver-reuse window specifically. *)
@@ -410,16 +423,6 @@ let check_incremental ~max_depth ~progress ?solver_config ~opt ~budget
                original property roots. *)
             let inputs = widen inputs in
             let failed = validate full property inputs depth in
-            Obs.instant ~attrs:[ ("depth", Obs.Json.Int depth) ] "bmc.cex";
-            Obs.log
-              ~attrs:
-                [
-                  ("depth", Obs.Json.Int depth);
-                  ( "failed",
-                    Obs.Json.List (List.map (fun n -> Obs.Json.Str n) failed)
-                  );
-                ]
-              Info "bmc.cex";
             Some
               (Cex
                  ( {
@@ -439,13 +442,7 @@ let check_incremental ~max_depth ~progress ?solver_config ~opt ~budget
               sprop.asserts;
             None
       in
-      let depth_s = Unix.gettimeofday () -. t_depth in
-      if Obs.Metrics.enabled () then
-        Obs.Metrics.record (Lazy.force m_depth_seconds) depth_s;
-      (match found with
-      | Some _ -> Obs.Bus.publish (Obs.Bus.Cex_found { depth })
-      | None ->
-          Obs.Bus.publish (Obs.Bus.Depth_solved { depth; seconds = depth_s }));
+      depth_closed ~t0:t_depth depth ~cex:(Option.is_some found);
       match found with Some outcome -> outcome | None -> go (depth + 1)
     end
   in
@@ -533,7 +530,6 @@ let check_scratch ~max_depth ~progress ?solver_config ~opt ~budget
         let found =
           Obs.span "bmc.depth" ~attrs:[ ("depth", Obs.Json.Int depth) ]
           @@ fun () ->
-          Obs.log ~attrs:[ ("depth", Obs.Json.Int depth) ] Debug "bmc.depth";
           Fault.point "bmc.alloc";
           let solver = S.create ?config:solver_config ~stop:fault_stop () in
           S.set_budget solver
@@ -585,7 +581,6 @@ let check_scratch ~max_depth ~progress ?solver_config ~opt ~budget
               in
               let inputs = widen inputs in
               let failed = validate full property inputs depth in
-              Obs.instant ~attrs:[ ("depth", Obs.Json.Int depth) ] "bmc.cex";
               Some
                 (Cex
                    ( {
@@ -599,13 +594,7 @@ let check_scratch ~max_depth ~progress ?solver_config ~opt ~budget
               retire_solver ();
               None
         in
-        let depth_s = Unix.gettimeofday () -. t_depth in
-        if Obs.Metrics.enabled () then
-          Obs.Metrics.record (Lazy.force m_depth_seconds) depth_s;
-        (match found with
-        | Some _ -> Obs.Bus.publish (Obs.Bus.Cex_found { depth })
-        | None ->
-            Obs.Bus.publish (Obs.Bus.Depth_solved { depth; seconds = depth_s }));
+        depth_closed ~t0:t_depth depth ~cex:(Option.is_some found);
         match found with Some outcome -> outcome | None -> go (depth + 1)
       end
     in
@@ -675,22 +664,6 @@ let prov_now ~engine ~config ~key =
     p_key = key;
     p_ts = Unix.gettimeofday ();
   }
-
-(* On a warm hit, surface who earned the verdict (when a log sink is
-   attached): the audit trail costs nothing on the default path. *)
-let log_provenance cache key =
-  if Obs.logging Obs.Info then
-    match Cache.peek cache key with
-    | Some (_, Some p) ->
-        Obs.log Obs.Info "cache.provenance"
-          ~attrs:
-            [
-              ("key", Obs.Json.Str key);
-              ("run", Obs.Json.Str p.Cache.p_run);
-              ("engine", Obs.Json.Str p.Cache.p_engine);
-              ("config", Obs.Json.Str p.Cache.p_config);
-            ]
-    | _ -> ()
 
 (* Statistics for a run the cache answered: no solver existed. *)
 let hit_stats depth =
@@ -786,7 +759,6 @@ let revalidate_cached_cex cache key canon full property max_depth cc =
     let inputs = cex_inputs_of_entry canon full cc in
     match validate full property inputs cc.Cache.v_depth with
     | failed ->
-        Obs.instant "cache.cex_replayed";
         Some
           {
             cex_depth = cc.Cache.v_depth;
@@ -802,7 +774,6 @@ let cached_check cache key canon full property max_depth =
   match Cache.find cache key with
   | None -> None
   | Some (Cache.Bounded d) when d = max_depth ->
-      log_provenance cache key;
       Some (Bounded_proof (hit_stats d))
   | Some (Cache.Bounded _) | Some (Cache.Proved _) ->
       (* Malformed under this key (the depth bound and engine are part
@@ -811,9 +782,7 @@ let cached_check cache key canon full property max_depth =
       None
   | Some (Cache.Cex cc) ->
       Option.map
-        (fun cex ->
-          log_provenance cache key;
-          Cex (cex, hit_stats cex.cex_depth))
+        (fun cex -> Cex (cex, hit_stats cex.cex_depth))
         (revalidate_cached_cex cache key canon full property max_depth cc)
 
 let store_check cache key canon property ~config = function
@@ -1031,9 +1000,6 @@ let check_each ?(max_depth = 30) ?(progress = fun _ -> ()) ?solver_config
                   in
                   let inputs = widen inputs in
                   let failed = validate full sub inputs depth in
-                  Obs.instant
-                    ~attrs:[ ("depth", Obs.Json.Int depth) ]
-                    "bmc.cex";
                   Some
                     (Cex
                        ( {
@@ -1050,14 +1016,7 @@ let check_each ?(max_depth = 30) ?(progress = fun _ -> ()) ?solver_config
                   S.add_clause solver [ alit ];
                   None
             in
-            let depth_s = Unix.gettimeofday () -. t_depth in
-            if Obs.Metrics.enabled () then
-              Obs.Metrics.record (Lazy.force m_depth_seconds) depth_s;
-            (match found with
-            | Some _ -> Obs.Bus.publish (Obs.Bus.Cex_found { depth })
-            | None ->
-                Obs.Bus.publish
-                  (Obs.Bus.Depth_solved { depth; seconds = depth_s }));
+            depth_closed ~t0:t_depth depth ~cex:(Option.is_some found);
             match found with Some outcome -> outcome | None -> go (depth + 1)
           end
         in
@@ -1254,7 +1213,6 @@ let prove_incremental ~max_depth ~progress ?solver_config ~opt ~budget
       Fault.point "sat.stop";
       progress k;
       let t_depth = Unix.gettimeofday () in
-      Obs.log ~attrs:[ ("depth", Obs.Json.Int k) ] Debug "bmc.induction_depth";
       if k > 0 then Fault.point "bmc.incr";
       (* Base case: bad at cycle k, from reset. *)
       let base_act = install base k in
@@ -1270,14 +1228,7 @@ let prove_incremental ~max_depth ~progress ?solver_config ~opt ~budget
           in
           let inputs = widen inputs in
           let failed = validate full property inputs k in
-          Obs.instant ~attrs:[ ("depth", Obs.Json.Int k) ] "bmc.cex";
-          Obs.log
-            ~attrs:
-              [
-                ("depth", Obs.Json.Int k);
-                ("failed", Obs.Json.List (List.map (fun n -> Obs.Json.Str n) failed));
-              ]
-            Info "bmc.refuted";
+          depth_closed ~series:false ~t0:t_depth k ~cex:true;
           Refuted
             ( { cex_depth = k; cex_inputs = inputs; cex_failed = failed; cex_circuit = full },
               stats k )
@@ -1291,14 +1242,11 @@ let prove_incremental ~max_depth ~progress ?solver_config ~opt ~budget
           done;
           (match timed ~case:"step" ~depth:k step_solver [ step_act ] with
           | S.Unsat ->
-              Obs.instant ~attrs:[ ("depth", Obs.Json.Int k) ] "bmc.proved";
-              Obs.log ~attrs:[ ("k", Obs.Json.Int k) ] Info "bmc.proved";
+              depth_closed ~series:false ~t0:t_depth k ~cex:false;
               Proved (k, stats k)
           | S.Sat ->
               retire step k step_act;
-              if Obs.Metrics.enabled () then
-                Obs.Metrics.record (Lazy.force m_depth_seconds)
-                  (Unix.gettimeofday () -. t_depth);
+              depth_closed ~t0:t_depth k ~cex:false;
               go (k + 1))
     end
   in
@@ -1427,8 +1375,6 @@ let prove_scratch ~max_depth ~progress ?solver_config ~opt ~budget
         Fault.point "sat.stop";
         progress k;
         let t_depth = Unix.gettimeofday () in
-        Obs.log ~attrs:[ ("depth", Obs.Json.Int k) ] Debug
-          "bmc.induction_depth";
         Fault.point "bmc.alloc";
         let base_solver = new_solver "base" in
         let base = Cnf.Blast.create base_solver circuit in
@@ -1445,7 +1391,7 @@ let prove_scratch ~max_depth ~progress ?solver_config ~opt ~budget
             in
             let inputs = widen inputs in
             let failed = validate full property inputs k in
-            Obs.instant ~attrs:[ ("depth", Obs.Json.Int k) ] "bmc.cex";
+            depth_closed ~series:false ~t0:t_depth k ~cex:true;
             Refuted
               ( {
                   cex_depth = k;
@@ -1469,14 +1415,11 @@ let prove_scratch ~max_depth ~progress ?solver_config ~opt ~budget
             done;
             (match timed ~case:"step" ~depth:k step_solver [ step_act ] with
             | S.Unsat ->
-                Obs.instant ~attrs:[ ("depth", Obs.Json.Int k) ] "bmc.proved";
-                Obs.log ~attrs:[ ("k", Obs.Json.Int k) ] Info "bmc.proved";
+                depth_closed ~series:false ~t0:t_depth k ~cex:false;
                 Proved (k, stats k)
             | S.Sat ->
                 retire_solvers ();
-                if Obs.Metrics.enabled () then
-                  Obs.Metrics.record (Lazy.force m_depth_seconds)
-                    (Unix.gettimeofday () -. t_depth);
+                depth_closed ~t0:t_depth k ~cex:false;
                 go (k + 1))
       end
     in
@@ -1530,15 +1473,12 @@ let prove ?(max_depth = 30) ?(progress = fun _ -> ()) ?solver_config
       in
       match Cache.find c key with
       | Some (Cache.Proved k) when k >= 0 && k <= max_depth ->
-          log_provenance c key;
           Proved (k, hit_stats k)
       | Some (Cache.Cex cc) -> (
           match
             revalidate_cached_cex c key canon full property max_depth cc
           with
-          | Some cex ->
-              log_provenance c key;
-              Refuted (cex, hit_stats cex.cex_depth)
+          | Some cex -> Refuted (cex, hit_stats cex.cex_depth)
           | None -> miss ())
       | Some (Cache.Proved _) | Some (Cache.Bounded _) ->
           Cache.remove c key;

@@ -182,7 +182,9 @@ val check :
     [cex_inputs] always describe the original instrumented design.
 
     [progress] is invoked with each depth just before it is solved. The
-    callback must not call back into this [check] run.
+    callback must not call back into this [check] run. Each depth that
+    closes without a CEX publishes one {!Obs.Bus.Depth_solved}, and the
+    CEX depth one {!Obs.Bus.Cex_found}.
 
     [solver_config] selects the SAT heuristics (see
     {!Sat.Solver.config}).
@@ -349,4 +351,7 @@ val prove :
     uniqueness constraint. Every {!Opt} pass is a combinational rewrite
     that holds in every state, so the optimized circuit is sound under
     the arbitrary-start-state encoding of the step case. [sym] and [cache] behave as in {!check} ([Proved] joins the
-    cacheable verdict set; [Unknown] is still never stored). *)
+    cacheable verdict set; [Unknown] is still never stored). Each [k]
+    whose base case is clean publishes {!Obs.Bus.Depth_solved}, the
+    proving [k] included; a refuting base case publishes
+    {!Obs.Bus.Cex_found}. *)

@@ -83,10 +83,6 @@ let run p ~budget ~reason_of f =
         let reason = Bmc.unknown_reason_to_string reason in
         count 1;
         Obs.Bus.publish (Obs.Bus.Retry { attempt; reason });
-        Obs.log
-          ~attrs:
-            [ ("attempt", Obs.Json.Int attempt); ("reason", Obs.Json.Str reason) ]
-          Obs.Debug "bmc.retry";
         let d = backoff_s p ~attempt in
         if d > 0. then Unix.sleepf d;
         loop attempt

@@ -81,8 +81,8 @@ let summary ft cex =
 (* {1 JSON schema}
 
    The one place the shapes of machine-readable stats are defined; the
-   [bench] executable and the CLI both emit through these, so
-   [BENCH_*.json] and [--log-json] reports never drift apart. *)
+   [bench] executable emits through these, so the [BENCH_*.json] files
+   never drift apart. *)
 
 module Json = Obs.Json
 

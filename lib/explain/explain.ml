@@ -919,13 +919,6 @@ h3 { margin-bottom: 0.2em; }
               (Obs.Bus.Retry
                  { attempt; reason = Bmc.unknown_reason_to_string r }))
           transient;
-        Obs.log
-          ~attrs:
-            [
-              ("attempt", Json.Int attempt);
-              ("asserts", Json.Int (List.length transient));
-            ]
-          Obs.Debug "explain.retry";
         let d = Retry.backoff_s retry ~attempt in
         if d > 0. then Unix.sleepf d;
         let redo =
@@ -943,15 +936,21 @@ h3 { margin-bottom: 0.2em; }
     in
     refine 0 (run_asserts ~attempt:0 property.Bmc.asserts)
 
-  (* The pid of the last complete event in [dir/events.jsonl]: the
-     process that most recently wrote to this campaign directory. *)
-  let last_writer_pid dir =
-    Obs.Tail.poll (Obs.Tail.create (Filename.concat dir "events.jsonl"))
-    |> List.rev
-    |> List.find_map (fun line ->
-           match Result.bind (Json.parse line) Obs.Bus.stamped_of_json with
-           | Ok st -> Some st.Obs.Bus.pid
-           | Error _ -> None)
+  (* The pid of the last complete event in [dir/events.jsonl] (the
+     process that most recently wrote to this campaign directory), when
+     that process is alive and is not this one. *)
+  let live_writer dir =
+    let last =
+      Obs.Tail.poll (Obs.Tail.create (Filename.concat dir "events.jsonl"))
+      |> List.rev
+      |> List.find_map (fun line ->
+             match Result.bind (Json.parse line) Obs.Bus.stamped_of_json with
+             | Ok st -> Some st.Obs.Bus.pid
+             | Error _ -> None)
+    in
+    match last with
+    | Some pid when pid <> Unix.getpid () && Obs.Bus.pid_alive pid -> Some pid
+    | _ -> None
 
   let run ?opt ?incremental ?symmetric ?cache ?(budget = Bmc.no_budget)
       ?(retry = Retry.default) ?(resume = false) ?out_dir
@@ -981,19 +980,6 @@ h3 { margin-bottom: 0.2em; }
     | Some dir when not (Obs.Bus.enabled ()) ->
         Obs.Bus.attach ~file:(Filename.concat dir "events.jsonl") ();
         bus_owned := true
-    | _ -> ());
-    (* A resume against a directory whose last event was written by a
-       live, different process is almost certainly a concurrent
-       campaign on the same state — warn, don't refuse (the pid may be
-       recycled). *)
-    (match (resume, out_dir) with
-    | true, Some dir -> (
-        match last_writer_pid dir with
-        | Some pid when pid <> Unix.getpid () && Obs.Bus.pid_alive pid ->
-            Obs.log
-              ~attrs:[ ("pid", Json.Int pid) ]
-              Obs.Warn "explain.live_campaign_conflict"
-        | _ -> ())
     | _ -> ());
     Fun.protect ~finally:(fun () -> if !bus_owned then Obs.Bus.detach ())
     @@ fun () ->
@@ -1042,15 +1028,6 @@ h3 { margin-bottom: 0.2em; }
                outcomes)
         in
         let channels = cluster ft cexs in
-        Obs.log
-          ~attrs:
-            [
-              ("label", Json.Str e.e_label);
-              ("raw_cexs", Json.Int (List.length cexs));
-              ("channels", Json.Int (List.length channels));
-              ("unknowns", Json.Int unknowns);
-            ]
-          Obs.Info "explain.entry_done";
         {
           r_label = e.e_label;
           r_dut = e.e_dut;
@@ -1069,9 +1046,6 @@ h3 { margin-bottom: 0.2em; }
       let r =
         match List.assoc_opt e.e_label persisted with
         | Some p when p.p_dut = e.e_dut && p.p_depth = e.e_max_depth ->
-            Obs.log
-              ~attrs:[ ("label", Json.Str e.e_label) ]
-              Obs.Info "explain.entry_resumed";
             {
               r_label = e.e_label;
               r_dut = e.e_dut;

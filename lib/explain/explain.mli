@@ -208,15 +208,23 @@ module Campaign : sig
       and depth, every channel artifact present and valid — are reused
       without re-solving ([r_resumed = true]); all others are
       recomputed. Resuming an already-complete campaign rewrites
-      [campaign.json] byte-identically. A resume whose directory's last
-      [events.jsonl] event was written by another live process logs an
-      [explain.live_campaign_conflict] warning.
+      [campaign.json] byte-identically. [run] does not check for a
+      concurrent writer of the directory; callers ask {!live_writer}
+      first.
 
       [should_stop] (default: never) is polled at each entry boundary;
       when it returns [true] the remaining entries are skipped and the
       already-checkpointed results returned — the hook signal handlers
       use to turn SIGTERM/SIGINT into a clean, resumable checkpoint
       instead of a mid-entry kill. *)
+
+  val live_writer : string -> int option
+  (** [live_writer dir] is the pid that wrote the last complete event of
+      [dir/events.jsonl], when that process is still alive and is not
+      this one: a resume of [dir] would then most likely race a
+      concurrent campaign on the same state. [None] for an absent or
+      empty stream. A recycled pid can make this a false alarm, so it
+      is for warnings, not refusals. *)
 
   val json_of_channel : label:string -> dut:string -> channel -> Obs.Json.t
   (** The per-channel artifact: schema tag, channel naming, provenance

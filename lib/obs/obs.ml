@@ -1,6 +1,6 @@
 (* Telemetry substrate: spans -> Chrome trace events, metrics registry,
-   leveled JSONL logging. Everything here must be cheap when disabled
-   (one Atomic.get per call site) and callable from any domain. *)
+   typed event bus. Everything here must be cheap when disabled (one
+   Atomic.get per call site) and callable from any domain. *)
 
 (* {1 JSON} *)
 
@@ -353,98 +353,6 @@ module Appender = struct
     Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
 end
 
-(* {1 Structured logging} *)
-
-type level = Error | Warn | Info | Debug
-
-let level_to_int = function Error -> 0 | Warn -> 1 | Info -> 2 | Debug -> 3
-
-let level_to_string = function
-  | Error -> "error"
-  | Warn -> "warn"
-  | Info -> "info"
-  | Debug -> "debug"
-
-let level_of_string = function
-  | "error" -> Ok Error
-  | "warn" | "warning" -> Ok Warn
-  | "info" -> Ok Info
-  | "debug" -> Ok Debug
-  | other -> Error (Printf.sprintf "unknown log level %S (error|warn|info|debug)" other)
-
-let cur_level = Atomic.make (level_to_int Info)
-let set_level l = Atomic.set cur_level (level_to_int l)
-
-let get_level () =
-  match Atomic.get cur_level with
-  | 0 -> Error
-  | 1 -> Warn
-  | 2 -> Info
-  | _ -> Debug
-
-(* The one mutex-guarded sink every domain logs through. [log_on] is the
-   fast-path gate so a disabled log costs one atomic load. *)
-let log_on = Atomic.make false
-let log_mutex = Mutex.create ()
-let log_sink : (string -> unit) option ref = ref None
-let log_channel : out_channel option ref = ref None
-
-let close_log_locked () =
-  (match !log_channel with
-  | Some oc ->
-      (try close_out oc with _ -> ());
-      log_channel := None
-  | None -> ());
-  log_sink := None;
-  Atomic.set log_on false
-
-let close_log () =
-  Mutex.lock log_mutex;
-  close_log_locked ();
-  Mutex.unlock log_mutex
-
-let set_log_sink sink =
-  Mutex.lock log_mutex;
-  close_log_locked ();
-  (match sink with
-  | Some _ ->
-      log_sink := sink;
-      Atomic.set log_on true
-  | None -> ());
-  Mutex.unlock log_mutex
-
-let log_to_file path =
-  Mutex.lock log_mutex;
-  close_log_locked ();
-  let oc = open_out path in
-  log_channel := Some oc;
-  log_sink :=
-    Some
-      (fun line ->
-        output_string oc line;
-        output_char oc '\n');
-  Atomic.set log_on true;
-  Mutex.unlock log_mutex
-
-let logging level =
-  Atomic.get log_on && level_to_int level <= Atomic.get cur_level
-
-let log ?(attrs = []) level event =
-  if logging level then begin
-    let line =
-      Json.to_string
-        (Json.Obj
-           (("ts_us", Json.Float (Clock.elapsed_us ()))
-           :: ("level", Json.Str (level_to_string level))
-           :: ("tid", Json.Int (domain_id ()))
-           :: ("event", Json.Str event)
-           :: attrs))
-    in
-    Mutex.lock log_mutex;
-    (match !log_sink with Some sink -> (try sink line with _ -> ()) | None -> ());
-    Mutex.unlock log_mutex
-  end
-
 (* {1 Tracing} *)
 
 type trace_event = {
@@ -541,18 +449,6 @@ let span ?(attrs = []) name f =
         Printexc.raise_with_backtrace e bt
   end
 
-let instant ?(attrs = []) name =
-  if Atomic.get tracing_on then
-    record
-      {
-        ev_name = name;
-        ev_ph = 'i';
-        ev_ts = Clock.elapsed_us ();
-        ev_dur = 0.;
-        ev_tid = domain_id ();
-        ev_args = attrs;
-      }
-
 let counter_event name values =
   if Atomic.get tracing_on then
     record
@@ -571,20 +467,11 @@ module Metrics = struct
   type counter = int Atomic.t
   type gauge = float Atomic.t
 
-  type hist = {
-    h_buckets : float array;
-    h_counts : int array; (* length = buckets + 1; overflow last *)
-    mutable h_sum : float;
-    mutable h_count : int;
-  }
-
-  type histogram = hist
   type series = float list ref (* newest first *)
 
   type kind =
     | Kcounter of counter
     | Kgauge of gauge
-    | Khist of hist
     | Kseries of series
 
   let on = Atomic.make false
@@ -624,43 +511,6 @@ module Metrics = struct
 
   let set g v = if Atomic.get on then Atomic.set g v
 
-  let rec max_gauge g v =
-    if Atomic.get on then begin
-      let cur = Atomic.get g in
-      if v > cur && not (Atomic.compare_and_set g cur v) then max_gauge g v
-    end
-
-  let default_buckets =
-    [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1.; 10.; 100.; 1000. |]
-
-  let histogram ?(buckets = default_buckets) name =
-    let ok = ref true in
-    Array.iteri (fun i b -> if i > 0 && b <= buckets.(i - 1) then ok := false) buckets;
-    if (not !ok) || Array.length buckets = 0 then
-      invalid_arg "Obs.Metrics.histogram: buckets must be strictly increasing";
-    get_or_create name
-      (fun () ->
-        Khist
-          {
-            h_buckets = Array.copy buckets;
-            h_counts = Array.make (Array.length buckets + 1) 0;
-            h_sum = 0.;
-            h_count = 0;
-          })
-      (function Khist h -> Some h | _ -> None)
-
-  let observe h v =
-    if Atomic.get on then begin
-      Mutex.lock reg_mutex;
-      let n = Array.length h.h_buckets in
-      let rec idx i = if i >= n then n else if v <= h.h_buckets.(i) then i else idx (i + 1) in
-      let i = idx 0 in
-      h.h_counts.(i) <- h.h_counts.(i) + 1;
-      h.h_sum <- h.h_sum +. v;
-      h.h_count <- h.h_count + 1;
-      Mutex.unlock reg_mutex
-    end
-
   let series name =
     get_or_create name
       (fun () -> Kseries (ref []))
@@ -676,12 +526,6 @@ module Metrics = struct
   type value =
     | Counter of int
     | Gauge of float
-    | Histogram of {
-        buckets : float array;
-        counts : int array;
-        sum : float;
-        count : int;
-      }
     | Series of float array
 
   let snapshot () =
@@ -693,14 +537,6 @@ module Metrics = struct
             match k with
             | Kcounter c -> Counter (Atomic.get c)
             | Kgauge g -> Gauge (Atomic.get g)
-            | Khist h ->
-                Histogram
-                  {
-                    buckets = Array.copy h.h_buckets;
-                    counts = Array.copy h.h_counts;
-                    sum = h.h_sum;
-                    count = h.h_count;
-                  }
             | Kseries s -> Series (Array.of_list (List.rev !s))
           in
           (name, v) :: acc)
@@ -718,10 +554,6 @@ module Metrics = struct
         match k with
         | Kcounter c -> Atomic.set c 0
         | Kgauge g -> Atomic.set g 0.
-        | Khist h ->
-            Array.fill h.h_counts 0 (Array.length h.h_counts) 0;
-            h.h_sum <- 0.;
-            h.h_count <- 0
         | Kseries s -> s := [])
       registry;
     Mutex.unlock reg_mutex
@@ -729,14 +561,6 @@ module Metrics = struct
   let json_of_value = function
     | Counter n -> Json.Int n
     | Gauge v -> Json.Float v
-    | Histogram { buckets; counts; sum; count } ->
-        Json.Obj
-          [
-            ("buckets", Json.List (Array.to_list (Array.map (fun b -> Json.Float b) buckets)));
-            ("counts", Json.List (Array.to_list (Array.map (fun c -> Json.Int c) counts)));
-            ("sum", Json.Float sum);
-            ("count", Json.Int count);
-          ]
     | Series vs ->
         Json.List (Array.to_list (Array.map (fun v -> Json.Float v) vs))
 
@@ -746,16 +570,18 @@ end
 
 (* {1 Event bus}
 
-   Structured, typed events for live campaign observability. Publishers
-   (BMC depth loop, the retry loop, the cache, campaign drivers)
-   call {!Bus.publish}; when the bus is detached that is one atomic
-   load. When attached, every event is stamped (monotone sequence
-   number, wall-clock timestamp, domain id, writer pid, the current
-   label scope) under one mutex and appended to the file sink as one
-   JSON line, written immediately, so a crash loses at most the event
-   being written and a separate process can tail the file with no IPC.
-   That file is also the only liveness signal: a reader pairs a row's
-   last timestamp with a probe of its writer's pid. *)
+   Structured, typed events: the one record of a run's milestones.
+   Publishers (BMC depth loops, the retry loop, the cache, campaign
+   drivers) call {!Bus.publish}; with no file sink and tracing off that
+   is two atomic loads. With a sink attached, every event is stamped
+   (monotone sequence number, wall-clock timestamp, domain id, writer
+   pid, the current label scope) under one mutex and appended to the
+   file as one JSON line, written immediately, so a crash loses at most
+   the event being written and a separate process can tail the file
+   with no IPC. That file is also the only liveness signal: a reader
+   pairs a row's last timestamp with a probe of its writer's pid. While
+   tracing, each event is also a Chrome instant named [bus.<type>], so
+   the trace shows the same milestones on its timeline. *)
 
 module Bus = struct
   type event =
@@ -916,29 +742,42 @@ module Bus = struct
     Ok { seq; ts; tid; pid; label; ev }
 
   let publish ?label ev =
-    if Atomic.get on then begin
+    let to_file = Atomic.get on and to_trace = tracing () in
+    if to_file || to_trace then begin
       let label = match label with Some l -> l | None -> current_label () in
       let tid = domain_id () in
-      Mutex.lock bus_mutex;
-      (match !sink with
-      | Some ap -> (
-          incr seq;
-          let st =
-            {
-              seq = !seq;
-              ts = Clock.wall_s ();
-              tid;
-              pid = Unix.getpid ();
-              label;
-              ev;
-            }
-          in
-          try Appender.json_line ap (json_of_stamped st)
-          with Sys_error _ | Unix.Unix_error _ ->
-            Appender.close ap;
-            sink := None)
-      | None -> ());
-      Mutex.unlock bus_mutex
+      if to_file then begin
+        Mutex.lock bus_mutex;
+        (match !sink with
+        | Some ap -> (
+            incr seq;
+            let st =
+              {
+                seq = !seq;
+                ts = Clock.wall_s ();
+                tid;
+                pid = Unix.getpid ();
+                label;
+                ev;
+              }
+            in
+            try Appender.json_line ap (json_of_stamped st)
+            with Sys_error _ | Unix.Unix_error _ ->
+              Appender.close ap;
+              sink := None)
+        | None -> ());
+        Mutex.unlock bus_mutex
+      end;
+      if to_trace then
+        record
+          {
+            ev_name = "bus." ^ type_name ev;
+            ev_ph = 'i';
+            ev_ts = Clock.elapsed_us ();
+            ev_dur = 0.;
+            ev_tid = tid;
+            ev_args = payload ev @ [ ("label", Json.Str label) ];
+          }
     end
 
   let attach ~file () =
@@ -1155,19 +994,6 @@ module Prometheus = struct
     | Metrics.Gauge g ->
         head name "gauge";
         p (Printf.sprintf "%s %s\n" name (fmt_float g))
-    | Metrics.Histogram { buckets; counts; sum; count } ->
-        head name "histogram";
-        let cum = ref 0 in
-        Array.iteri
-          (fun i b ->
-            cum := !cum + counts.(i);
-            p
-              (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" name (fmt_float b)
-                 !cum))
-          buckets;
-        p (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" name count);
-        p (Printf.sprintf "%s_sum %s\n" name (fmt_float sum));
-        p (Printf.sprintf "%s_count %d\n" name count)
     | Metrics.Series vs ->
         (* Series are unbounded per-step sequences (e.g. seconds per BMC
            depth); exposition reduces them to count/sum/last gauges. *)
@@ -2164,12 +1990,10 @@ module Profile = struct
     Buffer.contents buf
 end
 
-let enabled () =
-  tracing () || Atomic.get log_on || Metrics.enabled () || Bus.enabled ()
+let enabled () = tracing () || Metrics.enabled () || Bus.enabled ()
 
 let shutdown () =
   Exposition.stop ();
   close_trace ();
-  close_log ();
   Bus.detach ();
   Metrics.disable ()

@@ -1,30 +1,27 @@
-(** Unified telemetry for the whole FPV pipeline.
-
-    Three faces, all off by default and all safe to leave compiled into
-    hot paths:
+(** Unified telemetry for the whole FPV pipeline, all off by default and
+    all safe to leave compiled into hot paths:
 
     - {b spans} ({!span}): nestable, domain-safe timed regions exported
       as Chrome/Perfetto trace-event JSON ({!trace_to_file}), so a whole
       [prove] run — elaborate, opt passes, per-depth unroll, blast, SAT
       solve — is visible on one timeline;
-    - {b metrics} ({!Metrics}): a registry of counters, gauges,
-      histograms and series (append-only float sequences, used for
-      per-depth timings), snapshotted into reports and [BENCH_*.json];
-    - {b structured logging} ({!log}): leveled JSONL events through one
-      mutex-guarded sink, replacing scattered [Printf] progress output.
+    - {b metrics} ({!Metrics}): a registry of counters, gauges and
+      series (append-only float sequences, used for per-depth timings),
+      snapshotted into reports and [BENCH_*.json];
+    - {b events} ({!Bus}): one typed event per milestone (a depth
+      solved, a CEX found, a retry, a job done), appended to a JSONL
+      file and, while tracing, marked on the trace timeline.
 
-    {b Overhead contract.} With telemetry disabled (no trace sink, no
-    log sink, metrics off — the default), {!span} is one atomic load and
-    a closure call, {!log} is one atomic load, and every {!Metrics}
-    recorder is one atomic load; the end-to-end budget is <= 2% on
-    [bench smoke]. With tracing enabled, each span records one
+    {b Overhead contract.} With telemetry disabled (no trace, no bus
+    file, metrics off — the default), {!span} is one atomic load and a
+    closure call, {!Bus.publish} is two atomic loads, and every
+    {!Metrics} recorder is one atomic load; the end-to-end budget is
+    <= 2% on [bench smoke]. With tracing enabled, each span records one
     heap-allocated event under a mutex at exit.
 
     {b Clocks.} Timestamps come from [Unix.gettimeofday] rebased to the
     process start (the toolchain has no monotonic clock; an NTP step
-    mid-run can skew a trace, which we accept). Per-domain CPU time
-    reads [/proc/thread-self/stat] on Linux and falls back to process
-    CPU time ([Sys.time]) elsewhere.
+    mid-run can skew a trace, which we accept).
 
     {b Domain safety.} Every entry point may be called from any domain
     concurrently. Sinks are guarded by one mutex each; counters are
@@ -33,8 +30,8 @@
 (** {1 JSON}
 
     A minimal JSON value type with a printer and a parser — shared by
-    the trace exporter, the JSONL logger, [Report]'s schema functions
-    and the [BENCH_*.json] emitters (the toolchain has no JSON
+    the trace exporter, the event bus, [Report]'s schema functions and
+    the [BENCH_*.json] emitters (the toolchain has no JSON
     library). *)
 module Json : sig
   type t =
@@ -132,38 +129,6 @@ module Appender : sig
   (** Open, run, close (also on exception). *)
 end
 
-(** {1 Structured logging} *)
-
-type level = Error | Warn | Info | Debug
-
-val set_level : level -> unit
-(** Drop log events above this level (default [Info]). Tracing and
-    metrics are unaffected. *)
-
-val get_level : unit -> level
-val level_of_string : string -> (level, string) result
-val level_to_string : level -> string
-
-val log_to_file : string -> unit
-(** Open [path] and send one JSON object per line to it:
-    [{"ts_us":..,"level":..,"tid":..,"event":..,<attrs>}]. Replaces any
-    previous sink (which is closed). *)
-
-val set_log_sink : (string -> unit) option -> unit
-(** Install a custom sink receiving each serialized line (no trailing
-    newline), or [None] to disable logging. Used by tests. *)
-
-val close_log : unit -> unit
-(** Flush and drop the sink. *)
-
-val log : ?attrs:(string * Json.t) list -> level -> string -> unit
-(** [log level event] emits one line if a sink is installed and [level]
-    passes the filter. [event] names follow the span taxonomy
-    ("layer.what": [bmc.depth], [bmc.retry], ...). *)
-
-val logging : level -> bool
-(** Would {!log} at this level emit? Lets callers skip building attrs. *)
-
 (** {1 Tracing} *)
 
 val trace_to_file : string -> unit
@@ -183,10 +148,6 @@ val span : ?attrs:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
     closes its span. When tracing is off: one atomic load, then
     [f ()]. *)
 
-val instant : ?attrs:(string * Json.t) list -> string -> unit
-(** A zero-duration instant ("i") event, such as a CEX-found moment.
-    No-op when tracing is off. *)
-
 val counter_event : string -> (string * float) list -> unit
 (** A counter ("C") sample: Perfetto renders each key as a stacked
     track under [name]. Used for solver-progress and CNF-size curves.
@@ -204,7 +165,6 @@ val trace_json : unit -> Json.t
 module Metrics : sig
   type counter
   type gauge
-  type histogram
   type series
 
   val enable : unit -> unit
@@ -222,15 +182,6 @@ module Metrics : sig
 
   val gauge : string -> gauge
   val set : gauge -> float -> unit
-  val max_gauge : gauge -> float -> unit  (** set to max(current, v) *)
-
-  val histogram : ?buckets:float array -> string -> histogram
-  (** [buckets] are upper bounds, strictly increasing; an observation
-      lands in the first bucket with [v <= bound], or in the implicit
-      overflow bucket. Default buckets: powers of ten from 1e-6 to 1e3.
-      [buckets] is ignored when the histogram already exists. *)
-
-  val observe : histogram -> float -> unit
 
   val series : string -> series
   val record : series -> float -> unit
@@ -241,12 +192,6 @@ module Metrics : sig
   type value =
     | Counter of int
     | Gauge of float
-    | Histogram of {
-        buckets : float array;
-        counts : int array;  (** length = buckets + 1 (overflow last) *)
-        sum : float;
-        count : int;
-      }
     | Series of float array
 
   val snapshot : unit -> (string * value) list
@@ -264,18 +209,20 @@ end
 
 (** {1 Event bus}
 
-    Typed, structured events for live campaign observability. Publishers
-    (the BMC depth loop, the retry loop, the verdict cache and the
-    campaign driver) call {!Bus.publish}; with the bus detached (the
-    default) that costs one atomic load. When attached, each event is
-    stamped — monotone per-process sequence number, wall-clock
-    timestamp, domain id, writer pid, current {!Bus.with_label} scope —
-    and appended as one JSON line to an [events.jsonl], so another
-    process ([autocc top], the [serve] daemon) can follow a live run by
-    tailing the file with no IPC and a crash loses at most one partial
-    line. The stream is also the only liveness signal: a silent row
-    whose writer pid is gone has crashed, and serve workers renew their
-    lease by publishing {!Heartbeat}. *)
+    Typed, structured events: each milestone of a run is published once,
+    here. Publishers (the BMC depth loops, the retry loop, the verdict
+    cache and the campaign driver) call {!Bus.publish}; with no file
+    attached and tracing off (the default) that costs two atomic loads.
+    When attached, each event is stamped — monotone per-process sequence
+    number, wall-clock timestamp, domain id, writer pid, current
+    {!Bus.with_label} scope — and appended as one JSON line to an
+    [events.jsonl], so another process ([autocc top], the [serve]
+    daemon) can follow a live run by tailing the file with no IPC and a
+    crash loses at most one partial line. The stream is also the only
+    liveness signal: a silent row whose writer pid is gone has crashed,
+    and serve workers renew their lease by publishing {!Heartbeat}.
+    While tracing ({!trace_to_file}), each event is also recorded as a
+    Chrome instant, so the trace timeline carries the same markers. *)
 module Bus : sig
   type event =
     | Depth_solved of { depth : int; seconds : float }
@@ -317,10 +264,15 @@ module Bus : sig
   (** Turn the bus off and close the file sink. Idempotent. *)
 
   val enabled : unit -> bool
+  (** A file sink is attached. *)
 
   val publish : ?label:string -> event -> unit
-  (** One atomic load when detached. [label] defaults to the innermost
-      {!with_label} scope, or [""]. *)
+  (** Append the stamped event to the attached file, and, while tracing,
+      record it as an instant ("i") event named [bus.<type>] (the
+      ["type"] of its JSON line, e.g. [bus.cex_found]) whose [args] are
+      the event's payload fields plus ["label"]. Two atomic loads when
+      neither is on. [label] defaults to the innermost {!with_label}
+      scope, or [""]. *)
 
   val with_label : string -> (unit -> 'a) -> 'a
   (** Run [f] with the domain-local label scope set — campaign entries
@@ -395,8 +347,7 @@ module Prometheus : sig
 
   val render : unit -> string
   (** The whole {!Metrics.snapshot} in Prometheus text format: counters
-      and gauges verbatim, histograms as cumulative [_bucket{le=...}] +
-      [_sum] + [_count], series reduced to [_count]/[_sum]/[_last]
+      and gauges verbatim, series reduced to [_count]/[_sum]/[_last]
       gauges. *)
 
   val of_snapshot : (string * Metrics.value) list -> string
@@ -644,10 +595,10 @@ module Profile : sig
 end
 
 val enabled : unit -> bool
-(** True when any face is on (tracing, logging, metrics, or the event
-    bus) — the gate instrumented layers use before installing sampling
+(** True when any face is on (tracing, metrics, or the event bus's file
+    sink) — the gate instrumented layers use before installing sampling
     hooks. *)
 
 val shutdown : unit -> unit
-(** [Exposition.stop], [close_trace], [close_log], [Bus.detach],
-    [Metrics.disable] — idempotent; wired to CLI exit. *)
+(** [Exposition.stop], [close_trace], [Bus.detach], [Metrics.disable] —
+    idempotent; wired to CLI exit. *)

@@ -1,7 +1,8 @@
 (* The telemetry layer itself: JSON round-trips, Chrome trace-event
-   structure, span nesting across worker domains, histogram bucket
-   boundaries and log-level filtering — plus a determinism fuzz:
-   telemetry-on and telemetry-off runs of the full
+   structure (bus events as trace instants), span nesting across worker
+   domains, metric exactness, event-bus stamping, the k-induction event
+   stream of both [prove] engines — plus a determinism
+   fuzz: telemetry-on and telemetry-off runs of the full
    optimize -> blast -> solve pipeline must produce identical verdicts
    and counterexample depths. *)
 
@@ -14,7 +15,6 @@ let with_clean_obs f =
   Fun.protect
     ~finally:(fun () ->
       Obs.shutdown ();
-      Obs.set_level Obs.Info;
       Obs.Metrics.reset ())
     f
 
@@ -156,7 +156,10 @@ let test_span_structure () =
     with_trace (fun () ->
         Obs.span "t.outer" ~attrs:[ ("k", Json.Int 7) ] (fun () ->
             Obs.span "t.inner" (fun () -> ignore (Sys.opaque_identity 1));
-            Obs.instant "t.mark";
+            (* Tracing alone, no bus file: the event still marks the
+               timeline. *)
+            Obs.Bus.with_label "t" (fun () ->
+                Obs.Bus.publish (Obs.Bus.Cex_found { depth = 4 }));
             Obs.counter_event "t.counter" [ ("v", 3.0) ]))
   in
   Alcotest.(check int) "four events" 4 (List.length events);
@@ -173,7 +176,12 @@ let test_span_structure () =
   let t1 = num_field "ts" inner and d1 = num_field "dur" inner in
   Alcotest.(check bool) "inner starts inside outer" true (t1 >= t0);
   Alcotest.(check bool) "inner ends inside outer" true (t1 +. d1 <= t0 +. d0 +. 1.0);
-  Alcotest.(check string) "instant" "i" (str_field "ph" (by_name "t.mark"));
+  let mark = by_name "bus.cex_found" in
+  Alcotest.(check string) "bus event is an instant" "i" (str_field "ph" mark);
+  Alcotest.(check string) "category from prefix" "bus" (str_field "cat" mark);
+  Alcotest.(check bool) "payload and label in args" true
+    (Json.member "args" mark
+    = Some (Json.Obj [ ("depth", Json.Int 4); ("label", Json.Str "t") ]));
   Alcotest.(check string) "counter" "C" (str_field "ph" (by_name "t.counter"))
 
 let test_span_exception () =
@@ -256,35 +264,6 @@ let test_trace_file_roundtrip () =
 
 (* {1 Metrics} *)
 
-let test_histogram_buckets () =
-  with_clean_obs @@ fun () ->
-  Obs.Metrics.enable ();
-  let h = Obs.Metrics.histogram ~buckets:[| 1.0; 2.0; 5.0 |] "test.hist" in
-  List.iter (Obs.Metrics.observe h) [ 0.5; 1.0; 1.5; 2.0; 5.0; 7.0 ];
-  (match Obs.Metrics.find "test.hist" with
-  | Some (Obs.Metrics.Histogram { buckets; counts; sum; count }) ->
-      Alcotest.(check int) "bucket count" 3 (Array.length buckets);
-      (* Upper bounds are inclusive: 1.0 lands in <=1, 2.0 in <=2,
-         5.0 in <=5; only 7.0 overflows. *)
-      Alcotest.(check (array int)) "counts" [| 2; 2; 1; 1 |] counts;
-      Alcotest.(check int) "total" 6 count;
-      Alcotest.(check bool) "sum" true (Float.abs (sum -. 17.0) < 1e-9)
-  | _ -> Alcotest.fail "test.hist not found or wrong kind");
-  (* Disabled metrics cost nothing and record nothing. *)
-  Obs.Metrics.reset ();
-  Obs.Metrics.disable ();
-  Obs.Metrics.observe h 1.0;
-  (match Obs.Metrics.find "test.hist" with
-  | Some (Obs.Metrics.Histogram { count; _ }) ->
-      Alcotest.(check int) "no observation while disabled" 0 count
-  | _ -> Alcotest.fail "test.hist vanished");
-  (* Kind mismatch on an existing name is a programming error. *)
-  Alcotest.(check bool) "kind clash raises" true
-    (try
-       ignore (Obs.Metrics.counter "test.hist");
-       false
-     with Invalid_argument _ -> true)
-
 let test_counter_gauge_series () =
   with_clean_obs @@ fun () ->
   Obs.Metrics.enable ();
@@ -293,91 +272,73 @@ let test_counter_gauge_series () =
   Obs.Metrics.add c 4;
   let g = Obs.Metrics.gauge "test.gauge" in
   Obs.Metrics.set g 2.5;
-  Obs.Metrics.max_gauge g 1.0;
-  Obs.Metrics.max_gauge g 9.0;
+  Obs.Metrics.set g 9.0;
   let s = Obs.Metrics.series "test.series" in
   Obs.Metrics.record s 0.25;
   Obs.Metrics.record s 0.5;
   Alcotest.(check bool) "counter sums" true
     (Obs.Metrics.find "test.ctr" = Some (Obs.Metrics.Counter 7));
-  Alcotest.(check bool) "max_gauge keeps the max" true
+  Alcotest.(check bool) "gauge keeps the last value" true
     (Obs.Metrics.find "test.gauge" = Some (Obs.Metrics.Gauge 9.0));
   Alcotest.(check bool) "series appends in order" true
     (Obs.Metrics.find "test.series" = Some (Obs.Metrics.Series [| 0.25; 0.5 |]));
   (* The snapshot JSON round-trips through the parser. *)
   let j = Obs.Metrics.json_of_snapshot () in
-  match Json.parse (Json.to_string j) with
+  (match Json.parse (Json.to_string j) with
   | Ok j' -> Alcotest.(check bool) "snapshot JSON round-trips" true (j = j')
-  | Error e -> Alcotest.failf "snapshot JSON does not parse: %s" e
-
-(* {1 Structured logging} *)
-
-let test_log_levels () =
-  with_clean_obs @@ fun () ->
-  let lines = ref [] in
-  Obs.set_log_sink (Some (fun l -> lines := l :: !lines));
-  Obs.set_level Obs.Warn;
-  Obs.log Obs.Info "t.dropped";
-  Obs.log ~attrs:[ ("n", Json.Int 1) ] Obs.Warn "t.kept";
-  Obs.log Obs.Error "t.kept_too";
-  Alcotest.(check bool) "logging gate" true (Obs.logging Obs.Warn);
-  Alcotest.(check bool) "logging gate filters" false (Obs.logging Obs.Debug);
-  Alcotest.(check int) "only warn+error emitted" 2 (List.length !lines);
-  List.iter
-    (fun line ->
-      match Json.parse line with
-      | Ok ev ->
-          ignore (num_field "ts_us" ev);
-          ignore (num_field "tid" ev);
-          Alcotest.(check bool) "event name present" true
-            (String.length (str_field "event" ev) > 0)
-      | Error e -> Alcotest.failf "log line does not parse: %s (%s)" line e)
-    !lines;
-  let kept = List.find (fun l -> Json.parse l |> function Ok ev -> str_field "event" ev = "t.kept" | _ -> false) !lines in
-  (match Json.parse kept with
-  | Ok ev ->
-      Alcotest.(check bool) "attrs flattened into the object" true
-        (Json.member "n" ev = Some (Json.Int 1));
-      Alcotest.(check string) "level name" "warn" (str_field "level" ev)
-  | Error _ -> assert false)
+  | Error e -> Alcotest.failf "snapshot JSON does not parse: %s" e);
+  (* A disabled registry records nothing. *)
+  Obs.Metrics.reset ();
+  Obs.Metrics.disable ();
+  Obs.Metrics.add c 1;
+  Obs.Metrics.set g 1.0;
+  Obs.Metrics.record s 1.0;
+  Alcotest.(check bool) "nothing recorded while disabled" true
+    (List.map (fun n -> Obs.Metrics.find n) [ "test.ctr"; "test.gauge"; "test.series" ]
+    = [
+        Some (Obs.Metrics.Counter 0);
+        Some (Obs.Metrics.Gauge 0.);
+        Some (Obs.Metrics.Series [||]);
+      ]);
+  (* Kind mismatch on an existing name is a programming error. *)
+  Alcotest.(check bool) "kind clash raises" true
+    (try
+       ignore (Obs.Metrics.counter "test.series");
+       false
+     with Invalid_argument _ -> true)
 
 (* {1 Metrics under concurrent domain writes}
 
    The registry is shared mutable state behind one mutex; hammer one
-   counter, one histogram and one series from four domains and demand
-   exact totals — a lost update would show up as a short count. *)
+   counter and one series from four domains and demand exact totals — a
+   lost update would show up as a short count. *)
 
 let test_concurrent_metrics () =
   with_clean_obs @@ fun () ->
   Obs.Metrics.enable ();
   let c = Obs.Metrics.counter "conc.ctr" in
-  let h = Obs.Metrics.histogram ~buckets:[| 10.; 100. |] "conc.hist" in
   let s = Obs.Metrics.series "conc.series" in
   let per_domain = 500 and domains = 4 in
   let worker _ =
     Domain.spawn (fun () ->
         for i = 1 to per_domain do
           Obs.Metrics.add c 1;
-          Obs.Metrics.observe h (float_of_int i);
-          Obs.Metrics.record s 1.0
+          Obs.Metrics.record s (float_of_int i)
         done)
   in
   List.iter Domain.join (List.init domains worker);
   Alcotest.(check bool) "counter exact" true
     (Obs.Metrics.find "conc.ctr"
     = Some (Obs.Metrics.Counter (domains * per_domain)));
-  (match Obs.Metrics.find "conc.hist" with
-  | Some (Obs.Metrics.Histogram { count; sum; _ }) ->
-      Alcotest.(check int) "histogram count exact" (domains * per_domain) count;
-      let expected =
-        float_of_int domains *. float_of_int (per_domain * (per_domain + 1) / 2)
-      in
-      Alcotest.(check (float 1e-6)) "histogram sum exact" expected sum
-  | _ -> Alcotest.fail "conc.hist missing");
   match Obs.Metrics.find "conc.series" with
   | Some (Obs.Metrics.Series vs) ->
       Alcotest.(check int) "series length exact" (domains * per_domain)
-        (Array.length vs)
+        (Array.length vs);
+      let expected =
+        float_of_int domains *. float_of_int (per_domain * (per_domain + 1) / 2)
+      in
+      Alcotest.(check (float 1e-6)) "series sum exact" expected
+        (Array.fold_left ( +. ) 0. vs)
   | _ -> Alcotest.fail "conc.series missing"
 
 (* {1 Event bus}
@@ -476,6 +437,97 @@ let test_bus_file_sink_roundtrip () =
     (fun (s : Obs.Bus.stamped) ->
       Alcotest.(check string) "label survives the file" "rt" s.Obs.Bus.label)
     parsed
+
+(* {1 Event bus: the k-induction stream}
+
+   Both [prove] engines report each base depth once: [Depth_solved] for
+   every clean base case, the proving [k] included, and [Cex_found] for
+   a refuting one. [bmc.depth_seconds] records only the depths that
+   moved on to [k + 1]. *)
+
+let depth_events (events : Obs.Bus.stamped list) =
+  List.map
+    (fun (s : Obs.Bus.stamped) ->
+      match s.Obs.Bus.ev with
+      | Obs.Bus.Depth_solved { depth; seconds } ->
+          Alcotest.(check bool) "seconds non-negative" true (seconds >= 0.);
+          Printf.sprintf "depth_solved:%d" depth
+      | Obs.Bus.Cex_found { depth } -> Printf.sprintf "cex_found:%d" depth
+      | _ ->
+          Alcotest.failf "unexpected event %s"
+            (Json.to_string (Obs.Bus.json_of_stamped s)))
+    events
+
+(* Run [prove] on both engines with metrics on; return each engine's
+   outcome, its depth events and the length of [bmc.depth_seconds]. *)
+let prove_stream circuit property =
+  List.map
+    (fun incremental ->
+      let outcome = ref None and series = ref (-1) in
+      let events =
+        published @@ fun () ->
+        Obs.Metrics.enable ();
+        outcome :=
+          Some (Bmc.prove ~max_depth:10 ~opt:Opt.O0 ~incremental circuit property);
+        series :=
+          match Obs.Metrics.find "bmc.depth_seconds" with
+          | Some (Obs.Metrics.Series vs) -> Array.length vs
+          | _ -> 0
+      in
+      (incremental, Option.get !outcome, depth_events events, !series))
+    [ true; false ]
+
+let engine incremental = if incremental then "incremental" else "scratch"
+
+let solved_upto n = List.init (n + 1) (Printf.sprintf "depth_solved:%d")
+
+let test_prove_stream_refuted () =
+  (* A wrapping 3-bit counter reaches 7 at cycle 7. *)
+  let open Signal in
+  let count = reg "wrap" 3 in
+  reg_set_next count (count +: one 3);
+  let circuit = Circuit.create ~name:"wrap" ~outputs:[ ("count", count) ] () in
+  let property =
+    { Bmc.assumes = []; asserts = [ ("ne7", count <>: of_int ~width:3 7) ] }
+  in
+  List.iter
+    (fun (incremental, outcome, events, series) ->
+      let what = engine incremental in
+      (match outcome with
+      | Bmc.Refuted (cex, _) ->
+          Alcotest.(check int) (what ^ ": refuted at 7") 7 cex.Bmc.cex_depth
+      | _ -> Alcotest.failf "%s: expected a refutation" what);
+      Alcotest.(check (list string))
+        (what ^ ": depths 0..6 clean, then the CEX")
+        (solved_upto 6 @ [ "cex_found:7" ])
+        events;
+      Alcotest.(check int) (what ^ ": one series entry per clean depth") 7 series)
+    (prove_stream circuit property)
+
+let test_prove_stream_proved () =
+  (* A counter saturating at 5 never reaches 7; k-induction proves it. *)
+  let open Signal in
+  let count = reg "sat" 3 in
+  reg_set_next count
+    (mux2 (count >=: of_int ~width:3 5) (of_int ~width:3 5) (count +: one 3));
+  let circuit =
+    Circuit.create ~name:"sat_counter" ~outputs:[ ("count", count) ] ()
+  in
+  let property =
+    { Bmc.assumes = []; asserts = [ ("ne7", count <>: of_int ~width:3 7) ] }
+  in
+  List.iter
+    (fun (incremental, outcome, events, series) ->
+      let what = engine incremental in
+      match outcome with
+      | Bmc.Proved (k, _) ->
+          Alcotest.(check (list string))
+            (what ^ ": depths 0..k clean, the proving k included")
+            (solved_upto k) events;
+          Alcotest.(check int) (what ^ ": no series entry for the proving k") k
+            series
+      | _ -> Alcotest.failf "%s: expected a proof" what)
+    (prove_stream circuit property)
 
 (* {1 Cockpit: state reconstructed from event lines alone}
 
@@ -601,21 +653,10 @@ let test_watchdog_policy_of_string () =
    makes the watchdog trip the solver's wall-clock budget mid-search, so
    a run with no explicit budget comes back Unknown(Budget_exhausted
    Wall_clock) instead of hanging on a "stalled" solver. A 16-bit adder
-   associativity proof supplies the conflicts. *)
-let test_watchdog_rebudget () =
-  with_clean_obs @@ fun () ->
-  let saved = Obs.Watchdog.policy () in
-  Fun.protect ~finally:(fun () -> Obs.Watchdog.set_policy saved) @@ fun () ->
-  Obs.Watchdog.set_policy
-    {
-      Obs.Watchdog.p_every = 1;
-      p_window = 2;
-      p_patience = 1;
-      p_min_conflicts_per_s = 1e12;
-      p_min_learnts_per_s = 1e12;
-      p_rebudget = true;
-    };
-  Obs.Metrics.enable ();
+   associativity proof supplies the conflicts. The run is made with
+   metrics on and again with every telemetry face off: rebudget changes
+   the verdict, so it must not depend on telemetry. *)
+let check_rebudget what =
   let a = Signal.input "a" 16
   and b = Signal.input "b" 16
   and c = Signal.input "c" 16 in
@@ -631,14 +672,36 @@ let test_watchdog_rebudget () =
   in
   match Bmc.check ~max_depth:4 ~opt:Opt.O0 circuit property with
   | Bmc.Unknown (Bmc.Budget_exhausted { ub_budget; _ }, _) ->
-      Alcotest.(check bool) "tripped budget reads as wall-clock" true
+      Alcotest.(check bool)
+        (what ^ ": tripped budget reads as wall-clock")
+        true
         (ub_budget = Sat.Solver.Wall_clock)
   | Bmc.Unknown (r, _) ->
-      Alcotest.failf "unexpected unknown reason %s"
+      Alcotest.failf "%s: unexpected unknown reason %s" what
         (Bmc.unknown_reason_to_string r)
-  | Bmc.Cex _ -> Alcotest.fail "associativity refuted?!"
+  | Bmc.Cex _ -> Alcotest.failf "%s: associativity refuted?!" what
   | Bmc.Bounded_proof _ ->
-      Alcotest.fail "watchdog never tripped the budget (proof completed)"
+      Alcotest.failf "%s: watchdog never tripped the budget (proof completed)"
+        what
+
+let test_watchdog_rebudget () =
+  with_clean_obs @@ fun () ->
+  let saved = Obs.Watchdog.policy () in
+  Fun.protect ~finally:(fun () -> Obs.Watchdog.set_policy saved) @@ fun () ->
+  Obs.Watchdog.set_policy
+    {
+      Obs.Watchdog.p_every = 1;
+      p_window = 2;
+      p_patience = 1;
+      p_min_conflicts_per_s = 1e12;
+      p_min_learnts_per_s = 1e12;
+      p_rebudget = true;
+    };
+  Obs.Metrics.enable ();
+  check_rebudget "metrics on";
+  Obs.shutdown ();
+  Alcotest.(check bool) "every face off" false (Obs.enabled ());
+  check_rebudget "telemetry off"
 
 (* {1 Prometheus exposition} *)
 
@@ -647,9 +710,9 @@ let test_prometheus_render () =
   Obs.Metrics.enable ();
   Obs.Metrics.add (Obs.Metrics.counter "sat.conflicts") 42;
   Obs.Metrics.set (Obs.Metrics.gauge "cache.size") 7.;
-  Obs.Metrics.observe
-    (Obs.Metrics.histogram ~buckets:[| 1.; 10. |] "bmc.t")
-    3.5;
+  let series = Obs.Metrics.series "bmc.t" in
+  Obs.Metrics.record series 3.5;
+  Obs.Metrics.record series 1.5;
   let body = Obs.Prometheus.render () in
   let has sub =
     let n = String.length sub and h = String.length body in
@@ -660,11 +723,11 @@ let test_prometheus_render () =
   Alcotest.(check bool) "counter typed" true
     (has "# TYPE autocc_sat_conflicts counter");
   Alcotest.(check bool) "gauge line" true (has "autocc_cache_size 7");
-  Alcotest.(check bool) "histogram buckets cumulative" true
-    (has "autocc_bmc_t_bucket{le=\"10\"} 1");
-  Alcotest.(check bool) "histogram +Inf" true
-    (has "autocc_bmc_t_bucket{le=\"+Inf\"} 1");
-  Alcotest.(check bool) "histogram count" true (has "autocc_bmc_t_count 1");
+  Alcotest.(check bool) "series count" true (has "autocc_bmc_t_count 2\n");
+  Alcotest.(check bool) "series sum" true (has "autocc_bmc_t_sum 5\n");
+  Alcotest.(check bool) "series last" true (has "autocc_bmc_t_last 1.5\n");
+  Alcotest.(check bool) "series reduced to gauges" true
+    (has "# TYPE autocc_bmc_t_last gauge");
   (* Atomic file write: the snapshot parses back line-by-line. *)
   let path = Filename.temp_file "test_obs" ".prom" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -756,10 +819,10 @@ let test_tail_seq_restart_mid_tail () =
 
 (* {1 Prometheus: render invariants}
 
-   Property test over random observation sets: bucket counts are
-   cumulative (monotone in le), the +Inf bucket equals _count, _count
-   equals the number of observations, and no metric announces itself
-   with a duplicate HELP or TYPE header. *)
+   Property test over random sample sets: no metric announces itself
+   with a duplicate HELP or TYPE header, a series' _count equals the
+   number of samples recorded, and its _last is the last sample (absent
+   for an empty series). *)
 
 let prom_invariants samples =
   Fun.protect
@@ -769,8 +832,8 @@ let prom_invariants samples =
   @@ fun () ->
   Obs.Metrics.reset ();
   Obs.Metrics.enable ();
-  let h = Obs.Metrics.histogram ~buckets:[| 0.01; 0.1; 1.; 10. |] "prop.t" in
-  List.iter (fun x -> Obs.Metrics.observe h x) samples;
+  let s = Obs.Metrics.series "prop.t" in
+  List.iter (Obs.Metrics.record s) samples;
   Obs.Metrics.add (Obs.Metrics.counter "prop.n") (List.length samples);
   Obs.Metrics.set (Obs.Metrics.gauge "prop.g") 1.5;
   let lines =
@@ -788,44 +851,23 @@ let prom_invariants samples =
     in
     names <> [] && List.length names = List.length (List.sort_uniq compare names)
   in
-  let starts_with p l =
-    String.length l >= String.length p && String.sub l 0 (String.length p) = p
-  in
-  let buckets =
-    List.filter_map
+  let value name =
+    List.find_map
       (fun l ->
-        if not (starts_with "autocc_prop_t_bucket{le=" l) then None
-        else
-          match String.index_opt l '}' with
-          | Some j ->
-              float_of_string_opt
-                (String.sub l (j + 2) (String.length l - j - 2))
-          | None -> None)
+        match String.split_on_char ' ' l with
+        | [ n; v ] when n = name -> Some v
+        | _ -> None)
       lines
   in
-  let rec monotone = function
-    | a :: (b :: _ as t) -> a <= b && monotone t
-    | _ -> true
-  in
-  let count =
-    match
-      List.find_opt (fun l -> starts_with "autocc_prop_t_count " l) lines
-    with
-    | Some l -> float_of_string (String.sub l 20 (String.length l - 20))
-    | None -> -1.
-  in
   no_dup "HELP" && no_dup "TYPE"
-  && List.length buckets = 5 (* 4 finite + +Inf *)
-  && monotone buckets
-  && (match List.rev buckets with
-     | inf :: _ -> inf = count
-     | [] -> false)
-  && count = float_of_int (List.length samples)
+  && value "autocc_prop_t_count" = Some (string_of_int (List.length samples))
+  && value "autocc_prop_t_last"
+     = Option.map (Printf.sprintf "%.9g") (List.nth_opt (List.rev samples) 0)
 
 let fuzz_prometheus =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:30
-       ~name:"prometheus render: cumulative buckets, unique HELP/TYPE"
+       ~name:"prometheus render: series count and last, unique HELP/TYPE"
        QCheck.(make Gen.(list_size (int_bound 40) (float_bound_inclusive 20.)))
        prom_invariants)
 
@@ -1121,9 +1163,9 @@ let test_profile_fold () =
 (* {1 Determinism: telemetry must not change verdicts}
 
    The same random circuit and property, checked with every telemetry
-   face off and then with all of them on (metrics, a null log sink at
-   debug level, a trace collector): outcome kind and CEX depth must
-   match exactly. *)
+   face off and then with all of them on (metrics, the event bus on a
+   temp file, a trace collector): outcome kind and CEX depth must match
+   exactly. *)
 
 let check_determinism seed =
   let st = Random.State.make [| seed |] in
@@ -1134,17 +1176,18 @@ let check_determinism seed =
   let max_depth = 5 in
   let quiet = Bmc.check ~max_depth ~opt:Opt.O2 circuit property in
   let path = Filename.temp_file "test_obs" ".trace.json" in
+  let events = Filename.temp_file "test_obs" ".events.jsonl" in
   let noisy =
     Fun.protect
       ~finally:(fun () ->
         Obs.shutdown ();
-        Obs.set_level Obs.Info;
-        try Sys.remove path with Sys_error _ -> ())
+        List.iter
+          (fun p -> try Sys.remove p with Sys_error _ -> ())
+          [ path; events ])
       (fun () ->
         Obs.Metrics.reset ();
         Obs.Metrics.enable ();
-        Obs.set_log_sink (Some (fun _ -> ()));
-        Obs.set_level Obs.Debug;
+        Obs.Bus.attach ~file:events ();
         Obs.trace_to_file path;
         Bmc.check ~max_depth ~opt:Opt.O2 circuit property)
   in
@@ -1181,12 +1224,8 @@ let () =
             test_trace_file_roundtrip;
         ] );
       ( "metrics",
-        [
-          Alcotest.test_case "histogram bucket boundaries" `Quick
-            test_histogram_buckets;
-          Alcotest.test_case "counter/gauge/series" `Quick test_counter_gauge_series;
-        ] );
-      ("log", [ Alcotest.test_case "levels and line shape" `Quick test_log_levels ]);
+        [ Alcotest.test_case "counter/gauge/series" `Quick test_counter_gauge_series ]
+      );
       ( "concurrency",
         [
           Alcotest.test_case "metrics exact under 4 domains" `Quick
@@ -1200,6 +1239,10 @@ let () =
             test_bus_concurrent_publish;
           Alcotest.test_case "file sink round-trips every event" `Quick
             test_bus_file_sink_roundtrip;
+          Alcotest.test_case "prove: clean depths, then cex_found" `Quick
+            test_prove_stream_refuted;
+          Alcotest.test_case "prove: the proving depth is published" `Quick
+            test_prove_stream_proved;
         ] );
       ( "tail",
         [

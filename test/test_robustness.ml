@@ -652,7 +652,7 @@ let test_campaign_live_writer_warning () =
      another process that is still alive, and only then. *)
   let dir = tmp_dir "live_writer" in
   Obs.Files.mkdir_p dir;
-  let warned_pids ~last_pid =
+  let live_writer ~last_pid =
     Obs.Files.write_atomic
       ~path:(Filename.concat dir "events.jsonl")
       (Obs.Json.to_string
@@ -666,18 +666,7 @@ let test_campaign_live_writer_warning () =
               ev = Obs.Bus.Job_start { goal_depth = 8 };
             })
       ^ "\n");
-    let lines = ref [] in
-    Obs.set_log_sink (Some (fun l -> lines := l :: !lines));
-    Fun.protect ~finally:Obs.close_log (fun () ->
-        ignore (Explain.Campaign.run ~resume:true ~out_dir:dir []));
-    List.filter_map
-      (fun l ->
-        match Obs.Json.parse l with
-        | Ok j when Obs.Json.str "event" j = Some "explain.live_campaign_conflict"
-          ->
-            Obs.Json.int "pid" j
-        | _ -> None)
-      !lines
+    Explain.Campaign.live_writer dir
   in
   let child =
     Unix.create_process "sleep" [| "sleep"; "60" |] Unix.stdin Unix.stdout
@@ -688,12 +677,12 @@ let test_campaign_live_writer_warning () =
       (try Unix.kill child Sys.sigkill with Unix.Unix_error _ -> ());
       ignore (Unix.waitpid [] child))
     (fun () ->
-      Alcotest.(check (list int)) "a live other writer is flagged" [ child ]
-        (warned_pids ~last_pid:child));
-  Alcotest.(check (list int)) "a gone writer is not" []
-    (warned_pids ~last_pid:child);
-  Alcotest.(check (list int)) "nor is this process" []
-    (warned_pids ~last_pid:(Unix.getpid ()));
+      Alcotest.(check (option int)) "a live other writer is flagged"
+        (Some child) (live_writer ~last_pid:child));
+  Alcotest.(check (option int)) "a gone writer is not" None
+    (live_writer ~last_pid:child);
+  Alcotest.(check (option int)) "nor is this process" None
+    (live_writer ~last_pid:(Unix.getpid ()));
   rm_rf dir
 
 let test_campaign_unwritable_out_dir () =
