@@ -631,7 +631,10 @@ let opt_bench () =
    timings, one row per line, and compared byte for byte against the
    committed test/COUNTERS.json by [dune runtest]: a change that moves
    any trajectory fails there until the file is re-promoted. The deep
-   rows V and C0+ are left out to keep the check to seconds. *)
+   rows V and C0+ are left out to keep the check to seconds. The [E.*]
+   rows pin the explanation layer of five campaign entries: assertions
+   swept, raw CEXs, channels, and the minimizer's replay trials, zeroed
+   bits and witnesses. *)
 let counter_row_ids = [ "V5"; "C1"; "C2"; "M2"; "M3"; "A1"; "C0"; "V3" ]
 
 let counters () =
@@ -673,12 +676,79 @@ let counters () =
           ("unknown:" ^ Bmc.unknown_reason_to_string r)
           st.Bmc.depth_reached st
   in
+  (* The explanation layer of a campaign entry: the per-assertion sweep
+     at d8, then slice and minimize every raw CEX. The MD5 covers every
+     minimized witness (depth, failed set, input hex) in sweep order. *)
+  let explain_row (id, fixes, dut) =
+    let ft =
+      Duts.Bundled.ft_for ~threshold:2 dut (Duts.Bundled.build ~fixes dut)
+    in
+    let outcomes =
+      Bmc.check_each ~max_depth:8 ~opt:Opt.O2 ~sym:ft.Autocc.Ft.sym
+        ft.Autocc.Ft.wrapper ft.Autocc.Ft.property
+    in
+    let conflicts =
+      List.fold_left
+        (fun n ((_, o) : string * Bmc.outcome) ->
+          match o with
+          | Bmc.Cex (_, st) | Bmc.Bounded_proof st | Bmc.Unknown (_, st) ->
+              n + st.Bmc.conflicts)
+        0 outcomes
+    in
+    let cexs =
+      List.filter_map
+        (fun (_, o) -> match o with Bmc.Cex (c, _) -> Some c | _ -> None)
+        outcomes
+    in
+    let fingerprints =
+      List.map (fun c -> Explain.fingerprint (Explain.slice ft c)) cexs
+    in
+    let mins = List.map (Explain.minimize ft) cexs in
+    let sum f = List.fold_left (fun n m -> n + f m) 0 mins in
+    let witness mn =
+      let c = mn.Explain.mn_cex in
+      Printf.sprintf "%d|%s|%s\n" c.Bmc.cex_depth
+        (String.concat "," c.Bmc.cex_failed)
+        (String.concat ";"
+           (Array.to_list
+              (Array.map
+                 (fun assignments ->
+                   String.concat ","
+                     (List.map
+                        (fun (n, v) -> n ^ "=" ^ Bitvec.to_hex_string v)
+                        assignments))
+                 c.Bmc.cex_inputs)))
+    in
+    Json.Obj
+      [
+        ("id", Json.Str id);
+        ("asserts", Json.Int (List.length outcomes));
+        ("raw_cexs", Json.Int (List.length cexs));
+        ("conflicts", Json.Int conflicts);
+        ("channels", Json.Int (List.length (List.sort_uniq compare fingerprints)));
+        ("min_iterations", Json.Int (sum (fun m -> m.Explain.mn_iterations)));
+        ("zeroed_bits", Json.Int (sum (fun m -> m.Explain.mn_zeroed_bits)));
+        ( "witness_md5",
+          Json.Str
+            (Digest.to_hex (Digest.string (String.concat "" (List.map witness mins))))
+        );
+      ]
+  in
+  let no_fixes = Duts.Bundled.no_fixes in
   let rows =
     List.map check_row
       (List.filter
          (fun (id, _, _, _) -> List.mem id counter_row_ids)
          (opt_rows ()))
     @ [ prove_row () ]
+    @ List.map explain_row
+        [
+          ("E.vscale", no_fixes, "vscale");
+          ("E.maple", no_fixes, "maple");
+          ("E.cva6", no_fixes, "cva6");
+          ("E.cva6_fix_c1", { no_fixes with Duts.Bundled.fix_c1 = true }, "cva6");
+          ("E.leaky", no_fixes, "leaky");
+        ]
   in
   Printf.printf "{\"bench\":\"counters\",\"rows\":[\n%s\n]}\n"
     (String.concat ",\n" (List.map Json.to_string rows))
