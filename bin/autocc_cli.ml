@@ -425,13 +425,13 @@ let synthesize algorithm max_depth =
     (fun step ->
       match step.Autocc.Synthesis.step_result with
       | `Cex (culprit, depth) ->
-          Format.printf "flush {%s}: CEX depth %d -> %s@."
+          Format.printf "flush {%s}: CEX at depth %d -> %s@."
             (String.concat ", " step.Autocc.Synthesis.step_flush)
-            (depth + 1) culprit
+            depth culprit
       | `Proof depth ->
           Format.printf "flush {%s}: proof to depth %d@."
             (String.concat ", " step.Autocc.Synthesis.step_flush)
-            (depth + 1)
+            depth
       | `Unknown reason ->
           Format.printf "flush {%s}: inconclusive (%s)@."
             (String.concat ", " step.Autocc.Synthesis.step_flush)

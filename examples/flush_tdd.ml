@@ -38,11 +38,11 @@ let pp_steps steps =
       | `Cex (culprit, depth) ->
           Format.printf "  flush {%s}: CEX at depth %d -> add/keep %s@."
             (String.concat ", " step.Autocc.Synthesis.step_flush)
-            (depth + 1) culprit
+            depth culprit
       | `Proof depth ->
           Format.printf "  flush {%s}: bounded proof to depth %d@."
             (String.concat ", " step.Autocc.Synthesis.step_flush)
-            (depth + 1)
+            depth
       | `Unknown reason ->
           Format.printf "  flush {%s}: inconclusive (%s)@."
             (String.concat ", " step.Autocc.Synthesis.step_flush)

@@ -105,42 +105,40 @@ let check_width_1 what s =
   if Signal.width s <> 1 then
     invalid_arg (Printf.sprintf "Bmc: %s signal must be 1 bit wide" what)
 
-let replay cex =
-  let sim = Sim.create cex.cex_circuit in
-  sim
-
 let replay_values cex signals =
-  let sim = replay cex in
+  let sim = Sim.create cex.cex_circuit in
   Sim.watch sim signals;
   Sim.run sim cex.cex_inputs;
   Sim.waveform sim
 
-(* Validate a candidate CEX on the interpreter: all assumptions must hold
-   on cycles 0..depth and some named assertion must be false at [depth]. *)
-let validate circuit property inputs depth =
-  let sim = Sim.create circuit in
+(* The one replay rule for a candidate CEX: from the cycle [sim] stands
+   at, drive each remaining cycle of [inputs]; every assumption must hold
+   on every replayed cycle and some assertion must be false at [depth]. *)
+let validate_on sim property inputs depth =
   let failed = ref [] in
-  Array.iteri
-    (fun cycle assignments ->
-      List.iter (fun (n, v) -> Sim.set_input sim n v) assignments;
-      List.iter
-        (fun a ->
-          if Bitvec.is_zero (Sim.peek sim a) then
-            raise
-              (Replay_mismatch
-                 (Printf.sprintf "assumption violated at cycle %d in replay" cycle)))
-        property.assumes;
-      if cycle = depth then
-        failed :=
-          List.filter_map
-            (fun (name, a) ->
-              if Bitvec.is_zero (Sim.peek sim a) then Some name else None)
-            property.asserts;
-      Sim.step sim)
-    inputs;
+  for cycle = Sim.cycle sim to Array.length inputs - 1 do
+    List.iter (fun (n, v) -> Sim.set_input sim n v) inputs.(cycle);
+    List.iter
+      (fun a ->
+        if Bitvec.is_zero (Sim.peek sim a) then
+          raise
+            (Replay_mismatch
+               (Printf.sprintf "assumption violated at cycle %d in replay" cycle)))
+      property.assumes;
+    if cycle = depth then
+      failed :=
+        List.filter_map
+          (fun (name, a) ->
+            if Bitvec.is_zero (Sim.peek sim a) then Some name else None)
+          property.asserts;
+    Sim.step sim
+  done;
   if !failed = [] then
     raise (Replay_mismatch "no assertion failed at CEX depth in replay");
   !failed
+
+let validate circuit property inputs depth =
+  validate_on (Sim.create circuit) property inputs depth
 
 let check_property what property =
   List.iter (check_width_1 "assume") property.assumes;

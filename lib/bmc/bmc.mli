@@ -282,15 +282,22 @@ val validate :
   int ->
   string list
 (** [validate circuit property inputs depth] replays a candidate
-    counterexample on the {!Sim} interpreter: all assumptions must hold
-    on cycles [0 .. depth] and some assertion must be false at [depth].
-    Returns the names of every failing assertion at [depth]; raises
-    {!Replay_mismatch} otherwise. [circuit] must carry the property
-    signals (use {!instrument}). *)
+    counterexample on a fresh {!Sim} interpreter from reset: all
+    assumptions must hold on every cycle of [inputs] and some assertion
+    must be false at [depth]. Returns the names of every failing
+    assertion at [depth]; raises {!Replay_mismatch} otherwise.
+    [circuit] must carry the property signals (use {!instrument}). It
+    is {!validate_on} a fresh simulator. *)
 
-val replay : cex -> Sim.t
-(** A simulator advanced to just before cycle 0 with watches installed;
-    use {!replay_values} for convenience. *)
+val validate_on :
+  Sim.t -> property -> (string * Bitvec.t) list array -> int -> string list
+(** [validate_on sim property inputs depth] applies {!validate}'s rule
+    to the cycles [Sim.cycle sim ..] of [inputs] only, running [sim]
+    from the state it holds. If that state is a {!Sim.snapshot} of a
+    trace that agrees with [inputs] on every earlier cycle and passed
+    the assumption check on them, the result is [validate]'s. A [sim]
+    already past [depth] never sees the failures there, so it raises
+    {!Replay_mismatch}. *)
 
 val replay_values : cex -> Rtl.Signal.t list -> (Rtl.Signal.t * Bitvec.t array) list
 (** Per-cycle values (combinationally settled, cycles [0 .. cex_depth]) of

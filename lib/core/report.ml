@@ -40,7 +40,8 @@ let explain fmt ft cex =
   Format.fprintf fmt "DUT: %s@." (Rtl.Circuit.name ft.Ft.dut);
   Format.fprintf fmt "Failing assertion(s): %s@."
     (String.concat ", " cex.Bmc.cex_failed);
-  Format.fprintf fmt "Depth: %d cycles@." (cex.Bmc.cex_depth + 1);
+  Format.fprintf fmt "Depth: %d (%d cycles)@." cex.Bmc.cex_depth
+    (cex.Bmc.cex_depth + 1);
   (match diff_at ft cex with
   | None, _ -> Format.fprintf fmt "Spy mode never set along the trace (unexpected).@."
   | Some cycle, diffs ->

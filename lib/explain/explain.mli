@@ -17,7 +17,7 @@
     - {b minimization} ({!minimize}): greedily truncate the witness
       depth and rewrite don't-care input bits to zero, accepting a
       rewrite only if the trace, replayed on the interpreter
-      ({!Bmc.validate}), still violates the same assertion under all
+      ({!Bmc.validate_on}), still violates the same assertion under all
       assumptions — so every minimized witness is replay-verified;
     - {b clustering} ({!cluster}): fingerprint each CEX by (culprit
       register, register-level divergence-path signature) and
@@ -93,11 +93,21 @@ type minimized = {
 val minimize : Autocc.Ft.t -> Bmc.cex -> minimized
 (** Greedy replay-checked reduction: first shrink [cex_depth] (BMC
     already returns shallowest-first, so this usually holds the depth),
-    then rewrite whole input words and then individual set bits to zero.
-    Every accepted rewrite is validated with {!Bmc.validate} — the
+    then rewrite whole input words and then individual set bits to zero,
+    cycle by cycle. Every trial is checked by {!Bmc.validate_on} — the
     assumptions must hold on every cycle and the {e original} failing
     assertion must still fail at the final depth, so the result provably
-    witnesses the same channel. *)
+    witnesses the same channel.
+
+    All trials of one witness share one simulator. The original witness
+    and the depth-prefix trials replay from reset; a word or bit trial
+    at cycle [c] restores a {!Sim.snapshot} of the accepted trace at the
+    start of [c] and replays from there, which gives the outcome a full
+    replay from reset would, because the trial differs from the
+    accepted trace only at [c]. The result is replayed once more from
+    reset with {!Bmc.validate} (not counted in [mn_iterations]); raises
+    {!Bmc.Replay_mismatch} if the input witness, or that final check,
+    fails to replay. *)
 
 (** {1 Clustering} *)
 
