@@ -401,18 +401,21 @@ let phase_e () =
 
 (* {1 Phase F: leases renewed through events.jsonl}
 
-   AES bounded to depth 120: the worker publishes a Heartbeat before
-   each of its 121 depths, and no depth is slow. Measured on a 2-vCPU
-   host, the solve took 2.0-2.6 s idle and 2.6-2.7 s inside a full
-   `dune runtest` (5-6.7 leases of 0.4 s), and the widest gap between
-   two heartbeats was 0.054-0.069 s idle, under a sixth of the lease.
-   A host twice as loaded still leaves every gap under a third of the
-   lease and the job over 3 leases long. *)
+   AES bounded to depth 160: the worker publishes a Heartbeat before
+   each of its 161 depths, and no depth is slow. Measured on a 2-vCPU
+   host at depth 120, the solve took 2.0-2.6 s idle and 2.6-2.7 s inside
+   a full `dune runtest` (5-6.7 leases of 0.4 s), and the widest gap
+   between two heartbeats was 0.054-0.069 s idle, under a sixth of the
+   lease. In a faster phase of the same host depth 120 took only
+   1.05-1.07 s, under the 3 leases this phase needs, while depth 160
+   took 1.72-1.74 s with a widest gap of 0.031 s. So the slow phase,
+   twice as loaded, still leaves every gap under half of the lease, and
+   the fast phase leaves the job over 4 leases long. *)
 
 let lease_s = 0.4
 
 let lease_job =
-  { Serve.Machine.sp_dut = "aes"; sp_engine = "check"; sp_depth = 120;
+  { Serve.Machine.sp_dut = "aes"; sp_engine = "check"; sp_depth = 160;
     sp_threshold = threshold }
 
 (* A fresh directory, one worker, the short lease; returns the job row. *)
