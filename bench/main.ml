@@ -7,17 +7,17 @@
    fixes turn CEXs into proofs — must match.
 
    Usage: dune exec bench/main.exe [table1|table2|exploit|aes_proof|
-                                    fixes|baseline|flush_tdd|opt|
-                                    counters|incremental|cache|symmetric|
-                                    campaign|smoke|diff|bechamel|all]
+                                    fixes|baseline|latency|divider|
+                                    scaling|flush_tdd|counters|gates|
+                                    bechamel|all]
 
-   The [opt] subcommand re-runs the Table 1 rows end-to-end at -O0 and
-   -O2, asserts identical verdicts and CEX depths, and reports the
-   wall-clock speedup from the lib/opt netlist pipeline, writing a
-   machine-readable BENCH_opt.json next to the table; [smoke] is its
-   single-row variant hooked into [dune runtest] via @bench-smoke.
-   [counters] prints the exact solver counters of a fixed row set, which
-   [dune runtest] compares against test/COUNTERS.json.
+   [counters] prints the exact verdicts and solver counters of a fixed
+   row set, which [dune runtest] compares against test/COUNTERS.json.
+   [gates] prints the exact counters of the deep rows V and C0+ on both
+   BMC engines, which [dune build @bench-full] compares against
+   test/COUNTERS_full.json, and exits 1 if a wall-clock bound fails.
+   Speed is otherwise measured by the repository benchmark
+   (benchsuite/).
 
    The [bechamel] subcommand runs one Bechamel micro-benchmark per table
    on representative kernels. *)
@@ -26,43 +26,7 @@ module V = Duts.Vscale
 module M = Duts.Maple
 module A = Duts.Aes
 module C = Duts.Cva6lite
-
-(* {1 Machine-readable output}
-
-   Hand-rolled JSON (no json library in the toolchain): each perf-bearing
-   subcommand dumps BENCH_<name>.json next to the stdout table so the
-   repo's perf trajectory can be tracked across commits. *)
-
-module Json = struct
-  include Obs.Json
-
-  let write ~path t =
-    write_file ~path t;
-    Printf.printf "     machine-readable results written to %s\n" path
-end
-
-(* One outcome (verdict kind, CEX/proof depth, solver stats) as JSON.
-   The stats shape comes from {!Autocc.Report.json_of_bmc_stats} — the
-   one schema shared with the CLI. *)
-let json_of_outcome outcome ~wall =
-  let stats =
-    match outcome with
-    | Bmc.Cex (_, st) | Bmc.Bounded_proof st | Bmc.Unknown (_, st) -> st
-  in
-  let verdict, depth =
-    match outcome with
-    | Bmc.Cex (cex, _) -> ("cex", cex.Bmc.cex_depth)
-    | Bmc.Bounded_proof st -> ("bounded_proof", st.Bmc.depth_reached)
-    | Bmc.Unknown (r, st) ->
-        ("unknown:" ^ Bmc.unknown_reason_to_string r, st.Bmc.depth_reached)
-  in
-  Json.Obj
-    [
-      ("verdict", Json.Str verdict);
-      ("depth", Json.Int depth);
-      ("wall_s", Json.Float wall);
-      ("stats", Autocc.Report.json_of_bmc_stats stats);
-    ]
+module Json = Obs.Json
 
 let line () = print_endline (String.make 100 '-')
 
@@ -497,132 +461,6 @@ let flush_tdd () =
     (Unix.gettimeofday () -. t0)
     r2.Autocc.Synthesis.proved
 
-(* {1 Optimizer benchmark: -O0 vs -O2 end-to-end, identical verdicts} *)
-
-(* The Table-1 row set shared by [opt_bench] and the [@bench-smoke]
-   runtest hook. Thunks, so each run rebuilds the FT fresh. *)
-let opt_rows () =
-  let vscale = V.create () in
-  [
-    ( "V5",
-      "Vscale: pending-IRQ channel",
-      (fun () -> V.ft_for_stage V.Arch_pipeline vscale),
-      8 );
-    ( "C1",
-      "CVA6: I-cache leak to next PC",
-      (fun () -> cva6_ft (C.with_fixes ~fix_c1:false C.Microreset)),
-      15 );
-    ( "C2",
-      "CVA6: wrong PTW FSM transition",
-      (fun () -> cva6_ft (C.with_fixes ~fix_c2:false C.Microreset)),
-      11 );
-    ( "M2",
-      "MAPLE: TLB-disabled leak",
-      (fun () -> maple_ft { M.fix_m2 = false; fix_m3 = true }),
-      10 );
-    ( "M3",
-      "MAPLE: base-address leak",
-      (fun () -> maple_ft { M.fix_m2 = true; fix_m3 = false }),
-      10 );
-    ( "A1",
-      "AES: request in pipeline at switch",
-      (fun () -> Autocc.Ft.generate ~threshold:2 (A.create ())),
-      12 );
-    ( "C0",
-      "CVA6: microreset, all fixes (bounded proof)",
-      (fun () -> cva6_ft C.microreset_fixed),
-      11 );
-    (* Proof-heavy rows: deep unrollings dominated by solver time, where
-       the netlist pipeline pays for itself many times over. *)
-    ( "V",
-      "Vscale: full arch refinement (deep proof)",
-      (fun () -> V.ft_for_stage V.Arch_irq vscale),
-      9 );
-    ( "V3",
-      "Vscale: CSR blackboxed (Table 2 stage)",
-      (fun () -> V.ft_for_stage V.Blackbox_csr vscale),
-      8 );
-    ( "C0+",
-      "CVA6: microreset proof, deeper bound",
-      (fun () -> cva6_ft C.microreset_fixed),
-      13 );
-  ]
-
-(* One row at both optimization levels; returns (json, agree, speedup). *)
-let opt_row (id, description, mk_ft, max_depth) =
-  let run opt =
-    let ft = mk_ft () in
-    let t0 = Unix.gettimeofday () in
-    let outcome = Autocc.Ft.check ~max_depth ~opt ft in
-    (outcome, Unix.gettimeofday () -. t0)
-  in
-  let o0, t0_s = run Opt.O0 in
-  let o2, t2_s = run Opt.O2 in
-  let agree =
-    match (o0, o2) with
-    | Bmc.Cex (c1, _), Bmc.Cex (c2, _) -> c1.Bmc.cex_depth = c2.Bmc.cex_depth
-    | Bmc.Bounded_proof s1, Bmc.Bounded_proof s2 ->
-        s1.Bmc.depth_reached = s2.Bmc.depth_reached
-    | _ -> false
-  in
-  let describe = function
-    | Bmc.Cex (cex, _) -> Printf.sprintf "CEX depth %d" (cex.Bmc.cex_depth + 1)
-    | Bmc.Bounded_proof st -> Printf.sprintf "proof to %d" (st.Bmc.depth_reached + 1)
-    | Bmc.Unknown (r, _) ->
-        Printf.sprintf "unknown (%s)" (Bmc.unknown_reason_to_string r)
-  in
-  let speedup = t0_s /. Float.max 1e-9 t2_s in
-  Printf.printf "%-4s %-44s O0 %-14s %7.2fs | O2 %-14s %7.2fs | %5.2fx%s\n" id
-    description (describe o0) t0_s (describe o2) t2_s speedup
-    (if agree then "" else "  MISMATCH");
-  let json =
-    Json.Obj
-      [
-        ("id", Json.Str id);
-        ("description", Json.Str description);
-        ("max_depth", Json.Int max_depth);
-        ("o0", json_of_outcome o0 ~wall:t0_s);
-        ("o2", json_of_outcome o2 ~wall:t2_s);
-        ("speedup", Json.Float speedup);
-        ("agree", Json.Bool agree);
-      ]
-  in
-  (json, agree, speedup)
-
-let opt_bench () =
-  header
-    "Optimizer — end-to-end BMC at -O0 vs -O2 (identical verdicts and CEX depths, wall-clock speedup)";
-  Obs.Metrics.reset ();
-  Obs.Metrics.enable ();
-  let wanted =
-    match Sys.getenv_opt "AUTOCC_BENCH_ROWS" with
-    | None | Some "" -> List.map (fun (id, _, _, _) -> id) (opt_rows ())
-    | Some s -> String.split_on_char ',' s
-  in
-  let results =
-    List.map opt_row
-      (List.filter (fun (id, _, _, _) -> List.mem id wanted) (opt_rows ()))
-  in
-  let mismatches = List.length (List.filter (fun (_, a, _) -> not a) results) in
-  let fast = List.length (List.filter (fun (_, _, s) -> s >= 1.5) results) in
-  print_newline ();
-  Json.write ~path:"BENCH_opt.json"
-    (Json.Obj
-       [
-         ("bench", Json.Str "opt");
-         ("rows", Json.List (List.map (fun (j, _, _) -> j) results));
-         ("mismatches", Json.Int mismatches);
-         ("rows_speedup_ge_1_5", Json.Int fast);
-         ("telemetry", Obs.Metrics.json_of_snapshot ());
-       ]);
-  Printf.printf "     %d/%d rows at >= 1.5x speedup under -O2\n" fast
-    (List.length results);
-  if mismatches = 0 then
-    print_endline "     all -O2 verdicts and CEX depths match -O0"
-  else begin
-    Printf.printf "     %d MISMATCH(ES) between -O0 and -O2 runs\n" mismatches;
-    exit 1
-  end
 
 (* {1 Exact counters: the search trajectory of a fixed row set}
 
@@ -631,35 +469,127 @@ let opt_bench () =
    timings, one row per line, and compared byte for byte against the
    committed test/COUNTERS.json by [dune runtest]: a change that moves
    any trajectory fails there until the file is re-promoted. The deep
-   rows V and C0+ are left out to keep the check to seconds. The [E.*]
-   rows pin the explanation layer of five campaign entries: assertions
-   swept, raw CEXs, channels, and the minimizer's replay trials, zeroed
-   bits and witnesses. *)
-let counter_row_ids = [ "V5"; "C1"; "C2"; "M2"; "M3"; "A1"; "C0"; "V3" ]
+   rows V and C0+ are left to [gates] to keep the check to seconds. *)
 
-let counters () =
-  let json_of_counters id verdict depth (st : Bmc.stats) =
-    Json.Obj
-      [
-        ("id", Json.Str id);
-        ("verdict", Json.Str verdict);
-        ("depth", Json.Int depth);
-        ("conflicts", Json.Int st.Bmc.conflicts);
-        ("decisions", Json.Int st.Bmc.decisions);
-        ("propagations", Json.Int st.Bmc.propagations);
-        ("vars", Json.Int st.Bmc.vars);
-        ("clauses", Json.Int st.Bmc.clauses);
-      ]
+(* The [check] rows: id, FT thunk (each run rebuilds the FT fresh) and
+   bound. *)
+let check_rows () =
+  let vscale = V.create () in
+  [
+    ("V5", (fun () -> V.ft_for_stage V.Arch_pipeline vscale), 8);
+    ("C1", (fun () -> cva6_ft (C.with_fixes ~fix_c1:false C.Microreset)), 15);
+    ("C2", (fun () -> cva6_ft (C.with_fixes ~fix_c2:false C.Microreset)), 11);
+    ("M2", (fun () -> maple_ft { M.fix_m2 = false; fix_m3 = true }), 10);
+    ("M3", (fun () -> maple_ft { M.fix_m2 = true; fix_m3 = false }), 10);
+    ("A1", (fun () -> Autocc.Ft.generate ~threshold:2 (A.create ())), 12);
+    ("C0", (fun () -> cva6_ft C.microreset_fixed), 11);
+    ("V3", (fun () -> V.ft_for_stage V.Blackbox_csr vscale), 8);
+  ]
+
+let find_row rows id = List.find (fun (id', _, _) -> id' = id) rows
+
+(* The rows the verdict-cache round trip runs. *)
+let cache_row_ids = [ "V5"; "M3"; "A1"; "C0" ]
+
+let verdict_of = function
+  | Bmc.Cex (cex, st) -> ("cex", cex.Bmc.cex_depth, st)
+  | Bmc.Bounded_proof st -> ("bounded_proof", st.Bmc.depth_reached, st)
+  | Bmc.Unknown (r, st) ->
+      ("unknown:" ^ Bmc.unknown_reason_to_string r, st.Bmc.depth_reached, st)
+
+let json_of_counters id verdict depth (st : Bmc.stats) =
+  Json.Obj
+    [
+      ("id", Json.Str id);
+      ("verdict", Json.Str verdict);
+      ("depth", Json.Int depth);
+      ("conflicts", Json.Int st.Bmc.conflicts);
+      ("decisions", Json.Int st.Bmc.decisions);
+      ("propagations", Json.Int st.Bmc.propagations);
+      ("vars", Json.Int st.Bmc.vars);
+      ("clauses", Json.Int st.Bmc.clauses);
+    ]
+
+(* A [check_each] sweep as one counter row: its distinct verdicts, the
+   smallest depth, the work counters summed over the assertions (each
+   one's own share, also on the shared incremental session) and the
+   largest instance. *)
+let json_of_sweep id outcomes =
+  let vs = List.map (fun (_, o) -> verdict_of o) outcomes in
+  let _, _, st0 = List.hd vs in
+  let total f = List.fold_left (fun n (_, _, st) -> n + f st) 0 vs in
+  let largest f = List.fold_left (fun n (_, _, st) -> max n (f st)) 0 vs in
+  json_of_counters id
+    (String.concat "+" (List.sort_uniq compare (List.map (fun (v, _, _) -> v) vs)))
+    (List.fold_left (fun d (_, d', _) -> min d d') max_int vs)
+    {
+      st0 with
+      Bmc.conflicts = total (fun st -> st.Bmc.conflicts);
+      decisions = total (fun st -> st.Bmc.decisions);
+      propagations = total (fun st -> st.Bmc.propagations);
+      vars = largest (fun st -> st.Bmc.vars);
+      clauses = largest (fun st -> st.Bmc.clauses);
+    }
+
+let rec rm_rf path =
+  match Unix.lstat path with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Sys.remove path
+
+(* [rows] at -O2 through a fresh on-disk verdict cache, then through a
+   new [Cache.create] over the same directory, so every warm hit goes
+   through the JSONL codec and the CEX replay. Returns each phase's
+   outcomes, cache statistics and seconds. The store is removed on every
+   exit path. *)
+let cache_round_trip rows =
+  let dir = Filename.temp_dir "autocc_bench_cache" "" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let phase () =
+    let cache = Cache.create ~dir () in
+    let t0 = Unix.gettimeofday () in
+    let outcomes =
+      List.map
+        (fun (id, mk_ft, max_depth) ->
+          (id, Autocc.Ft.check ~max_depth ~opt:Opt.O2 ~cache (mk_ft ())))
+        rows
+    in
+    (outcomes, Cache.stats cache, Unix.gettimeofday () -. t0)
   in
-  let check_row (id, _, mk_ft, max_depth) =
-    match Autocc.Ft.check ~max_depth ~opt:Opt.O2 (mk_ft ()) with
-    | Bmc.Cex (cex, st) -> json_of_counters id "cex" cex.Bmc.cex_depth st
-    | Bmc.Bounded_proof st ->
-        json_of_counters id "bounded_proof" st.Bmc.depth_reached st
-    | Bmc.Unknown (r, st) ->
-        json_of_counters id
-          ("unknown:" ^ Bmc.unknown_reason_to_string r)
-          st.Bmc.depth_reached st
+  let cold = phase () in
+  (cold, phase ())
+
+(* Exits 1, after printing every row, when a variant row ([M3.O0],
+   [C0.scratch], [C0.double]) or a warm cache verdict disagrees with its
+   base, when the warm phase stores anything, or when a budget flips
+   M3's verdict instead of leaving it Unknown: [dune promote] must not
+   accept a disagreement. *)
+let counters () =
+  let failures = ref [] in
+  let expect ok fmt =
+    Printf.ksprintf (fun m -> if not ok then failures := m :: !failures) fmt
+  in
+  let rows = check_rows () in
+  let check ?(opt = Opt.O2) ?incremental ?symmetric ?budget ?retry id =
+    let _, mk_ft, max_depth = find_row rows id in
+    verdict_of
+      (Autocc.Ft.check ~max_depth ~opt ?incremental ?symmetric ?budget ?retry
+         (mk_ft ()))
+  in
+  let base = List.map (fun (id, _, _) -> (id, check id)) rows in
+  let base_verdict id =
+    let v, d, _ = List.assoc id base in
+    (v, d)
+  in
+  (* The same verdict and depth as the base row, by another path. *)
+  let variant ?opt ?incremental ?symmetric id base_id =
+    let v, d, st = check ?opt ?incremental ?symmetric base_id in
+    let bv, bd = base_verdict base_id in
+    expect ((v, d) = (bv, bd)) "%s: %s at depth %d, but %s: %s at depth %d" id
+      v d base_id bv bd;
+    json_of_counters id v d st
   in
   (* [aes_proof]'s k-induction row. *)
   let prove_row () =
@@ -676,23 +606,20 @@ let counters () =
           ("unknown:" ^ Bmc.unknown_reason_to_string r)
           st.Bmc.depth_reached st
   in
-  (* The explanation layer of a campaign entry: the per-assertion sweep
-     at d8, then slice and minimize every raw CEX. The MD5 covers every
+  (* The explanation layer of a campaign entry: the per-assertion sweep,
+     then slice and minimize every raw CEX. The MD5 covers every
      minimized witness (depth, failed set, input hex) in sweep order. *)
-  let explain_row (id, fixes, dut) =
-    let ft =
-      Duts.Bundled.ft_for ~threshold:2 dut (Duts.Bundled.build ~fixes dut)
-    in
+  let explain_row (id, mk_ft, max_depth) =
+    let ft = mk_ft () in
     let outcomes =
-      Bmc.check_each ~max_depth:8 ~opt:Opt.O2 ~sym:ft.Autocc.Ft.sym
+      Bmc.check_each ~max_depth ~opt:Opt.O2 ~sym:ft.Autocc.Ft.sym
         ft.Autocc.Ft.wrapper ft.Autocc.Ft.property
     in
     let conflicts =
       List.fold_left
-        (fun n ((_, o) : string * Bmc.outcome) ->
-          match o with
-          | Bmc.Cex (_, st) | Bmc.Bounded_proof st | Bmc.Unknown (_, st) ->
-              n + st.Bmc.conflicts)
+        (fun n (_, o) ->
+          let _, _, st = verdict_of o in
+          n + st.Bmc.conflicts)
         0 outcomes
     in
     let cexs =
@@ -734,527 +661,212 @@ let counters () =
         );
       ]
   in
+  (* A bundled campaign entry at d8, as [autocc campaign] builds it. *)
+  let entry ?(fixes = Duts.Bundled.no_fixes) id dut =
+    ( id,
+      (fun () -> Duts.Bundled.ft_for ~threshold:2 dut (Duts.Bundled.build ~fixes dut)),
+      8 )
+  in
   let no_fixes = Duts.Bundled.no_fixes in
-  let rows =
-    List.map check_row
-      (List.filter
-         (fun (id, _, _, _) -> List.mem id counter_row_ids)
-         (opt_rows ()))
-    @ [ prove_row () ]
-    @ List.map explain_row
-        [
-          ("E.vscale", no_fixes, "vscale");
-          ("E.maple", no_fixes, "maple");
-          ("E.cva6", no_fixes, "cva6");
-          ("E.cva6_fix_c1", { no_fixes with Duts.Bundled.fix_c1 = true }, "cva6");
-          ("E.leaky", no_fixes, "leaky");
-        ]
+  (* Cold and warm cache statistics, and an MD5 over both phases'
+     verdicts. *)
+  let cache_row () =
+    let (cold, cold_st, _), (warm, warm_st, _) =
+      cache_round_trip (List.map (find_row rows) cache_row_ids)
+    in
+    let lines phase =
+      List.map (fun (id, o) ->
+          let v, d, _ = verdict_of o in
+          Printf.sprintf "%s %s %s %d\n" phase id v d)
+    in
+    List.iter2
+      (fun (id, c) (_, w) ->
+        let cv, cd, _ = verdict_of c and wv, wd, _ = verdict_of w in
+        expect ((cv, cd) = (wv, wd))
+          "K.cache: warm %s is %s at depth %d, cold %s at depth %d" id wv wd
+          cv cd)
+      cold warm;
+    expect (warm_st.Cache.stores = 0) "K.cache: the warm phase stored %d"
+      warm_st.Cache.stores;
+    let stats phase (s : Cache.stats) =
+      [
+        (phase ^ "_hits", Json.Int s.Cache.hits);
+        (phase ^ "_misses", Json.Int s.Cache.misses);
+        (phase ^ "_stores", Json.Int s.Cache.stores);
+        (phase ^ "_rejects", Json.Int s.Cache.rejects);
+      ]
+    in
+    Json.Obj
+      ((("id", Json.Str "K.cache") :: stats "cold" cold_st)
+      @ stats "warm" warm_st
+      @ [
+          ( "verdict_md5",
+            Json.Str
+              (Digest.to_hex
+                 (Digest.string
+                    (String.concat "" (lines "cold" cold @ lines "warm" warm))))
+          );
+        ])
+  in
+  (* M3 under a conflict budget and a 3-attempt retry policy; the
+     retries are [Retry.run]'s own [bmc.retries] counter. *)
+  let retry_row id ~conflicts =
+    Obs.Metrics.reset ();
+    Obs.Metrics.enable ();
+    let v, d, st =
+      check ~budget:(Bmc.budget ~conflicts ())
+        ~retry:
+          (Retry.policy ~max_attempts:3 ~backoff_base_s:0.001
+             ~backoff_cap_s:0.002 ())
+        "M3"
+    in
+    let retries =
+      match Obs.Metrics.find "bmc.retries" with
+      | Some (Obs.Metrics.Counter n) -> n
+      | _ -> 0
+    in
+    Obs.Metrics.disable ();
+    let bv, bd = base_verdict "M3" in
+    expect
+      (String.starts_with ~prefix:"unknown:" v || (v, d) = (bv, bd))
+      "%s: %s at depth %d under a budget, but M3: %s at depth %d" id v d bv bd;
+    Json.Obj
+      [
+        ("id", Json.Str id);
+        ("verdict", Json.Str v);
+        ("depth", Json.Int d);
+        ("retries", Json.Int retries);
+        ("conflicts", Json.Int st.Bmc.conflicts);
+      ]
+  in
+  (* Every row runs in this order, so that the global signal numbering
+     each one starts from is fixed too. *)
+  let rows_json =
+    List.map (fun (id, (v, d, st)) -> json_of_counters id v d st) base
+    @ List.map
+        (fun row -> row ())
+        ([ prove_row ]
+        @ List.map
+            (fun e () -> explain_row e)
+            [
+              entry "E.vscale" "vscale";
+              entry "E.maple" "maple";
+              entry "E.cva6" "cva6";
+              entry ~fixes:{ no_fixes with Duts.Bundled.fix_c1 = true }
+                "E.cva6_fix_c1" "cva6";
+              entry "E.leaky" "leaky";
+            ]
+        @ [
+            (fun () -> variant ~opt:Opt.O0 "M3.O0" "M3");
+            (fun () -> variant ~incremental:false "C0.scratch" "C0");
+            (fun () -> variant ~symmetric:false "C0.double" "C0");
+            cache_row;
+            (fun () -> retry_row "R.exhausted" ~conflicts:1);
+            (fun () -> retry_row "R.recovered" ~conflicts:20);
+          ]
+        @ List.map
+            (fun e () -> explain_row e)
+            [
+              ( "E.divider",
+                (fun () ->
+                  Autocc.Ft.generate ~threshold:2 (Duts.Divider.create ())),
+                12 );
+              entry
+                ~fixes:{ no_fixes with Duts.Bundled.fix_m2 = true; fix_m3 = true }
+                "E.maple_fixed" "maple";
+            ])
   in
   Printf.printf "{\"bench\":\"counters\",\"rows\":[\n%s\n]}\n"
-    (String.concat ",\n" (List.map Json.to_string rows))
-
-(* {1 Incremental-engine benchmark: persistent solver vs scratch re-blast} *)
-
-(* The rows where depth unrolling dominates: the deep bounded proof V
-   and a spread of CEX rows at varying depths run [Ft.check]; the C0+
-   row runs [Bmc.check_each] — per-assertion bounded proofs in one
-   shared solver session, against per-assertion scratch sweeps — which
-   is where session reuse compounds (one unrolling serves every
-   assertion). V and C0+ are the rows the [@incremental-smoke]
-   validator gates at >= 1.5x. Both engines run at -O2, so the only
-   variable is solver-session reuse. *)
-let incremental_row_ids = [ "V5"; "M3"; "A1"; "C0"; "V"; "C0+" ]
-
-(* Pairwise outcome agreement, shared by the [check] and [check_each]
-   row runners. *)
-let outcomes_agree scr inc =
-  match (scr, inc) with
-  | Bmc.Cex (c1, _), Bmc.Cex (c2, _) -> c1.Bmc.cex_depth = c2.Bmc.cex_depth
-  | Bmc.Bounded_proof s1, Bmc.Bounded_proof s2 ->
-      s1.Bmc.depth_reached = s2.Bmc.depth_reached
-  | Bmc.Unknown (r1, _), Bmc.Unknown (r2, _) ->
-      Bmc.unknown_reason_to_string r1 = Bmc.unknown_reason_to_string r2
-  | _ -> false
-
-let incremental_row ~force_mismatch (id, description, mk_ft, max_depth) =
-  (* The shared -O2 front end (FT generation + instrument + netlist
-     pipeline) runs ONCE, outside both timed intervals: the arms then
-     differ only in solver-session reuse, so the walls measure solving,
-     not re-optimization. [setup_s] is reported as its own field. *)
-  let ft = mk_ft () in
-  let su = Unix.gettimeofday () in
-  let circuit, property, sym, _ =
-    Bmc.preoptimize ~opt:Opt.O2 ~sym:ft.Autocc.Ft.sym ft.Autocc.Ft.wrapper
-      ft.Autocc.Ft.property
-  in
-  let setup_s = Unix.gettimeofday () -. su in
-  let run incremental =
-    let t0 = Unix.gettimeofday () in
-    let outcome =
-      Bmc.check ~max_depth ~incremental ~opt:Opt.O0 ~sym circuit property
-    in
-    (outcome, Unix.gettimeofday () -. t0)
-  in
-  let scr, scr_t = run false in
-  let inc, inc_t = run true in
-  let agree = (not force_mismatch) && outcomes_agree scr inc in
-  let describe = function
-    | Bmc.Cex (cex, _) -> Printf.sprintf "CEX depth %d" (cex.Bmc.cex_depth + 1)
-    | Bmc.Bounded_proof st -> Printf.sprintf "proof to %d" (st.Bmc.depth_reached + 1)
-    | Bmc.Unknown (r, _) ->
-        Printf.sprintf "unknown (%s)" (Bmc.unknown_reason_to_string r)
-  in
-  let speedup = scr_t /. Float.max 1e-9 inc_t in
-  Printf.printf
-    "%-4s %-44s scratch %-14s %7.2fs | incr %-14s %7.2fs | %5.2fx (setup %.2fs)%s\n"
-    id description (describe scr) scr_t (describe inc) inc_t speedup setup_s
-    (if agree then "" else "  MISMATCH");
-  let json =
-    Json.Obj
-      [
-        ("id", Json.Str id);
-        ("description", Json.Str description);
-        ("max_depth", Json.Int max_depth);
-        ("setup_s", Json.Float setup_s);
-        ("scratch", json_of_outcome scr ~wall:scr_t);
-        ("incremental", json_of_outcome inc ~wall:inc_t);
-        ("speedup", Json.Float speedup);
-        ("agree", Json.Bool agree);
-      ]
-  in
-  (json, agree, speedup)
-
-(* The [check_each] row: per-assertion bounded proofs. The incremental
-   engine serves every assertion from one solver session (one circuit
-   optimization, one unrolling, per-assertion activation queries, proved
-   facts shared); the scratch oracle runs one independent per-depth
-   re-blasting sweep per assertion. The report aggregates the
-   per-assertion outcomes: the row's verdict is [bounded_proof] only if
-   every assertion reached the bound, a CEX on any assertion surfaces as
-   [cex] at the shallowest depth, and the stats of the deepest-working
-   assertion stand for the side (for the incremental side those are
-   session totals, since the session's counters are cumulative). *)
-let incremental_each_row ~force_mismatch (id, description, mk_ft, max_depth) =
-  (* As in [incremental_row]: one shared -O2 setup outside the timed
-     intervals, arms at -O0 on the preoptimized cone. *)
-  let ft = mk_ft () in
-  let su = Unix.gettimeofday () in
-  let circuit, property, sym, _ =
-    Bmc.preoptimize ~opt:Opt.O2 ~sym:ft.Autocc.Ft.sym ft.Autocc.Ft.wrapper
-      ft.Autocc.Ft.property
-  in
-  let setup_s = Unix.gettimeofday () -. su in
-  let run incremental =
-    let t0 = Unix.gettimeofday () in
-    let rs =
-      Bmc.check_each ~max_depth ~incremental ~opt:Opt.O0 ~sym circuit property
-    in
-    (rs, Unix.gettimeofday () -. t0)
-  in
-  let scr, scr_t = run false in
-  let inc, inc_t = run true in
-  let agree =
-    (not force_mismatch)
-    && List.length scr = List.length inc
-    && List.for_all2
-         (fun (n1, o1) (n2, o2) -> n1 = n2 && outcomes_agree o1 o2)
-         scr inc
-  in
-  let aggregate rs =
-    let worst =
-      List.fold_left
-        (fun acc (_, o) ->
-          match (acc, o) with
-          | (Bmc.Cex (c1, _) as a), Bmc.Cex (c2, _) ->
-              if c2.Bmc.cex_depth < c1.Bmc.cex_depth then o else a
-          | Bmc.Cex _, _ -> acc
-          | _, Bmc.Cex _ -> o
-          | (Bmc.Unknown _ as a), _ -> a
-          | _, (Bmc.Unknown _ as u) -> u
-          | Bmc.Bounded_proof _, (Bmc.Bounded_proof _ as b) -> b)
-        (snd (List.hd rs))
-        (List.tl rs)
-    in
-    worst
-  in
-  let describe rs =
-    match aggregate rs with
-    | Bmc.Cex (cex, _) -> Printf.sprintf "CEX depth %d" (cex.Bmc.cex_depth + 1)
-    | Bmc.Bounded_proof st ->
-        Printf.sprintf "%d proofs to %d" (List.length rs)
-          (st.Bmc.depth_reached + 1)
-    | Bmc.Unknown (r, _) ->
-        Printf.sprintf "unknown (%s)" (Bmc.unknown_reason_to_string r)
-  in
-  let speedup = scr_t /. Float.max 1e-9 inc_t in
-  Printf.printf
-    "%-4s %-44s scratch %-14s %7.2fs | incr %-14s %7.2fs | %5.2fx (setup %.2fs)%s\n"
-    id description (describe scr) scr_t (describe inc) inc_t speedup setup_s
-    (if agree then "" else "  MISMATCH");
-  let json =
-    Json.Obj
-      [
-        ("id", Json.Str id);
-        ("description", Json.Str description);
-        ("max_depth", Json.Int max_depth);
-        ("setup_s", Json.Float setup_s);
-        ("assertions", Json.Int (List.length scr));
-        ("scratch", json_of_outcome (aggregate scr) ~wall:scr_t);
-        ("incremental", json_of_outcome (aggregate inc) ~wall:inc_t);
-        ("speedup", Json.Float speedup);
-        ("agree", Json.Bool agree);
-      ]
-  in
-  (json, agree, speedup)
-
-let incremental_bench () =
-  header
-    "Incremental — persistent-solver BMC vs per-depth scratch re-blast (identical verdicts, cumulative-depth speedup)";
-  Obs.Metrics.reset ();
-  Obs.Metrics.enable ();
-  (* Exit-code self-test knob: force every row to report disagreement so
-     the test suite can assert the bench exits nonzero on mismatches
-     without needing a genuinely broken engine. *)
-  let force_mismatch = Sys.getenv_opt "AUTOCC_BENCH_FORCE_MISMATCH" <> None in
-  (* AUTOCC_BENCH_ROWS=V5,M3 restricts the row set — used by the
-     exit-code self-test so it doesn't pay for the deep-proof rows. *)
-  let wanted =
-    match Sys.getenv_opt "AUTOCC_BENCH_ROWS" with
-    | None | Some "" -> incremental_row_ids
-    | Some s -> String.split_on_char ',' s
-  in
-  let rows =
-    List.filter (fun (id, _, _, _) -> List.mem id wanted) (opt_rows ())
-  in
-  let results =
-    List.map
-      (fun ((id, _, mk_ft, _) as row) ->
-        if id = "C0+" then
-          (* The deep-proof gate row runs the per-assertion sweep — the
-             workload where one shared session replaces one scratch
-             re-blasting sweep per assertion. *)
-          incremental_each_row ~force_mismatch
-            (id, "CVA6: microreset, per-assertion proofs", mk_ft, 13)
-        else incremental_row ~force_mismatch row)
-      rows
-  in
-  let mismatches = List.length (List.filter (fun (_, a, _) -> not a) results) in
-  let fast = List.length (List.filter (fun (_, _, s) -> s >= 1.5) results) in
-  print_newline ();
-  (* Overridable so the forced-mismatch exit-code self-test doesn't
-     clobber the real artifact the validator reads. *)
-  let out =
-    Option.value
-      (Sys.getenv_opt "AUTOCC_BENCH_OUT")
-      ~default:"BENCH_incremental.json"
-  in
-  Json.write ~path:out
-    (Json.Obj
-       [
-         ("bench", Json.Str "incremental");
-         ("rows", Json.List (List.map (fun (j, _, _) -> j) results));
-         ("mismatches", Json.Int mismatches);
-         ("rows_speedup_ge_1_5", Json.Int fast);
-         ("telemetry", Obs.Metrics.json_of_snapshot ());
-       ]);
-  Printf.printf "     %d/%d rows at >= 1.5x cumulative-depth speedup\n" fast
-    (List.length results);
-  if mismatches = 0 then
-    print_endline
-      "     all incremental verdicts and CEX depths match the scratch engine"
-  else begin
-    Printf.printf "     %d MISMATCH(ES) between incremental and scratch runs\n"
-      mismatches;
+    (String.concat ",\n" (List.map Json.to_string rows_json));
+  if !failures <> [] then begin
+    List.iter (Printf.eprintf "counters: %s\n") (List.rev !failures);
     exit 1
   end
 
-(* {1 Verdict-cache benchmark: cold solve vs warm on-disk replay} *)
+(* {1 Gates: the deep rows and the wall-clock bounds}
 
-(* Cold phase: a fresh store, every verdict solved and persisted. Warm
-   phase: a NEW [Cache.create] over the same directory, so every hit
-   rides the JSONL codec + integrity digest + CEX replay-revalidation
-   path — exactly what a re-run campaign exercises — rather than the
-   in-memory table. Verdicts must agree (kind, depth) row by row and
-   every warm row must hit; either failure exits nonzero. *)
-let cache_row_ids = [ "V5"; "M3"; "A1"; "C0" ]
-
-let cache_bench () =
-  header
-    "Verdict cache — cold solve vs warm content-addressed replay (identical verdicts, on-disk round trip)";
-  Obs.Metrics.reset ();
-  Obs.Metrics.enable ();
-  let force_mismatch = Sys.getenv_opt "AUTOCC_BENCH_FORCE_MISMATCH" <> None in
-  let wanted =
-    match Sys.getenv_opt "AUTOCC_BENCH_ROWS" with
-    | None | Some "" -> cache_row_ids
-    | Some s -> String.split_on_char ',' s
+   Minutes, not seconds, so [dune build @bench-full] runs this and
+   [dune runtest] does not. Standard output is the exact counters of the
+   deep rows V (d9, [check]) and C0+ (d13, [check_each]) on both
+   engines, which the alias diffs against test/COUNTERS_full.json.
+   Timings go to standard error. Exits 1 if the engines disagree on a
+   verdict or depth, or if a bound fails:
+   - the incremental engine at least 1.5x faster than per-depth scratch
+     re-blasting on V and on C0+;
+   - a warm verdict cache at least 5x faster than the cold solve over
+     the [K.cache] rows;
+   - every telemetry face on (metrics, trace, event bus), and the event
+     bus alone, each within 1.25x of the plain C0 run, best of five. *)
+let gates () =
+  let failures = ref 0 in
+  let gate what ~base ~arm ratio ok =
+    Printf.eprintf "%-34s %8.3fs -> %8.3fs  %6.2fx  %s\n%!" what base arm
+      ratio
+      (if ok then "ok" else "FAILED");
+    if not ok then incr failures
   in
-  let rows =
-    List.filter (fun (id, _, _, _) -> List.mem id wanted) (opt_rows ())
+  let timed f =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    (r, Unix.gettimeofday () -. t0)
   in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "autocc_bench_cache_%d" (Unix.getpid ()))
-  in
-  (* Fresh store: drop leftovers from a previous run under this pid. *)
-  if Sys.file_exists dir then
-    Array.iter
-      (fun f -> Sys.remove (Filename.concat dir f))
-      (Sys.readdir dir);
-  let run_all cache =
-    List.map
-      (fun (id, description, mk_ft, max_depth) ->
-        let ft = mk_ft () in
-        let t0 = Unix.gettimeofday () in
-        let outcome = Autocc.Ft.check ~max_depth ~cache ft in
-        (id, description, max_depth, outcome, Unix.gettimeofday () -. t0))
-      rows
-  in
-  let cold_cache = Cache.create ~dir () in
-  let cold = run_all cold_cache in
-  let cold_stats = Cache.stats cold_cache in
-  let warm_cache = Cache.create ~dir () in
-  let warm = run_all warm_cache in
-  let warm_stats = Cache.stats warm_cache in
-  let describe = function
-    | Bmc.Cex (cex, _) -> Printf.sprintf "CEX depth %d" (cex.Bmc.cex_depth + 1)
-    | Bmc.Bounded_proof st ->
-        Printf.sprintf "proof to %d" (st.Bmc.depth_reached + 1)
-    | Bmc.Unknown (r, _) ->
-        Printf.sprintf "unknown (%s)" (Bmc.unknown_reason_to_string r)
-  in
-  let results =
-    List.map2
-      (fun (id, description, max_depth, c_out, c_t) (_, _, _, w_out, w_t) ->
-        let agree = (not force_mismatch) && outcomes_agree c_out w_out in
-        let speedup = c_t /. Float.max 1e-9 w_t in
-        Printf.printf
-          "%-4s %-44s cold %-14s %7.2fs | warm %-14s %7.2fs | %7.1fx%s\n" id
-          description (describe c_out) c_t (describe w_out) w_t speedup
-          (if agree then "" else "  MISMATCH");
-        let json =
-          Json.Obj
-            [
-              ("id", Json.Str id);
-              ("description", Json.Str description);
-              ("max_depth", Json.Int max_depth);
-              ("cold", json_of_outcome c_out ~wall:c_t);
-              ("warm", json_of_outcome w_out ~wall:w_t);
-              ("speedup", Json.Float speedup);
-              ("agree", Json.Bool agree);
-            ]
-        in
-        (json, agree, c_t, w_t))
-      cold warm
-  in
-  let mismatches =
-    List.length (List.filter (fun (_, a, _, _) -> not a) results)
-  in
-  let cold_s = List.fold_left (fun acc (_, _, c, _) -> acc +. c) 0. results in
-  let warm_s = List.fold_left (fun acc (_, _, _, w) -> acc +. w) 0. results in
-  let speedup = cold_s /. Float.max 1e-9 warm_s in
-  print_newline ();
-  let json_of_stats (s : Cache.stats) =
-    Json.Obj
-      [
-        ("hits", Json.Int s.Cache.hits);
-        ("misses", Json.Int s.Cache.misses);
-        ("stores", Json.Int s.Cache.stores);
-        ("rejects", Json.Int s.Cache.rejects);
-      ]
-  in
-  let out =
-    Option.value (Sys.getenv_opt "AUTOCC_BENCH_OUT") ~default:"BENCH_cache.json"
-  in
-  Json.write ~path:out
-    (Json.Obj
-       [
-         ("bench", Json.Str "cache");
-         ("rows", Json.List (List.map (fun (j, _, _, _) -> j) results));
-         ("mismatches", Json.Int mismatches);
-         ("cold_s", Json.Float cold_s);
-         ("warm_s", Json.Float warm_s);
-         ("speedup", Json.Float speedup);
-         ("cold_cache", json_of_stats cold_stats);
-         ("warm_cache", json_of_stats warm_stats);
-         ("telemetry", Obs.Metrics.json_of_snapshot ());
-       ]);
-  Printf.printf
-    "     cold %.2fs (%d stores) -> warm %.2fs (%d hits, %d rejects): %.1fx\n"
-    cold_s cold_stats.Cache.stores warm_s warm_stats.Cache.hits
-    warm_stats.Cache.rejects speedup;
-  if mismatches = 0 && warm_stats.Cache.hits > 0 then
-    print_endline "     all warm verdicts match the cold solve"
-  else begin
-    if warm_stats.Cache.hits = 0 then
-      print_endline "     FAILURE: warm run produced zero cache hits";
-    if mismatches > 0 then
-      Printf.printf "     %d MISMATCH(ES) between cold and warm runs\n"
-        mismatches;
-    exit 1
-  end
-
-(* {1 Symmetric-blasting benchmark: mirrored template vs double blast} *)
-
-(* End-to-end differential ([--no-symmetric] is the double-blast oracle)
-   plus a template-construction micro-measure: the end-to-end walls are
-   solver-dominated, so the second number times exactly the code the
-   flag shortens — building the per-cycle transition-relation template
-   on the -O2 cone, with and without the symmetric pairs (min-of-3). *)
-let symmetric_row_ids = [ "V5"; "M3"; "A1"; "C0" ]
-
-let symmetric_row ~force_mismatch (id, description, mk_ft, max_depth) =
-  let run symmetric =
+  (* One shared -O2 front end (FT generation, instrumentation, netlist
+     pipeline) outside both timed arms, which then differ only in
+     solver-session reuse. *)
+  let deep id mk_ft max_depth ~each =
     let ft = mk_ft () in
-    let t0 = Unix.gettimeofday () in
-    let outcome = Autocc.Ft.check ~max_depth ~symmetric ft in
-    (outcome, Unix.gettimeofday () -. t0)
+    let circuit, property, sym, _ =
+      Bmc.preoptimize ~opt:Opt.O2 ~sym:ft.Autocc.Ft.sym ft.Autocc.Ft.wrapper
+        ft.Autocc.Ft.property
+    in
+    let run incremental =
+      timed (fun () ->
+          if each then
+            Bmc.check_each ~max_depth ~incremental ~opt:Opt.O0 ~sym circuit
+              property
+          else
+            [ (id, Bmc.check ~max_depth ~incremental ~opt:Opt.O0 ~sym circuit property) ])
+    in
+    let scr, scr_s = run false in
+    let inc, inc_s = run true in
+    let verdicts =
+      List.map (fun (n, o) ->
+          let v, d, _ = verdict_of o in
+          (n, v, d))
+    in
+    if verdicts scr <> verdicts inc then begin
+      Printf.eprintf "%s: the incremental and scratch verdicts differ\n%!" id;
+      incr failures
+    end;
+    let speedup = scr_s /. Float.max 1e-9 inc_s in
+    gate (id ^ " scratch -> incremental") ~base:scr_s ~arm:inc_s speedup
+      (speedup >= 1.5);
+    [ json_of_sweep (id ^ ".scratch") scr; json_of_sweep (id ^ ".incremental") inc ]
   in
-  let dbl, dbl_t = run false in
-  let sym, sym_t = run true in
-  let agree = (not force_mismatch) && outcomes_agree dbl sym in
-  let ft = mk_ft () in
-  let circuit, _, pairs, _ =
-    Bmc.preoptimize ~opt:Opt.O2 ~sym:ft.Autocc.Ft.sym ft.Autocc.Ft.wrapper
-      ft.Autocc.Ft.property
+  let vscale = V.create () in
+  let v = deep "V" (fun () -> V.ft_for_stage V.Arch_irq vscale) 9 ~each:false in
+  let c0p = deep "C0+" (fun () -> cva6_ft C.microreset_fixed) 13 ~each:true in
+  let rows = check_rows () in
+  let (_, _, cold_s), (_, _, warm_s) =
+    cache_round_trip (List.map (find_row rows) cache_row_ids)
   in
-  let template_time sym_pairs =
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let solver = Sat.Solver.create () in
-      let b =
-        Cnf.Blast.create ~mode:Cnf.Blast.Template ~sym:sym_pairs solver circuit
-      in
-      (* Cycle 0 is encoded directly (identical in both arms, so kept
-         outside the timed interval); cycle 1 builds and stamps the
-         transition-relation template — the cost the flag shortens. *)
-      Cnf.Blast.unroll_cycle b;
-      let t0 = Unix.gettimeofday () in
-      Cnf.Blast.unroll_cycle b;
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best
-  in
-  let tpl_dbl = template_time [] in
-  let tpl_sym = template_time pairs in
-  let describe = function
-    | Bmc.Cex (cex, _) -> Printf.sprintf "CEX depth %d" (cex.Bmc.cex_depth + 1)
-    | Bmc.Bounded_proof st ->
-        Printf.sprintf "proof to %d" (st.Bmc.depth_reached + 1)
-    | Bmc.Unknown (r, _) ->
-        Printf.sprintf "unknown (%s)" (Bmc.unknown_reason_to_string r)
-  in
-  let tpl_speedup = tpl_dbl /. Float.max 1e-9 tpl_sym in
-  Printf.printf
-    "%-4s %-44s 2x-blast %-14s %7.2fs | sym %-14s %7.2fs | template %5.2fx (%d pairs)%s\n"
-    id description (describe dbl) dbl_t (describe sym) sym_t tpl_speedup
-    (List.length pairs)
-    (if agree then "" else "  MISMATCH");
-  let json =
-    Json.Obj
-      [
-        ("id", Json.Str id);
-        ("description", Json.Str description);
-        ("max_depth", Json.Int max_depth);
-        ("sym_pairs", Json.Int (List.length pairs));
-        ("double_blast", json_of_outcome dbl ~wall:dbl_t);
-        ("symmetric", json_of_outcome sym ~wall:sym_t);
-        ("template_double_s", Json.Float tpl_dbl);
-        ("template_symmetric_s", Json.Float tpl_sym);
-        ("template_speedup", Json.Float tpl_speedup);
-        ("agree", Json.Bool agree);
-      ]
-  in
-  (json, agree, tpl_speedup)
-
-let symmetric_bench () =
-  header
-    "Symmetric blasting — mirrored two-universe template vs double blast (identical verdicts, template-build speedup)";
-  Obs.Metrics.reset ();
-  Obs.Metrics.enable ();
-  let force_mismatch = Sys.getenv_opt "AUTOCC_BENCH_FORCE_MISMATCH" <> None in
-  let wanted =
-    match Sys.getenv_opt "AUTOCC_BENCH_ROWS" with
-    | None | Some "" -> symmetric_row_ids
-    | Some s -> String.split_on_char ',' s
-  in
-  let rows =
-    List.filter (fun (id, _, _, _) -> List.mem id wanted) (opt_rows ())
-  in
-  let results = List.map (symmetric_row ~force_mismatch) rows in
-  let mismatches = List.length (List.filter (fun (_, a, _) -> not a) results) in
-  let faster =
-    List.length (List.filter (fun (_, _, s) -> s > 1.0) results)
-  in
-  print_newline ();
-  let out =
-    Option.value
-      (Sys.getenv_opt "AUTOCC_BENCH_OUT")
-      ~default:"BENCH_symmetric.json"
-  in
-  Json.write ~path:out
-    (Json.Obj
-       [
-         ("bench", Json.Str "symmetric");
-         ("rows", Json.List (List.map (fun (j, _, _) -> j) results));
-         ("mismatches", Json.Int mismatches);
-         ("rows_template_faster", Json.Int faster);
-         ("telemetry", Obs.Metrics.json_of_snapshot ());
-       ]);
-  Printf.printf "     %d/%d rows build the template faster symmetrically\n"
-    faster (List.length results);
-  if mismatches = 0 then
-    print_endline
-      "     all symmetric verdicts and CEX depths match the double-blast oracle"
-  else begin
-    Printf.printf "     %d MISMATCH(ES) between symmetric and double-blast runs\n"
-      mismatches;
-    exit 1
-  end
-
-(* One tiny Table-1 row (M3) end-to-end at both levels, then the
-   telemetry overhead gates on V5 — seconds, not minutes. Wired into
-   [dune runtest] via the [@bench-smoke] alias so every test run
-   exercises the full generate-FT -> optimize -> blast -> solve ->
-   replay path on a real DUT. *)
-let smoke () =
-  header "Bench smoke — one Table-1 row, -O0 vs -O2";
-  let rows = opt_rows () in
-  let row id = List.find (fun (id', _, _, _) -> id' = id) rows in
-  let _, agree, _ = opt_row (row "M3") in
-  if agree then print_endline "     smoke OK: verdict and CEX depth agree across -O0/-O2"
-  else begin
-    print_endline "     smoke FAILED: -O0 and -O2 disagree";
-    exit 1
-  end;
-  (* Telemetry-overhead gates: V5 at -O2 with every telemetry face on
-     (metrics + trace writer + the event bus's file sink), and with the
-     `campaign --out` configuration (metrics + the bus's file sink),
-     must each stay within budget of the plain run. V5 takes ~0.3 s and
-     its solver trajectory repeats exactly from run to run, so a ratio
-     measures telemetry rather than search noise. The three arms are
-     timed in turn for five rounds and each ratio compares best-of-five
-     times, so host drift (`dune runtest` runs other actions beside
-     this one) lands on every arm alike rather than on whichever ran
-     last. The bound is deliberately loose (the DESIGN.md budget of
-     <= 2% applies to telemetry *disabled*, which the tier-1 runs
-     already exercise — here we bound the *enabled* cost). *)
-  let _, _, mk_ft, max_depth = row "V5" in
-  let trace_path = Filename.temp_file "autocc_smoke" ".trace.json" in
-  let events_path = Filename.temp_file "autocc_smoke" ".events.jsonl" in
+  let speedup = cold_s /. Float.max 1e-9 warm_s in
+  gate "K.cache cold -> warm" ~base:cold_s ~arm:warm_s speedup (speedup >= 5.);
+  (* C0 at -O2 plain, with every telemetry face on, and with the bus
+     alone (the `campaign --out` configuration), timed in turn for five
+     rounds from a collected heap: host drift lands on every arm alike.
+     DESIGN.md's <= 2 % budget is for telemetry off; this bounds it on. *)
+  let _, mk_ft, max_depth = find_row rows "C0" in
+  let trace_path = Filename.temp_file "autocc_gates" ".trace.json" in
+  let events_path = Filename.temp_file "autocc_gates" ".events.jsonl" in
   let time_once ~trace ~bus =
     Obs.Metrics.reset ();
     if trace || bus then Obs.Metrics.enable ();
     if trace then Obs.trace_to_file trace_path;
     if bus then Obs.Bus.attach ~file:events_path ();
     let ft = mk_ft () in
-    (* Start every arm from a collected heap, so none pays for the
-       garbage of the arm before it. *)
     Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    ignore (Autocc.Ft.check ~max_depth ~opt:Opt.O2 ft);
-    let dt = Unix.gettimeofday () -. t0 in
+    let _, dt = timed (fun () -> Autocc.Ft.check ~max_depth ~opt:Opt.O2 ft) in
     Obs.shutdown ();
     dt
   in
@@ -1264,197 +876,15 @@ let smoke () =
     all_on := Float.min !all_on (time_once ~trace:true ~bus:true);
     bus_on := Float.min !bus_on (time_once ~trace:false ~bus:true)
   done;
+  List.iter Sys.remove [ trace_path; events_path ];
   List.iter
-    (fun p -> try Sys.remove p with Sys_error _ -> ())
-    [ trace_path; events_path ];
-  let gate what arm ~on =
-    let ratio = on /. Float.max 1e-9 !plain in
-    Printf.printf "     %s overhead: plain %.3fs, %s %.3fs (%.2fx)\n" what
-      !plain arm on ratio;
-    if ratio > 1.25 then begin
-      Printf.printf "     smoke FAILED: %s-enabled overhead above 1.25x budget\n"
-        what;
-      exit 1
-    end
-    else Printf.printf "     smoke OK: %s overhead within budget\n" what
-  in
-  gate "telemetry" "metrics+trace+bus" ~on:!all_on;
-  gate "event-bus" "metrics+bus file" ~on:!bus_on
-
-(* {1 Campaign: per-assertion sweep + provenance/clustering over the
-   Table-1 row set, one JSON artifact per deduplicated channel} *)
-
-let campaign_bench () =
-  header
-    "Campaign — per-assertion CEX sweep, sliced/minimized/clustered into distinct channels";
-  Obs.Metrics.reset ();
-  Obs.Metrics.enable ();
-  let vscale = V.create () in
-  let entries =
-    [
-      {
-        Explain.Campaign.e_label = "vscale_arch_pipeline";
-        e_dut = "vscale";
-        e_ft = (fun () -> V.ft_for_stage V.Arch_pipeline vscale);
-        e_max_depth = 8;
-      };
-      {
-        Explain.Campaign.e_label = "maple_m3";
-        e_dut = "maple";
-        e_ft = (fun () -> maple_ft { M.fix_m2 = true; fix_m3 = false });
-        e_max_depth = 10;
-      };
-      {
-        Explain.Campaign.e_label = "divider";
-        e_dut = "divider";
-        e_ft =
-          (fun () -> Autocc.Ft.generate ~threshold:2 (Duts.Divider.create ()));
-        e_max_depth = 12;
-      };
-      {
-        Explain.Campaign.e_label = "maple_fixed";
-        e_dut = "maple";
-        e_ft = (fun () -> maple_ft M.fixed);
-        e_max_depth = 8;
-      };
-    ]
-  in
-  let t0 = Unix.gettimeofday () in
-  let result = Explain.Campaign.run ~opt:Opt.O2 ~out_dir:"autocc_campaign" entries in
-  Explain.Campaign.pp Format.std_formatter result;
-  Printf.printf "\n     %d artifacts under autocc_campaign/ in %.2fs\n"
-    (List.length result.Explain.Campaign.c_artifacts)
-    (Unix.gettimeofday () -. t0);
-  (* The acceptance bar: CEX-bearing entries must dedupe into at least
-     one channel each, every minimized witness already replay-verified
-     by Explain.minimize; the fixed row must report zero channels. *)
-  let failures = ref 0 in
-  List.iter
-    (fun r ->
-      let n = List.length r.Explain.Campaign.r_channels in
-      let expect_channels = r.Explain.Campaign.r_label <> "maple_fixed" in
-      if expect_channels && n = 0 then begin
-        Printf.printf "     FAILED: %s found no channel\n" r.Explain.Campaign.r_label;
-        incr failures
-      end;
-      if (not expect_channels) && n > 0 then begin
-        Printf.printf "     FAILED: %s reported %d channel(s) on fixed RTL\n"
-          r.Explain.Campaign.r_label n;
-        incr failures
-      end;
-      if r.Explain.Campaign.r_raw_cexs < n then begin
-        Printf.printf "     FAILED: %s has more channels than raw CEXs\n"
-          r.Explain.Campaign.r_label;
-        incr failures
-      end)
-    result.Explain.Campaign.c_results;
-  Json.write ~path:"BENCH_campaign.json"
-    (Json.Obj
-       [
-         ("bench", Json.Str "campaign");
-         ("campaign", Explain.Campaign.json_of_campaign result);
-         ("failures", Json.Int !failures);
-         ("telemetry", Obs.Metrics.json_of_snapshot ());
-       ]);
-  if !failures = 0 then
-    print_endline "     all entries clustered as expected (fixed RTL: no channels)"
-  else begin
-    Printf.printf "     %d FAILURE(S) in campaign expectations\n" !failures;
-    exit 1
-  end
-
-(* {1 Robustness: budget-forced Unknown verdicts, retry accounting, and
-   the unbudgeted rerun completing with the reference verdict} *)
-
-let robustness_bench () =
-  header
-    "Robustness — budgets only downgrade verdicts to Unknown; retries are accounted; the unbudgeted run completes";
-  Obs.Metrics.reset ();
-  Obs.Metrics.enable ();
-  let mk_ft () = maple_ft { M.fix_m2 = true; fix_m3 = false } in
-  let max_depth = 10 in
-  let describe = function
-    | Bmc.Cex (cex, _) -> Printf.sprintf "CEX depth %d" (cex.Bmc.cex_depth + 1)
-    | Bmc.Bounded_proof st ->
-        Printf.sprintf "proof to %d" (st.Bmc.depth_reached + 1)
-    | Bmc.Unknown (r, st) ->
-        Printf.sprintf "unknown (%s), clean to %d"
-          (Bmc.unknown_reason_to_string r)
-          (st.Bmc.depth_reached + 1)
-  in
-  let failures = ref 0 in
-  (* A deadline already in the past when the first solve starts:
-     deterministically Unknown on any machine, no matter how fast. *)
-  let tiny = Bmc.budget ~wall_s:1e-6 () in
-  let retry =
-    Retry.policy ~max_attempts:3 ~backoff_base_s:0.001 ~backoff_cap_s:0.002 ()
-  in
-  let t0 = Unix.gettimeofday () in
-  let budgeted = Autocc.Ft.check ~max_depth ~budget:tiny ~retry (mk_ft ()) in
-  let budget_t = Unix.gettimeofday () -. t0 in
-  let unknown, timeouts =
-    match budgeted with
-    | Bmc.Unknown
-        (Bmc.Budget_exhausted { ub_budget = Sat.Solver.Wall_clock; _ }, _) ->
-        (1, 1)
-    | Bmc.Unknown _ -> (1, 0)
-    | _ -> (0, 0)
-  in
-  (* Retries counted by [Retry.run] itself; the unbudgeted run below
-     never retries, so the counter is this run's alone. *)
-  let retries =
-    match Obs.Metrics.find "bmc.retries" with
-    | Some (Obs.Metrics.Counter n) -> n
-    | _ -> 0
-  in
-  Printf.printf
-    "tiny budget : %-36s %6.2fs  (%d unknown, %d timeouts, %d retries)\n"
-    (describe budgeted) budget_t unknown timeouts retries;
-  let t0 = Unix.gettimeofday () in
-  let full = Autocc.Ft.check ~max_depth (mk_ft ()) in
-  let full_t = Unix.gettimeofday () -. t0 in
-  Printf.printf "no budget   : %-36s %6.2fs\n" (describe full) full_t;
-  (* The soundness bar: exhaustion may only downgrade to Unknown — a
-     conclusive verdict under the expired budget must equal the
-     reference one. *)
-  (match (budgeted, full) with
-  | Bmc.Unknown _, _ -> ()
-  | Bmc.Cex (c1, _), Bmc.Cex (c2, _) when c1.Bmc.cex_depth = c2.Bmc.cex_depth
-    ->
-      ()
-  | Bmc.Bounded_proof _, Bmc.Bounded_proof _ -> ()
-  | _ ->
-      print_endline "     FAILED: the budget changed the verdict";
-      incr failures);
-  (match full with
-  | Bmc.Unknown _ ->
-      print_endline "     FAILED: the unbudgeted run did not complete";
-      incr failures
-  | _ -> ());
-  if unknown > 0 && retries = 0 then begin
-    print_endline "     FAILED: the Unknown run recorded no retry attempts";
-    incr failures
-  end;
-  Json.write ~path:"BENCH_robustness.json"
-    (Json.Obj
-       [
-         ("bench", Json.Str "robustness");
-         ("max_depth", Json.Int max_depth);
-         ("budgeted", json_of_outcome budgeted ~wall:budget_t);
-         ("unbudgeted", json_of_outcome full ~wall:full_t);
-         ("unknown", Json.Int unknown);
-         ("timeouts", Json.Int timeouts);
-         ("retries", Json.Int retries);
-         ("failures", Json.Int !failures);
-         ("telemetry", Obs.Metrics.json_of_snapshot ());
-       ]);
-  if !failures = 0 then
-    print_endline
-      "     budgets only downgraded verdicts to Unknown; retries accounted; reference run conclusive"
-  else begin
-    Printf.printf "     %d FAILURE(S) in robustness expectations\n" !failures;
-    exit 1
-  end
+    (fun (what, on) ->
+      let ratio = on /. Float.max 1e-9 !plain in
+      gate what ~base:!plain ~arm:on ratio (ratio <= 1.25))
+    [ ("C0 plain -> metrics+trace+bus", !all_on); ("C0 plain -> metrics+bus", !bus_on) ];
+  Printf.printf "{\"bench\":\"gates\",\"rows\":[\n%s\n]}\n"
+    (String.concat ",\n" (List.map Json.to_string (v @ c0p)));
+  if !failures > 0 then exit 1
 
 (* {1 Bechamel micro-benchmarks: one Test.make per table} *)
 
@@ -1519,371 +949,6 @@ let bechamel () =
       | _ -> Printf.printf "%-40s (no estimate)\n" name)
     (List.sort compare rows)
 
-(* {1 bench diff — perf-regression gate over two BENCH_*.json files}
-
-   [bench diff BASELINE FRESH] re-reads two machine-readable result
-   files (same subcommand, two commits/runs), matches their rows by
-   "id", and gates only the metrics whose regression is meaningful:
-   time-like leaves (keys ending in [_s]: wall_s, solve_s, opt_time_s —
-   lower is better) and [speedup] (higher is better). Everything else
-   (conflicts, vars, depths) varies freely with the search trajectory
-   and is provenance, not a gate. A row is regressed when the fresh
-   value is worse by more than a noise ratio (AUTOCC_DIFF_RATIO, default
-   1.5x) AND by more than an absolute floor (AUTOCC_DIFF_FLOOR_S,
-   default 0.02s) — the floor keeps microsecond rows from tripping the
-   ratio on scheduler noise. A baseline row missing from the fresh file
-   is a regression (a silently dropped benchmark is worse than a slow
-   one); a fresh row missing from the baseline is informational. Exits 1
-   on any regression. *)
-
-let diff_read path =
-  let s =
-    try In_channel.with_open_bin path In_channel.input_all
-    with Sys_error e -> failwith (Printf.sprintf "bench diff: %s" e)
-  in
-  match Json.parse s with
-  | Ok j -> j
-  | Error e -> failwith (Printf.sprintf "bench diff: %s: %s" path e)
-
-let diff_rows j =
-  match Json.member "rows" j with
-  | Some (Json.List rows) ->
-      List.filter_map
-        (fun r ->
-          match Json.member "id" r with
-          | Some (Json.Str id) -> Some (id, r)
-          | _ -> None)
-        rows
-  | _ -> []
-
-(* The leaf flattening ("o2.stats.solve_s" -> 0.319), the
-   suffix-directed gate, and the ratio+floor regression predicate are
-   Obs.Numdiff — shared verbatim with [autocc diff-runs], so the two
-   gates can never drift apart. *)
-
-let diff_bench base_path fresh_path =
-  header "Bench diff — perf-regression gate";
-  let ratio, floor_s = Obs.Numdiff.thresholds () in
-  let base = diff_read base_path and fresh = diff_read fresh_path in
-  let bench_of j =
-    match Json.member "bench" j with Some (Json.Str s) -> s | _ -> "?"
-  in
-  Printf.printf "     baseline: %s (%s)\n" base_path (bench_of base);
-  Printf.printf "     fresh   : %s (%s)\n" fresh_path (bench_of fresh);
-  Printf.printf "     noise thresholds: ratio %.2fx, floor %.3fs\n\n" ratio
-    floor_s;
-  if bench_of base <> bench_of fresh then
-    Printf.printf "     WARNING: comparing different benches (%s vs %s)\n\n"
-      (bench_of base) (bench_of fresh);
-  let base_rows = diff_rows base and fresh_rows = diff_rows fresh in
-  let regressions = ref 0 in
-  Printf.printf "     %-6s %-28s %10s %10s %7s  %s\n" "ROW" "METRIC" "BASE"
-    "FRESH" "RATIO" "STATUS";
-  List.iter
-    (fun (id, brow) ->
-      match List.assoc_opt id fresh_rows with
-      | None ->
-          incr regressions;
-          Printf.printf "     %-6s %-28s %10s %10s %7s  %s\n" id "(row)" "-"
-            "missing" "-" "REGRESSED"
-      | Some frow ->
-          let fleaves = Obs.Numdiff.leaves frow in
-          List.iter
-            (fun (key, bv) ->
-              match Obs.Numdiff.gate key with
-              | None -> ()
-              | Some direction -> (
-                  match List.assoc_opt key fleaves with
-                  | None ->
-                      incr regressions;
-                      Printf.printf "     %-6s %-28s %10.3f %10s %7s  %s\n" id
-                        key bv "missing" "-" "REGRESSED"
-                  | Some fv ->
-                      let regressed =
-                        Obs.Numdiff.regressed direction ~ratio ~floor:floor_s
-                          ~base:bv ~fresh:fv
-                      in
-                      if regressed then incr regressions;
-                      (* Keep the table to the signal: regressions and
-                         the headline wall_s rows. *)
-                      if regressed
-                         || direction = Obs.Numdiff.Higher_better
-                         || String.length key < 12
-                      then
-                        Printf.printf "     %-6s %-28s %10.3f %10.3f %7.2f  %s\n"
-                          id key bv fv
-                          (fv /. Float.max 1e-9 bv)
-                          (if regressed then "REGRESSED" else "ok")))
-            (Obs.Numdiff.leaves brow))
-    base_rows;
-  List.iter
-    (fun (id, _) ->
-      if not (List.mem_assoc id base_rows) then
-        Printf.printf "     %-6s %-28s %10s %10s %7s  %s\n" id "(row)" "absent"
-          "new" "-" "new row")
-    fresh_rows;
-  print_newline ();
-  if base_rows = [] then
-    print_endline "     WARNING: baseline has no rows; nothing gated";
-  if !regressions > 0 then begin
-    Printf.printf "     bench diff FAILED: %d regression(s) beyond %.2fx+%.3fs\n"
-      !regressions ratio floor_s;
-    exit 1
-  end
-  else
-    Printf.printf "     bench diff OK: %d rows within %.2fx+%.3fs of baseline\n"
-      (List.length base_rows) ratio floor_s
-
-(* {1 serve: latency/throughput of the crash-isolated service}
-
-   Real daemon, real forked workers: one row per pool size over the
-   bundled DUT set, plus a crash-storm row where every attempt-0 worker
-   self-SIGKILLs via the "serve.worker" fault site and the service must
-   converge through redelivery. Per row: makespan, per-job submit->done
-   latency (mean/max), crash count, and a verdict check against the
-   in-process one-shot engine. The *_s leaves ride the same
-   Obs.Numdiff lower-is-better gate as every other artifact via
-   `bench diff`. *)
-
-let serve_exe () =
-  match Sys.getenv_opt "AUTOCC_SERVE_EXE" with
-  | Some p when p <> "" -> p
-  | _ ->
-      Filename.concat
-        (Filename.dirname Sys.executable_name)
-        (Filename.concat ".." (Filename.concat "bin" "autocc_cli.exe"))
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Sys.remove path
-
-let serve_depth = 6
-
-let serve_duts () =
-  match Sys.getenv_opt "AUTOCC_BENCH_ROWS" with
-  | None | Some "" -> [ "leaky"; "divider"; "maple"; "aes" ]
-  | Some s -> String.split_on_char ',' s |> List.map String.trim
-
-let serve_reference duts =
-  List.map
-    (fun name ->
-      let dut = Duts.Bundled.build name in
-      let ft = Duts.Bundled.ft_for ~threshold:2 name dut in
-      let v, d =
-        match Autocc.Ft.check ~max_depth:serve_depth ft with
-        | Bmc.Cex (cex, _) -> ("cex", cex.Bmc.cex_depth)
-        | Bmc.Bounded_proof st -> ("proof", st.Bmc.depth_reached)
-        | Bmc.Unknown (r, st) ->
-            ("unknown:" ^ Bmc.unknown_reason_to_string r, st.Bmc.depth_reached)
-      in
-      (name, (v, d)))
-    duts
-
-(* Same runtime seed search as the @serve-smoke validator: fault
-   decisions are pure in (seed, site, n), so roll the worker's dice
-   here and pick a seed where attempt 0 dies early and the reseeded
-   attempts 1-2 survive a full solve. *)
-let serve_storm_seed ~rate =
-  let fires_within seed ~offset n =
-    Fault.arm ~sites:[ "serve.worker" ] ~rate ~seed ();
-    if offset > 0 then Fault.reseed ~offset;
-    let fired = ref false in
-    for _ = 1 to n do
-      if Fault.fire "serve.worker" then fired := true
-    done;
-    !fired
-  in
-  let ok s =
-    fires_within s ~offset:0 2
-    && (not (fires_within s ~offset:1 12))
-    && not (fires_within s ~offset:2 12)
-  in
-  let rec search s = if s > 100_000 then None else if ok s then Some s else search (s + 1) in
-  let r = search 1 in
-  Fault.disarm ();
-  r
-
-let serve_row ~name ~workers ~env ~cache duts reference =
-  let dir = "bench_serve_" ^ name in
-  rm_rf dir;
-  let exe = serve_exe () in
-  let args =
-    [ exe; "serve"; "--dir"; dir; "--workers"; string_of_int workers; "--quiet" ]
-    @ (match cache with Some c -> [ "--cache-dir"; c ] | None -> [ "--no-cache" ])
-  in
-  let full_env = Array.append (Unix.environment ()) (Array.of_list env) in
-  let null_r = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-  let null_w = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-  let pid =
-    Unix.create_process_env exe (Array.of_list args) full_env null_r null_w null_w
-  in
-  Unix.close null_r;
-  Unix.close null_w;
-  let deadline = Unix.gettimeofday () +. 10. in
-  while
-    (not (Serve.Client.ping ~dir)) && Unix.gettimeofday () < deadline
-  do
-    Unix.sleepf 0.02
-  done;
-  let submit_t = Hashtbl.create 8 in
-  List.iter
-    (fun d ->
-      let spec =
-        { Serve.Machine.sp_dut = d; sp_engine = "check"; sp_depth = serve_depth;
-          sp_threshold = 2 }
-      in
-      match Serve.Client.submit ~dir spec with
-      | Ok id -> Hashtbl.replace submit_t id (d, Unix.gettimeofday ())
-      | Error e -> failwith (Printf.sprintf "bench serve: submit %s: %s" d e))
-    duts;
-  let t0 = Unix.gettimeofday () in
-  let done_t : (string, float * string * int * int) Hashtbl.t = Hashtbl.create 8 in
-  let poll_deadline = t0 +. 300. in
-  let rec poll () =
-    if Hashtbl.length done_t >= List.length duts then ()
-    else if Unix.gettimeofday () > poll_deadline then
-      failwith "bench serve: jobs did not finish within 300s"
-    else begin
-      (match Serve.Client.status ~dir with
-      | Error e -> failwith ("bench serve: status: " ^ e)
-      | Ok resp -> (
-          match Json.member "jobs" resp with
-          | Some (Json.List rows) ->
-              let now = Unix.gettimeofday () in
-              List.iter
-                (fun row ->
-                  let str n =
-                    match Json.member n row with Some (Json.Str s) -> s | _ -> ""
-                  in
-                  let int n =
-                    match Json.member n row with Some (Json.Int i) -> i | _ -> 0
-                  in
-                  let id = str "id" in
-                  match str "state" with
-                  | ("done" | "quarantined") when not (Hashtbl.mem done_t id) ->
-                      Hashtbl.replace done_t id
-                        (now, str "verdict", int "depth", int "crashes")
-                  | _ -> ())
-                rows
-          | _ -> ()));
-      Unix.sleepf 0.02;
-      poll ()
-    end
-  in
-  poll ();
-  let makespan = Unix.gettimeofday () -. t0 in
-  Unix.kill pid Sys.sigterm;
-  (match Unix.waitpid [] pid with
-  | _, Unix.WEXITED 0 -> ()
-  | _ -> failwith "bench serve: daemon did not drain cleanly");
-  let latencies, crashes, mismatches =
-    Hashtbl.fold
-      (fun id (t_done, verdict, depth, crashes) (ls, cs, ms) ->
-        let dut, t_sub =
-          match Hashtbl.find_opt submit_t id with
-          | Some x -> x
-          | None -> ("?", t_done)
-        in
-        let ms =
-          match List.assoc_opt dut reference with
-          | Some (rv, rd) when rv = verdict && rd = depth -> ms
-          | Some _ | None -> ms + 1
-        in
-        ((t_done -. t_sub) :: ls, cs + crashes, ms))
-      done_t ([], 0, 0)
-  in
-  let mean l = List.fold_left ( +. ) 0. l /. float_of_int (max 1 (List.length l)) in
-  let lmax = List.fold_left max 0. latencies in
-  Printf.printf
-    "%-12s workers=%d  makespan %6.2fs  latency mean %5.2fs max %5.2fs  crashes %d%s\n%!"
-    name workers makespan (mean latencies) lmax crashes
-    (if mismatches > 0 then Printf.sprintf "  %d VERDICT MISMATCH(ES)" mismatches
-     else "");
-  ( mismatches,
-    Json.Obj
-      [
-        ("id", Json.Str name);
-        ("workers", Json.Int workers);
-        ("jobs", Json.Int (List.length duts));
-        ("makespan_s", Json.Float makespan);
-        ("latency_mean_s", Json.Float (mean latencies));
-        ("latency_max_s", Json.Float lmax);
-        ("crashes", Json.Int crashes);
-        ("mismatches", Json.Int mismatches);
-      ] )
-
-let serve_bench () =
-  header
-    "Service — submit->verdict latency and makespan per pool size, plus a crash storm";
-  let duts = serve_duts () in
-  let reference = serve_reference duts in
-  let pool_sizes =
-    match Sys.getenv_opt "AUTOCC_BENCH_WORKERS" with
-    | None | Some "" -> [ 1; 2; 4 ]
-    | Some s ->
-        String.split_on_char ',' s |> List.map String.trim
-        |> List.map int_of_string
-  in
-  let rows =
-    List.map
-      (fun w ->
-        serve_row ~name:(Printf.sprintf "w%d" w) ~workers:w ~env:[] ~cache:None
-          duts reference)
-      pool_sizes
-  in
-  let storm =
-    let rate = 0.05 in
-    match serve_storm_seed ~rate with
-    | None -> failwith "bench serve: no storm seed found"
-    | Some seed ->
-        serve_row ~name:"crash_storm" ~workers:2
-          ~env:
-            [ Printf.sprintf
-                "AUTOCC_FAULT=seed=%d,rate=%g,sites=serve.worker;serve.lease"
-                seed rate ]
-          ~cache:None duts reference
-  in
-  let rows = rows @ [ storm ] in
-  let mismatches = List.fold_left (fun n (m, _) -> n + m) 0 rows in
-  let storm_crashes =
-    match storm with
-    | _, Json.Obj fields -> (
-        match List.assoc_opt "crashes" fields with
-        | Some (Json.Int c) -> c
-        | _ -> 0)
-    | _ -> 0
-  in
-  let failures =
-    mismatches
-    + (if storm_crashes = 0 then (
-         print_endline "     FAILED: the crash storm injected no crashes";
-         1)
-       else 0)
-  in
-  let out =
-    Option.value (Sys.getenv_opt "AUTOCC_BENCH_OUT") ~default:"BENCH_serve.json"
-  in
-  Json.write ~path:out
-    (Json.Obj
-       [
-         ("bench", Json.Str "serve");
-         ("max_depth", Json.Int serve_depth);
-         ("duts", Json.List (List.map (fun d -> Json.Str d) duts));
-         ("rows", Json.List (List.map snd rows));
-         ("failures", Json.Int failures);
-       ]);
-  if failures = 0 then
-    print_endline
-      "     all service verdicts match the one-shot engine; the crash storm converged through redelivery"
-  else begin
-    Printf.printf "     %d FAILURE(S) in service expectations\n" failures;
-    exit 1
-  end
-
 let all () =
   table2 ();
   table1 ();
@@ -1896,10 +961,11 @@ let all () =
   scaling ();
   flush_tdd ()
 
+
 (* One run-ledger row per bench invocation (tool "bench", subject = the
    subcommand) when a ledger directory is resolvable from the
    environment — a single line-flushed append after the work, so the
-   smoke overhead gates never see it.  Best-effort like the CLI's. *)
+   timed runs of [gates] never see it.  Best-effort like the CLI's. *)
 let ledger_record sub ~t0 ~cpu0 =
   match Obs.Ledger.resolve_dir () with
   | None -> ()
@@ -1938,26 +1004,13 @@ let () =
   | "divider" -> divider ()
   | "scaling" -> scaling ()
   | "flush_tdd" -> flush_tdd ()
-  | "opt" -> opt_bench ()
   | "counters" -> counters ()
-  | "incremental" -> incremental_bench ()
-  | "cache" -> cache_bench ()
-  | "symmetric" -> symmetric_bench ()
-  | "campaign" -> campaign_bench ()
-  | "robustness" -> robustness_bench ()
-  | "serve" -> serve_bench ()
-  | "smoke" -> smoke ()
-  | "diff" ->
-      if Array.length Sys.argv < 4 then begin
-        Printf.eprintf "usage: bench diff BASELINE.json FRESH.json\n";
-        exit 1
-      end;
-      diff_bench Sys.argv.(2) Sys.argv.(3)
+  | "gates" -> gates ()
   | "bechamel" -> bechamel ()
   | "all" -> all ()
   | other ->
       Printf.eprintf
-        "unknown experiment %s (try table1|table2|exploit|aes_proof|fixes|baseline|latency|flush_tdd|opt|counters|incremental|cache|symmetric|campaign|robustness|serve|smoke|diff|bechamel|all)\n"
+        "unknown experiment %s (try table1|table2|exploit|aes_proof|fixes|baseline|latency|divider|scaling|flush_tdd|counters|gates|bechamel|all)\n"
         other;
       exit 1);
   ledger_record sub ~t0 ~cpu0

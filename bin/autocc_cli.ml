@@ -787,28 +787,22 @@ let diff_runs ledger_dir ref_base ref_fresh =
             a.Obs.Ledger.a_verdict b.Obs.Ledger.a_verdict
       | Some _ -> ())
     base.Obs.Ledger.r_asserts;
-  (* Timing: the same dotted-leaf ratio+floor gate as [bench diff],
-     applied to the two ledger rows. *)
+  (* Timing: the dotted-leaf ratio+floor gate of [Obs.Numdiff] over the
+     duration leaves of the two ledger rows. *)
   let ratio, floor = Obs.Numdiff.thresholds () in
   let fresh_leaves = Obs.Numdiff.leaves (Obs.Ledger.json_of_run fresh) in
   let regressions = ref 0 in
   Format.printf "@.%-32s %12s %12s %9s@." "leaf" "base" "fresh" "ratio";
   List.iter
     (fun (path, bv) ->
-      match Obs.Numdiff.gate path with
-      | None -> ()
-      | Some d -> (
-          match List.assoc_opt path fresh_leaves with
-          | None -> ()
-          | Some fv ->
-              let reg =
-                Obs.Numdiff.regressed d ~ratio ~floor ~base:bv ~fresh:fv
-              in
-              if reg then incr regressions;
-              Format.printf "%-32s %12.4f %12.4f %9s%s@." path bv fv
-                (if bv = 0. then "-"
-                 else Printf.sprintf "%.2fx" (fv /. bv))
-                (if reg then "  REGRESSED" else "")))
+      match List.assoc_opt path fresh_leaves with
+      | Some fv when Obs.Numdiff.gated path ->
+          let reg = Obs.Numdiff.regressed ~ratio ~floor ~base:bv ~fresh:fv in
+          if reg then incr regressions;
+          Format.printf "%-32s %12.4f %12.4f %9s%s@." path bv fv
+            (if bv = 0. then "-" else Printf.sprintf "%.2fx" (fv /. bv))
+            (if reg then "  REGRESSED" else "")
+      | _ -> ())
     (Obs.Numdiff.leaves (Obs.Ledger.json_of_run base));
   if !flips = 0 && !regressions = 0 then begin
     Format.printf
@@ -1406,9 +1400,9 @@ let diff_runs_cmd =
     (Cmd.info "diff-runs"
        ~doc:
          "Compare two ledger rows: report per-assertion verdict flips and \
-          gate duration leaves with the same ratio+floor machinery as \
-          bench diff (AUTOCC_DIFF_RATIO / AUTOCC_DIFF_FLOOR_S). Exits 1 \
-          on any flip or timing regression.")
+          gate duration leaves by a ratio and an absolute floor \
+          (AUTOCC_DIFF_RATIO / AUTOCC_DIFF_FLOOR_S). Exits 1 on any flip \
+          or timing regression.")
     Term.(const diff_runs $ ledger_dir_arg $ base $ fresh)
 
 let why_cmd =

@@ -79,41 +79,6 @@ let summary ft cex =
     (String.concat "," cex.Bmc.cex_failed)
     (cex.Bmc.cex_depth + 1) culprits
 
-(* {1 JSON schema}
-
-   The one place the shapes of machine-readable stats are defined; the
-   [bench] executable emits through these, so the [BENCH_*.json] files
-   never drift apart. *)
-
-module Json = Obs.Json
-
-let json_of_opt_stats = function
-  | None -> Json.Null
-  | Some (o : Opt.stats) ->
-      Json.Obj
-        [
-          ("nodes_before", Json.Int o.Opt.o_nodes_before);
-          ("nodes_after", Json.Int o.Opt.o_nodes_after);
-          ("coi_dropped", Json.Int o.Opt.o_coi_dropped);
-          ("cse_merged", Json.Int o.Opt.o_cse_merged);
-          ("rewrites", Json.Int o.Opt.o_rewrites);
-          ("opt_time_s", Json.Float o.Opt.o_time);
-        ]
-
-let json_of_bmc_stats (st : Bmc.stats) =
-  Json.Obj
-    [
-      ("depth_reached", Json.Int st.Bmc.depth_reached);
-      ("solve_s", Json.Float st.Bmc.solve_time);
-      ("vars", Json.Int st.Bmc.vars);
-      ("clauses", Json.Int st.Bmc.clauses);
-      ("conflicts", Json.Int st.Bmc.conflicts);
-      ("decisions", Json.Int st.Bmc.decisions);
-      ("propagations", Json.Int st.Bmc.propagations);
-      ("restarts", Json.Int st.Bmc.restarts);
-      ("opt", json_of_opt_stats st.Bmc.opt);
-    ]
-
 let dump_vcd ~path ft cex =
   let module Signal = Rtl.Signal in
   let module Circuit = Rtl.Circuit in

@@ -24,17 +24,6 @@ val pp_first_divergence : Format.formatter -> Ft.t -> Bmc.cex -> unit
     CEX-producing CLI command prints (analyze, prove, stats,
     campaign). *)
 
-(** {1 JSON schema}
-
-    The single definition of the machine-readable stats shapes: the
-    [bench] emitters and the CLI both go through these functions, so
-    [BENCH_*.json] and the CLI's JSON output cannot drift apart. *)
-
-val json_of_opt_stats : Opt.stats option -> Obs.Json.t
-(** [Null] for [None]. *)
-
-val json_of_bmc_stats : Bmc.stats -> Obs.Json.t
-
 val dump_vcd : path:string -> Ft.t -> Bmc.cex -> unit
 (** Write the counterexample as a VCD waveform: the monitor signals
     (spy_mode, transfer_cond, eq_cnt, flush_done), every DUT output in

@@ -1399,15 +1399,13 @@ end
 
 (* {1 Numeric regression diffing}
 
-   The ratio+floor gate shared by `bench diff` and `autocc diff-runs`:
-   flatten a JSON document to dotted-path numeric leaves, gate only the
-   paths whose last segment names a duration (lower-better [*_s]) or a
-   [speedup] (higher-better), and call a fresh value regressed when it
-   is worse by more than a noise ratio AND an absolute floor. *)
+   The ratio+floor gate of `autocc diff-runs`: flatten a JSON document
+   to dotted-path numeric leaves, gate only the paths whose last segment
+   names a duration ([*_s], lower is better), and call a fresh value
+   regressed when it is worse by more than a noise ratio AND an absolute
+   floor. *)
 
 module Numdiff = struct
-  type direction = Lower_better | Higher_better
-
   let leaves j =
     let rec go prefix j acc =
       let child k = if prefix = "" then k else prefix ^ "." ^ k in
@@ -1425,16 +1423,13 @@ module Numdiff = struct
     in
     go "" j []
 
-  let gate path =
+  let gated path =
     let last =
       match String.rindex_opt path '.' with
       | Some i -> String.sub path (i + 1) (String.length path - i - 1)
       | None -> path
     in
-    let n = String.length last in
-    if last = "speedup" then Some Higher_better
-    else if n > 2 && String.sub last (n - 2) 2 = "_s" then Some Lower_better
-    else None
+    String.length last > 2 && String.ends_with ~suffix:"_s" last
 
   let env_float name default =
     match Sys.getenv_opt name with
@@ -1448,13 +1443,8 @@ module Numdiff = struct
   let thresholds () =
     (env_float "AUTOCC_DIFF_RATIO" 1.5, env_float "AUTOCC_DIFF_FLOOR_S" 0.02)
 
-  let regressed direction ~ratio ~floor ~base ~fresh =
-    match direction with
-    | Lower_better -> fresh > (base *. ratio) && fresh -. base > floor
-    | Higher_better ->
-        (* Speedups are dimensionless; the floor guards the absolute
-           drop instead. *)
-        fresh < (base /. ratio) && base -. fresh > floor
+  let regressed ~ratio ~floor ~base ~fresh =
+    fresh > (base *. ratio) && fresh -. base > floor
 end
 
 (* {1 Run ledger}

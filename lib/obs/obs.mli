@@ -7,7 +7,7 @@
       solve — is visible on one timeline;
     - {b metrics} ({!Metrics}): a registry of counters, gauges and
       series (append-only float sequences, used for per-depth timings),
-      snapshotted into reports and [BENCH_*.json];
+      snapshotted into reports and campaign indexes;
     - {b events} ({!Bus}): one typed event per milestone (a depth
       solved, a CEX found, a retry, a job done), appended to a JSONL
       file and, while tracing, marked on the trace timeline.
@@ -16,8 +16,9 @@
     file, metrics off — the default), {!span} is one atomic load and a
     closure call, {!Bus.publish} is two atomic loads, and every
     {!Metrics} recorder is one atomic load; the end-to-end budget is
-    <= 2% on [bench smoke]. With tracing enabled, each span records one
-    heap-allocated event under a mutex at exit.
+    <= 2%. With tracing enabled, each span records one heap-allocated
+    event under a mutex at exit, and [bench gates] bounds the cost of
+    every face on at 1.25x.
 
     {b Clocks.} Timestamps come from [Unix.gettimeofday] rebased to the
     process start (the toolchain has no monotonic clock; an NTP step
@@ -30,8 +31,8 @@
 (** {1 JSON}
 
     A minimal JSON value type with a printer and a parser — shared by
-    the trace exporter, the event bus, [Report]'s schema functions and
-    the [BENCH_*.json] emitters (the toolchain has no JSON
+    the trace exporter, the event bus, the run ledger, the campaign
+    artifacts and the [bench] counter rows (the toolchain has no JSON
     library). *)
 module Json : sig
   type t =
@@ -204,7 +205,7 @@ module Metrics : sig
 
   val json_of_snapshot : unit -> Json.t
   (** The snapshot as one JSON object keyed by metric name — the
-      ["telemetry"] field of [BENCH_*.json]. *)
+      ["telemetry"] field of a channel artifact. *)
 end
 
 (** {1 Event bus}
@@ -460,28 +461,24 @@ end
 
 (** {1 Numeric regression diffing}
 
-    The ratio+floor regression gate shared by [bench diff] and
-    [autocc diff-runs]: JSON documents are flattened to dotted-path
-    numeric leaves and only duration ([*_s], lower-better) and [speedup]
-    (higher-better) paths are gated. *)
+    The ratio+floor regression gate of [autocc diff-runs]: JSON
+    documents are flattened to dotted-path numeric leaves and only
+    duration ([*_s], lower is better) paths are gated. *)
 module Numdiff : sig
-  type direction = Lower_better | Higher_better
-
   val leaves : Json.t -> (string * float) list
-  (** Numeric leaves keyed by dotted path (["o2.stats.solve_s"]), in
+  (** Numeric leaves keyed by dotted path (["asserts.0.wall_s"]), in
       document order. *)
 
-  val gate : string -> direction option
-  (** Gating direction for a path, decided by its last segment: [None]
-      means the leaf is informational only. *)
+  val gated : string -> bool
+  (** Whether a path is gated, decided by its last segment: only a
+      duration ([*_s]) is; every other leaf is informational. *)
 
   val thresholds : unit -> float * float
   (** [(ratio, floor_s)] from [AUTOCC_DIFF_RATIO] (default 1.5) and
       [AUTOCC_DIFF_FLOOR_S] (default 0.02); raises [Failure] on a
       malformed value. *)
 
-  val regressed :
-    direction -> ratio:float -> floor:float -> base:float -> fresh:float -> bool
+  val regressed : ratio:float -> floor:float -> base:float -> fresh:float -> bool
   (** Worse by more than [ratio] AND by more than [floor] — both gates,
       so microsecond leaves don't trip the ratio on scheduler noise. *)
 end

@@ -43,7 +43,7 @@
 
     Workers share the verdict cache ([AUTOCC_CACHE_DIR]) and append to
     the service directory's run ledger and event stream; [autocc top],
-    the Prometheus exposition and the bench diff gate all attach to the
+    the Prometheus exposition and [autocc diff-runs] all attach to the
     service directory unchanged. *)
 
 (** The supervisor state machine, kept pure — every daemon decision is
