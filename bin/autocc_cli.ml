@@ -1461,8 +1461,9 @@ let serve_dir_arg =
     & info [ "dir" ] ~docv:"DIR"
         ~doc:
           "Service directory: serve.sock, the persistent job queue \
-           (queue.json), per-job specs and results, worker logs, \
-           events.jsonl and runs.jsonl all live here.")
+           (the queue.json snapshot and its queue.jsonl journal), per-job \
+           specs and results, worker logs, events.jsonl and runs.jsonl all \
+           live here.")
 
 let serve dir workers lease_s max_crashes shed retries cache_dir no_cache
     metrics_file quiet =

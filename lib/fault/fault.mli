@@ -49,9 +49,11 @@ val reseed : offset:int -> unit
     worker calls [reseed ~offset:attempt] so each delivery attempt rolls
     a fresh (but still deterministic) die.
 
-    Known process-level sites probed by the serve worker:
-    ["serve.worker"] (worker self-[SIGKILL] mid-job) and ["serve.lease"]
-    (a heartbeat lease renewal silently dropped). *)
+    Known process-level sites probed by the serve worker at every
+    depth: ["serve.worker"] (worker self-[SIGKILL] mid-job),
+    ["serve.lease"] (a heartbeat lease renewal silently dropped) and
+    ["serve.stall"] (the worker sleeps 0.2 s after renewing, holding its
+    job without depending on solver speed). *)
 
 val armed : unit -> bool
 

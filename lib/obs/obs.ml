@@ -315,7 +315,10 @@ module Appender = struct
 
   let open_path path =
     {
-      fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644;
+      fd =
+        Unix.openfile path
+          [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT; Unix.O_CLOEXEC ]
+          0o644;
       closed = false;
     }
 
@@ -1357,7 +1360,34 @@ end
 module Tail = struct
   type t = { t_path : string; mutable t_offset : int; t_partial : Buffer.t }
 
-  let create path = { t_path = path; t_offset = 0; t_partial = Buffer.create 256 }
+  (* The byte after the file's last newline, found by reading back from
+     the end: a line still being written is then delivered whole once
+     it completes, not as a fragment. *)
+  let end_offset path =
+    match open_in_bin path with
+    | exception Sys_error _ -> 0
+    | ic ->
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () ->
+            let rec back pos =
+              if pos = 0 then 0
+              else
+                let from = max 0 (pos - 4096) in
+                seek_in ic from;
+                match String.rindex_opt (really_input_string ic (pos - from)) '\n' with
+                | Some i -> from + i + 1
+                | None -> back from
+            in
+            back (in_channel_length ic))
+
+  let create ?(at_end = false) path =
+    {
+      t_path = path;
+      t_offset = (if at_end then end_offset path else 0);
+      t_partial = Buffer.create 256;
+    }
+
   let offset t = t.t_offset
 
   let poll t =

@@ -113,7 +113,9 @@ module Appender : sig
   type t
 
   val open_path : string -> t
-  (** Open (creating if absent) for append-only line emission. *)
+  (** Open (creating if absent) for append-only line emission. The
+      descriptor is close-on-exec: a serve worker that the daemon
+      forks opens its own. *)
 
   val line : t -> string -> unit
   (** Append [s ^ "\n"] in one [write(2)]. [s] must not itself contain
@@ -447,9 +449,12 @@ end
 module Tail : sig
   type t
 
-  val create : string -> t
-  (** [create path] starts a tail at offset 0. The file need not exist
-      yet. *)
+  val create : ?at_end:bool -> string -> t
+  (** [create path] starts a tail at offset 0; with [~at_end:true] it
+      starts after the file's last complete line, so {!poll} returns
+      only lines completed after the call ([autocc top] replays a file
+      from the start, the serve daemon skips the history its beats
+      cannot renew). The file need not exist yet. *)
 
   val poll : t -> string list
   (** Newly completed lines since the last poll (empty lines filtered),

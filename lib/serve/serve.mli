@@ -131,7 +131,9 @@ module Machine : sig
     | Redeliver of { id : string; attempt : int; backoff_s : float }
     | Quarantine of { id : string; crashes : int }
     | Complete of { id : string; verdict : string }
-    | Persist  (** the durable queue state changed *)
+    | Persist of { id : string }
+        (** job [id]'s durable record changed: the daemon appends it to
+            the queue journal *)
     | Exit  (** drain finished; shut down *)
 
   val create : config -> t
@@ -155,26 +157,59 @@ module Machine : sig
   (** ["pending" | "leased" | "done" | "quarantined"]. *)
 end
 
-(** Durable queue state: [<dir>/queue.json], schema [autocc.serve/1],
-    atomically rewritten (tmp + rename). The rendering is byte-stable —
-    fixed field order, integers and strings only, leases persisted as
-    pending (a lease never survives the daemon) — so save∘load is the
-    identity on bytes and a drain/restart cycle can be [cmp]ed. *)
+(** Durable queue state: a snapshot [<dir>/queue.json] (schema
+    [autocc.serve/1]) plus a journal [<dir>/queue.jsonl] of job records
+    appended since the snapshot. A record is one line holding the same
+    object as one element of the snapshot's ["jobs"] array: the job's
+    whole durable state. The rendering is byte-stable — fixed field
+    order, integers and strings only, leases persisted as pending (a
+    lease never survives the daemon) — so save∘load is the identity on
+    bytes and a drain/restart cycle can be [cmp]ed. Nothing is fsynced:
+    the queue survives a killed daemon, not a host crash. *)
 module Store : sig
   val path : string -> string
   (** [dir ^ "/queue.json"]. *)
+
+  val journal_path : string -> string
+  (** [dir ^ "/queue.jsonl"]. *)
 
   val render : Machine.t -> string
   (** The exact bytes {!save} writes (including trailing newline). *)
 
   val save : dir:string -> Machine.t -> unit
-  (** Streams {!render}'s bytes into the tmp file one job at a time
-      through one small reused buffer, then renames it into place: a
-      save never builds the whole queue as one string or JSON tree. *)
+  (** Writes the snapshot: streams {!render}'s bytes into the tmp file
+      one job at a time through one small reused buffer, then renames
+      it into place. Leaves the journal alone. *)
 
   val load : dir:string -> Machine.config -> (Machine.t option, string) result
-  (** [Ok None] when no queue file exists; [Error] on a malformed one
-      (refuse to run rather than silently drop jobs). *)
+  (** The snapshot with the journal replayed over it: the last record
+      for each id wins, a job new to the snapshot joins the queue at its
+      first record, and a record for ["j<n>"] raises the id counter to
+      at least n+1. A torn last journal line (an append cut short) is
+      dropped. [Ok None] when neither file exists; [Error] on a
+      malformed snapshot or any other malformed journal line (refuse to
+      run rather than silently drop jobs). *)
+
+  type journal
+  (** The journal, open for appends. *)
+
+  val open_journal : dir:string -> Machine.t -> journal
+  (** Compact [t] (see {!compact}) and open the journal. *)
+
+  val append : journal -> Machine.t -> string list -> unit
+  (** Append the records of the named jobs as they stand in [t], one
+      line each through {!Obs.Appender}, then {!compact} if the journal
+      holds more lines than [t] holds jobs: a compaction of n jobs
+      follows at least n+1 appends, so the journal stays no longer than
+      the queue and the save cost is O(1) per record amortized. *)
+
+  val compact : journal -> Machine.t -> unit
+  (** {!save} [t], then truncate the journal. Append every changed job
+      first: the journal's last record per job is then what the
+      snapshot holds, so a crash between the save and the truncation
+      leaves records whose replay changes nothing. *)
+
+  val close_journal : journal -> unit
 end
 
 (** The [autocc.serve/1] wire protocol: one JSON request line in, one
@@ -185,7 +220,8 @@ module Proto : sig
 
   type request =
     | Submit of Machine.spec
-        (** answered with the job id once [queue.json] holds the job *)
+        (** answered with the job id once the queue journal holds the
+            job *)
     | Status
     | Wait of string  (** block until the named job is terminal *)
     | Drain  (** same effect as SIGTERM *)
@@ -218,7 +254,7 @@ module Client : sig
 
   val submit : dir:string -> Machine.spec -> (string, string) result
   (** Returns the accepted job id. The daemon sends it only after the
-      job is persisted in [queue.json]. *)
+      job's record is appended to the queue journal. *)
 
   val wait :
     dir:string -> ?timeout_s:float -> string -> (Obs.Json.t, string) result
@@ -243,8 +279,9 @@ module Worker : sig
 
       [attempt] > 0 rotates the fault-injection seed by the attempt
       number, so an injected crash does not replay deterministically on
-      redelivery. Probes the ["serve.worker"] (self-SIGKILL) and
-      ["serve.lease"] (renewal dropped) fault sites at every depth. *)
+      redelivery. Probes the ["serve.worker"] (self-SIGKILL),
+      ["serve.lease"] (renewal dropped) and ["serve.stall"] (0.2 s sleep
+      after the renewal) fault sites at every depth. *)
 end
 
 (** The supervisor loop: owns the socket, the worker pool and the
@@ -274,13 +311,16 @@ module Daemon : sig
       tick. The loop wakes on a worker's exit: a SIGCHLD handler writes
       to a self-pipe in the [select] set, so the job is reaped, recorded
       and answered in the same iteration; the 50 ms [select] timeout is
-      only the idle tick for lease expiry, backoff gates and drain. A
-      [submit] is answered only once [queue.json] holds the job, so a
-      daemon killed after the reply restarts with it and never reissues
-      its id. A heartbeat renews the lease of the job leased to its pid;
-      the tail starts at byte 0, and older beats are ignored because
-      none is newer than the [Spawned] that set the lease. The same
-      pid-stamped stream lets [autocc top] render service jobs like
+      only the idle tick for lease expiry, backoff gates and drain. Each
+      [Persist] marks a job; the loop appends the marked jobs' records
+      to the queue journal once per iteration, and a [submit] is
+      answered only after that append, so a daemon killed after the
+      reply restarts with the job and never reissues its id. The queue
+      is compacted ({!Store.compact}) at start, at drain and whenever
+      the journal outgrows it. A heartbeat renews the lease of the job
+      leased to its pid; the tail starts at the stream's end, since no
+      beat written before the daemon started can renew a lease. The
+      same pid-stamped stream lets [autocc top] render service jobs like
       campaign entries. Refuses to start (exit 1) when a live daemon
       already owns the directory. Exit 0 on a clean drain. *)
 end

@@ -775,6 +775,27 @@ let test_tail_basic_and_truncation () =
   Alcotest.(check (list string))
     "restart after truncation" [ "x"; "y" ] (Obs.Tail.poll tail)
 
+let test_tail_at_end () =
+  let path = Filename.temp_file "test_obs" ".jsonl" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  (* A history ending in a line whose writer is still mid-append, longer
+     than one read-back chunk. *)
+  let live = String.make 5000 'x' in
+  write_file path (String.concat "" (List.init 2000 (fun i -> Printf.sprintf "old%d\n" i)));
+  append_file path live;
+  let tail = Obs.Tail.create ~at_end:true path in
+  Alcotest.(check (list string)) "no history" [] (Obs.Tail.poll tail);
+  append_file path "-beat\nnew\n";
+  Alcotest.(check (list string))
+    "only lines completed afterwards, the torn one whole" [ live ^ "-beat"; "new" ]
+    (Obs.Tail.poll tail);
+  Sys.remove path;
+  let tail = Obs.Tail.create ~at_end:true path in
+  Alcotest.(check int) "absent file starts at 0" 0 (Obs.Tail.offset tail);
+  append_file path "first\n";
+  Alcotest.(check (list string)) "then follows it" [ "first" ] (Obs.Tail.poll tail)
+
 let test_tail_seq_restart_mid_tail () =
   with_clean_obs @@ fun () ->
   let path = Filename.temp_file "test_obs" ".events.jsonl" in
@@ -1248,6 +1269,8 @@ let () =
         [
           Alcotest.test_case "torn lines and truncation restart" `Quick
             test_tail_basic_and_truncation;
+          Alcotest.test_case "started at the end: later lines only" `Quick
+            test_tail_at_end;
           Alcotest.test_case "seq restart mid-tail" `Quick
             test_tail_seq_restart_mid_tail;
         ] );

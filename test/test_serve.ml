@@ -2,8 +2,8 @@
    state machine as a pure fold (submit -> lease -> heartbeat -> crash ->
    redeliver -> quarantine -> drain), randomized crash storms against the
    no-lost-job / no-double-completion / verdict-immutability invariants,
-   the byte-stable queue codec, the wire-protocol codec, and the
-   O_APPEND single-write line appender under two racing writer
+   the byte-stable queue codec and its journal, the wire-protocol codec,
+   and the O_APPEND single-write line appender under two racing writer
    processes. The live daemon (sockets, fork/exec, SIGKILL) is covered
    end-to-end by the @serve-smoke validator. *)
 
@@ -41,6 +41,37 @@ let state_of m id =
   match M.find m id with
   | Some j -> M.state_name j
   | None -> Alcotest.failf "job %s lost" id
+
+let temp_dir prefix =
+  let dir = Filename.temp_file prefix "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  dir
+
+let remove_dir dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir
+
+(* Journal every [Persist {id}] of [acts] as the daemon does: that job's
+   record as it stands in [m]. *)
+let journal jr m acts =
+  List.iter
+    (function M.Persist { id } -> Serve.Store.append jr m [ id ] | _ -> ())
+    acts
+
+(* [Store.load] must rebuild [m] byte for byte, id counter included. *)
+let load_matches ~dir c m =
+  match Serve.Store.load ~dir c with
+  | Ok (Some m') ->
+      if Serve.Store.render m' <> Serve.Store.render m then
+        Error
+          (Printf.sprintf "replay rendered\n%s\nwant\n%s" (Serve.Store.render m')
+             (Serve.Store.render m))
+      else if m'.M.m_next <> m.M.m_next then
+        Error (Printf.sprintf "replay m_next %d, want %d" m'.M.m_next m.M.m_next)
+      else Ok ()
+  | Ok None -> Error "no queue to load"
+  | Error e -> Error e
 
 (* {1 The pure lifecycle} *)
 
@@ -106,7 +137,7 @@ let test_crash_redelivers_with_backoff () =
   let m, acts = M.step m (M.Exited { id = "j1"; pid = 7; result = None; now = 10. }) in
   let expected = Retry.backoff_s c.M.c_retry ~attempt:1 in
   (match acts with
-  | [ M.Redeliver { id = "j1"; attempt = 1; backoff_s }; M.Persist ] ->
+  | [ M.Redeliver { id = "j1"; attempt = 1; backoff_s }; M.Persist { id = "j1" } ] ->
       Alcotest.(check (float 1e-9)) "backoff follows the Retry schedule"
         expected backoff_s
   | _ -> Alcotest.fail "expected Redeliver + Persist");
@@ -236,7 +267,7 @@ let test_tick_over_long_history () =
   let acts = tick m in
   (match acts with
   | [ M.Kill { id = "j1"; pid = 77 }; M.Redeliver { id = "j1"; attempt = 1; _ };
-      M.Persist; M.Start { id = "j2"; attempt = 0; _ } ] -> ()
+      M.Persist { id = "j1" }; M.Start { id = "j2"; attempt = 0; _ } ] -> ()
   | _ -> Alcotest.fail "expected Kill, Redeliver, Persist, then Start j2");
   let history =
     List.init 2000 (fun i ->
@@ -250,7 +281,9 @@ let test_tick_over_long_history () =
 
    Random event streams — including nonsense the daemon would never
    emit (beats for unknown jobs, exits with wrong pids, double exits) —
-   against the supervisor's safety contract. *)
+   against the supervisor's safety contract. Each stream is also
+   journaled, with compactions at random points, and must replay to its
+   final machine. *)
 
 type fuzz_op = FSubmit | FSpawn | FBeat | FExitOk | FExitCrash | FTick | FDrain
 
@@ -275,6 +308,9 @@ let test_fuzz_invariants =
          let m = ref (M.create c) in
          let now = ref 0. in
          let rng = Random.State.make [| List.length ops; 42 |] in
+         let dir = temp_dir "serve_fuzz" in
+         Fun.protect ~finally:(fun () -> remove_dir dir) @@ fun () ->
+         let jr = Serve.Store.open_journal ~dir !m in
          let pick_id () =
            match !m.M.m_jobs with
            | [] -> "j0"
@@ -308,6 +344,8 @@ let test_fuzz_invariants =
              let n_before = List.length !m.M.m_jobs in
              let m', acts = M.step !m ev in
              m := m';
+             journal jr m' acts;
+             if Random.State.int rng 16 = 0 then Serve.Store.compact jr m';
              (* Jobs are never lost (and ids stay unique). *)
              let n_after = List.length m'.M.m_jobs in
              if n_after < n_before then QCheck.Test.fail_report "job list shrank";
@@ -352,7 +390,10 @@ let test_fuzz_invariants =
              if M.live m' > c.M.c_shed then
                QCheck.Test.fail_report "shed watermark breached")
            ops;
-         true))
+         Serve.Store.close_journal jr;
+         match load_matches ~dir c !m with
+         | Ok () -> true
+         | Error e -> QCheck.Test.fail_report e))
 
 (* {1 The byte-stable queue codec} *)
 
@@ -449,6 +490,118 @@ let test_store_roundtrip_bytes () =
   | Ok _ -> Alcotest.fail "a malformed queue must refuse to load");
   Sys.remove (Serve.Store.path dir);
   Unix.rmdir dir
+
+(* {1 The queue journal} *)
+
+(* A job's journal record, written by hand: the same object as its
+   element of the snapshot's "jobs" array. *)
+let record m id =
+  match Obs.Json.parse (Serve.Store.render m) with
+  | Ok doc -> (
+      match Obs.Json.member "jobs" doc with
+      | Some (Obs.Json.List l) ->
+          Obs.Json.to_string (List.find (fun j -> Obs.Json.str "id" j = Some id) l)
+      | _ -> Alcotest.fail "snapshot without jobs")
+  | Error e -> Alcotest.fail e
+
+let write_journal dir text =
+  Out_channel.with_open_bin (Serve.Store.journal_path dir) (fun oc ->
+      output_string oc text)
+
+let test_journal_replay () =
+  let dir = temp_dir "serve_journal" in
+  Fun.protect ~finally:(fun () -> remove_dir dir) @@ fun () ->
+  let c = cfg () in
+  (* j1 done, j2 crashed once, j3 pending: five records, oldest first,
+     and no snapshot. *)
+  let m, lines =
+    List.fold_left
+      (fun (m, lines) ev ->
+        let m, acts = M.step m ev in
+        ( m,
+          lines
+          @ List.filter_map
+              (function M.Persist { id } -> Some (record m id) | _ -> None)
+              acts ))
+      (M.create c, [])
+      [ M.Submit (spec ()); M.Submit (spec ~dut:"divider" ());
+        M.Submit (spec ~dut:"maple" ()); M.Tick { now = 1. };
+        M.Spawned { id = "j1"; pid = 5; now = 1. };
+        M.Spawned { id = "j2"; pid = 6; now = 1. };
+        M.Exited { id = "j1"; pid = 5; result = Some (result ()); now = 2. };
+        M.Exited { id = "j2"; pid = 6; result = None; now = 2. } ]
+  in
+  Alcotest.(check int) "five records" 5 (List.length lines);
+  let text = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+  let loads what =
+    match load_matches ~dir c m with Ok () -> () | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  write_journal dir text;
+  loads "a journal without a snapshot";
+  (* An append cut short by a kill: never acknowledged, so dropped. *)
+  let j4 = record (fst (M.step m (M.Submit (spec ~dut:"aes" ())))) "j4" in
+  write_journal dir (text ^ String.sub j4 0 20);
+  loads "a torn last line";
+  (* The same bytes one line earlier are a malformed record. *)
+  write_journal dir (String.sub j4 0 20 ^ "\n" ^ text);
+  (match Serve.Store.load ~dir c with
+  | Error e ->
+      Alcotest.(check bool) ("the error names the line: " ^ e) true
+        (String.starts_with ~prefix:"queue.jsonl line 1:" e)
+  | Ok _ -> Alcotest.fail "a malformed earlier line must refuse to load");
+  (* A crash between a compaction's rename and its truncation leaves
+     records the snapshot already holds. *)
+  Serve.Store.save ~dir m;
+  write_journal dir text;
+  loads "a journal the snapshot covers";
+  (* The last record wins over the snapshot, and a record's id raises
+     the id counter. *)
+  Serve.Store.save ~dir (M.create c);
+  loads "a journal over an older snapshot"
+
+let test_journal_bounded () =
+  let dir = temp_dir "serve_journal" in
+  Fun.protect ~finally:(fun () -> remove_dir dir) @@ fun () ->
+  let c = cfg ~workers:1 ~shed:1000 () in
+  let m = ref (M.create c) in
+  let jr = Serve.Store.open_journal ~dir !m in
+  let now = ref 0. in
+  let most = ref 0 in
+  let step ev =
+    let m', acts = M.step !m ev in
+    m := m';
+    List.iter
+      (function
+        | M.Persist { id } ->
+            Serve.Store.append jr m' [ id ];
+            let text =
+              In_channel.with_open_bin (Serve.Store.journal_path dir) In_channel.input_all
+            in
+            let lines = List.length (String.split_on_char '\n' text) - 1 in
+            most := max !most lines;
+            if lines > List.length m'.M.m_jobs + 1 then
+              Alcotest.failf "%d journal lines for %d jobs" lines
+                (List.length m'.M.m_jobs)
+        | _ -> ())
+      acts
+  in
+  (* 300 jobs, each accepted, crashed once and completed: three records
+     per job. Every tick is past any redelivery backoff. *)
+  for i = 1 to 300 do
+    let id = Printf.sprintf "j%d" i in
+    step (M.Submit (spec ()));
+    List.iter
+      (fun result ->
+        now := !now +. 100.;
+        step (M.Tick { now = !now });
+        step (M.Spawned { id; pid = i; now = !now });
+        step (M.Exited { id; pid = i; result; now = !now }))
+      [ None; Some (result ()) ]
+  done;
+  Alcotest.(check bool) "compaction waits until the journal outgrows the queue" true
+    (!most > 100);
+  Serve.Store.close_journal jr;
+  match load_matches ~dir c !m with Ok () -> () | Error e -> Alcotest.fail e
 
 (* {1 The wire protocol codec} *)
 
@@ -574,7 +727,11 @@ let () =
       ("fuzz", [ test_fuzz_invariants ]);
       ( "store",
         [ Alcotest.test_case "byte-stable round trip" `Quick
-            test_store_roundtrip_bytes ] );
+            test_store_roundtrip_bytes;
+          Alcotest.test_case "journal replay: torn, malformed, no snapshot" `Quick
+            test_journal_replay;
+          Alcotest.test_case "journal no longer than the queue" `Quick
+            test_journal_bounded ] );
       ( "proto",
         [ Alcotest.test_case "request codec round trip" `Quick
             test_proto_roundtrip ] );

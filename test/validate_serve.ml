@@ -17,12 +17,14 @@
       in the service ledger;
    E. a SIGTERMed `autocc campaign` checkpoints, exits cleanly, and
       `--resume` finishes it byte-stably;
-   F. a job that outlives its short lease several times over finishes
-      without a crash (its heartbeat events in events.jsonl renew the
-      lease), the same job with every renewal dropped is quarantined as
-      unknown:worker_crashed, and neither run leaves an hb/ directory;
+   F. a job that the "serve.stall" fault site holds for several times
+      its short lease finishes without a crash (its heartbeat events in
+      events.jsonl renew the lease), the same job with every renewal
+      dropped is quarantined as unknown:worker_crashed, and neither run
+      leaves an hb/ directory;
    G. a daemon SIGKILLed as soon as it acknowledges a submit restarts
-      with the job in its queue and never reissues the job's id.
+      with the job in its queue journal and never reissues the job's
+      id.
 
    Usage: validate_serve <path-to-autocc-cli-exe> *)
 
@@ -401,22 +403,21 @@ let phase_e () =
 
 (* {1 Phase F: leases renewed through events.jsonl}
 
-   AES bounded to depth 160: the worker publishes a Heartbeat before
-   each of its 161 depths, and no depth is slow. Measured on a 2-vCPU
-   host at depth 120, the solve took 2.0-2.6 s idle and 2.6-2.7 s inside
-   a full `dune runtest` (5-6.7 leases of 0.4 s), and the widest gap
-   between two heartbeats was 0.054-0.069 s idle, under a sixth of the
-   lease. In a faster phase of the same host depth 120 took only
-   1.05-1.07 s, under the 3 leases this phase needs, while depth 160
-   took 1.72-1.74 s with a widest gap of 0.031 s. So the slow phase,
-   twice as loaded, still leaves every gap under half of the lease, and
-   the fast phase leaves the job over 4 leases long. *)
+   AES bounded to depth 12 under the "serve.stall" fault site at rate 1:
+   before each of its 13 depths the worker publishes a Heartbeat and
+   then sleeps 0.2 s, half of the 0.4 s lease. So the job lasts at least
+   2.6 s (6.5 leases) however fast the solver runs, and the gap between
+   two beats is one stall plus one shallow depth's solve. With
+   "serve.lease" armed as well every renewal is dropped, and the stalls
+   keep the starved job past its first lease. *)
 
 let lease_s = 0.4
 
 let lease_job =
-  { Serve.Machine.sp_dut = "aes"; sp_engine = "check"; sp_depth = 160;
+  { Serve.Machine.sp_dut = "aes"; sp_engine = "check"; sp_depth = 12;
     sp_threshold = threshold }
+
+let fault sites = [ "AUTOCC_FAULT=seed=1,rate=1,sites=" ^ sites ]
 
 (* A fresh directory, one worker, the short lease; returns the job row. *)
 let run_lease_job ?env dir args =
@@ -447,7 +448,7 @@ let phase_f () =
   phase "F: leases renewed by heartbeat events in events.jsonl";
   let str k j = Option.value ~default:"" (J.str k j)
   and int k j = Option.value ~default:(-1) (J.int k j) in
-  (match run_lease_job "sserve_f" [] with
+  (match run_lease_job ~env:(fault "serve.stall") "sserve_f" [] with
   | None -> ()
   | Some job ->
       let wall_s = float_of_int (int "wall_ms" job) /. 1000. in
@@ -463,9 +464,8 @@ let phase_f () =
         infof "%.2fs job (%.1f leases of %.1fs) finished with 0 crashes" wall_s
           (wall_s /. lease_s) lease_s);
   match
-    run_lease_job
-      ~env:[ "AUTOCC_FAULT=seed=1,rate=1,sites=serve.lease" ]
-      "sserve_f_starved" [ "--max-crashes"; "1" ]
+    run_lease_job ~env:(fault "serve.stall;serve.lease") "sserve_f_starved"
+      [ "--max-crashes"; "1" ]
   with
   | None -> ()
   | Some job ->
@@ -474,11 +474,12 @@ let phase_f () =
           (str "verdict" job) Serve.Machine.crashed_verdict
       else infof "with every renewal dropped the job ended %s" (str "verdict" job)
 
-(* {1 Phase G: an acknowledged submit is already in queue.json}
+(* {1 Phase G: an acknowledged submit is already in the queue journal}
 
    Each trial SIGKILLs a queue-only daemon the moment its accept reply
-   arrives: a daemon that replied before saving would restart without
-   the job and hand its id to the next submission. The kill is reaped
+   arrives: a daemon that replied before appending the job's record
+   would restart without the job and hand its id to the next
+   submission. The kill is reaped
    before the restart: a zombie still answers kill 0, and the restart
    would refuse to run beside it. *)
 
@@ -520,7 +521,7 @@ let phase_g () =
         | Ok (Some m) when Serve.Machine.find m id <> None -> ()
         | Ok _ ->
             incr lost;
-            failf "trial %d: acknowledged %s is missing from queue.json" trial id
+            failf "trial %d: acknowledged %s is missing from the reloaded queue" trial id
         | Error e -> failf "trial %d: %s" trial e)
       id
   done;
@@ -536,7 +537,7 @@ let phase_g () =
           if Serve.Machine.find m id = None then
             failf "%s is missing from the drained queue" id)
         !acked
-  | Ok None -> failf "no queue.json after the drain"
+  | Ok None -> failf "no queue after the drain"
   | Error e -> failf "%s" e);
   infof "%d acknowledged job(s) lost in %d SIGKILL trials; %d distinct ids"
     !lost ack_trials
