@@ -69,9 +69,6 @@ let unknown_reason_to_string = function
         ub_depth (case_to_string ub_case)
   | Faulted site -> "fault:" ^ site
 
-let pp_unknown_reason fmt r =
-  Format.pp_print_string fmt (unknown_reason_to_string r)
-
 type outcome =
   | Cex of cex * stats
   | Bounded_proof of stats
@@ -80,7 +77,8 @@ type outcome =
 exception Replay_mismatch of string
 
 (* Relative budget -> absolute solver budget: the deadline is pinned to
-   the wall clock at engine entry, so retries get a fresh allowance. *)
+   the wall clock when this is called, so retries get a fresh
+   allowance. *)
 let solver_budget b =
   match (b.bud_wall_s, b.bud_conflicts, b.bud_learnts) with
   | None, None, None -> S.no_budget
@@ -94,9 +92,9 @@ let solver_budget b =
       }
 
 (* The solver's stop hook carries only the [sat.stop] fault probe: an
-   armed site raises {!Fault.Injected} from the solver's propagation
-   loop (and from the between-depth polls), which the engine downgrades
-   to [Unknown (Faulted _)]. Nothing else stops a search. *)
+   armed site raises from the solver's propagation loop (and from the
+   between-depth polls), which the engine downgrades to
+   [Unknown (Faulted _)]. Nothing else stops a search. *)
 let fault_stop () =
   Fault.point "sat.stop";
   false
@@ -172,6 +170,15 @@ let prop_output_names property =
   List.mapi (fun i _ -> Printf.sprintf "__bmc_assume_%d" i) property.assumes
   @ List.map (fun (n, _) -> "__bmc_assert_" ^ n) property.asserts
 
+(* The optimized front end of an engine call. *)
+type front = {
+  f_circuit : Circuit.t;  (** what is blasted *)
+  f_prop : property;  (** the property re-rooted into [f_circuit] *)
+  f_widen : (string * Bitvec.t) list array -> (string * Bitvec.t) list array;
+  f_stats : Opt.stats option;
+  f_sym : (Signal.t * Signal.t) list;
+}
+
 (* Optimize the instrumented circuit around the property cone. Returns
    the circuit to blast, the property re-rooted into it, and a widening
    function taking a CEX input trace of the slim circuit back to a full
@@ -191,18 +198,13 @@ let map_sym o sym =
       | exception Not_found -> None)
     sym
 
-let optimize_instrumented ~opt ?(sym = []) full property =
+let optimize_instrumented ~opt ~sym full property =
   match opt with
-  | Opt.O0 -> (full, property, (fun inputs -> inputs), None, sym)
+  | Opt.O0 ->
+      { f_circuit = full; f_prop = property; f_widen = Fun.id; f_stats = None; f_sym = sym }
   | Opt.O2 ->
       let o =
         Opt.optimize ~level:opt ~keep_outputs:(prop_output_names property) full
-      in
-      let property' =
-        {
-          assumes = List.map o.Opt.opt_map property.assumes;
-          asserts = List.map (fun (n, a) -> (n, o.Opt.opt_map a)) property.asserts;
-        }
       in
       let widen inputs =
         Array.map
@@ -216,7 +218,17 @@ let optimize_instrumented ~opt ?(sym = []) full property =
               (Circuit.inputs full))
           inputs
       in
-      (o.Opt.opt_circuit, property', widen, Some o.Opt.opt_stats, map_sym o sym)
+      {
+        f_circuit = o.Opt.opt_circuit;
+        f_prop =
+          {
+            assumes = List.map o.Opt.opt_map property.assumes;
+            asserts = List.map (fun (n, a) -> (n, o.Opt.opt_map a)) property.asserts;
+          };
+        f_widen = widen;
+        f_stats = Some o.Opt.opt_stats;
+        f_sym = map_sym o sym;
+      }
 
 (* Instrument + optimize once, outside any engine: callers that run the
    same circuit/property through several engines (benchmarks comparing
@@ -224,11 +236,8 @@ let optimize_instrumented ~opt ?(sym = []) full property =
    circuit with [~opt:O0]. *)
 let preoptimize ?(opt = Opt.O2) ?(sym = []) circuit property =
   check_property "Bmc.preoptimize" property;
-  let full = instrument circuit property in
-  let circuit', property', _, stats, sym' =
-    optimize_instrumented ~opt ~sym full property
-  in
-  (circuit', property', sym', stats)
+  let f = optimize_instrumented ~opt ~sym (instrument circuit property) property in
+  (f.f_circuit, f.f_prop, f.f_sym, f.f_stats)
 
 (* {1 Telemetry}
 
@@ -245,14 +254,13 @@ let m_depth_seconds = lazy (Obs.Metrics.series "bmc.depth_seconds")
 
 (* Emit solver-progress counter tracks while tracing, feed the solver
    health watchdog, and publish progress/stall events on the bus. The
-   hook runs inside the solve. A stalled query with
-   [p_rebudget] set trips the solver budget: the query surfaces as
-   [Out_of_budget Wall_clock] -> [Unknown (Budget_exhausted ...)], which
-   the retry schedule already treats as transient — the "rebudget early"
-   hint without [lib/sat] ever depending on [lib/obs]. Because rebudget
-   can change the verdict, the hook is installed whenever it is set, not
-   only when telemetry is on: turning telemetry on must not change a
-   verdict. *)
+   hook runs inside the solve. A stalled query with [p_rebudget] set
+   trips the solver budget: the query aborts on its wall-clock budget
+   and ends [Unknown (Budget_exhausted ...)], which the retry schedule
+   already treats as transient — the "rebudget early" hint without
+   [lib/sat] ever depending on [lib/obs]. Because rebudget can change
+   the verdict, the hook is installed whenever it is set, not only when
+   telemetry is on: turning telemetry on must not change a verdict. *)
 let attach_sampling label solver =
   let policy = Obs.Watchdog.policy () in
   if Obs.enabled () || policy.Obs.Watchdog.p_rebudget then begin
@@ -285,20 +293,16 @@ let attach_sampling label solver =
         end)
   end
 
-(* Fold a run's final solver counters into the metric registry; each
-   engine entry point calls this exactly once, on any exit path. *)
-let flush_solver_metrics solvers =
-  if Obs.Metrics.enabled () then
-    List.iter
-      (fun solver ->
-        let st = S.stats solver in
-        Obs.Metrics.add (Lazy.force m_sat_conflicts) st.S.s_conflicts;
-        Obs.Metrics.add (Lazy.force m_sat_decisions) st.S.s_decisions;
-        Obs.Metrics.add (Lazy.force m_sat_propagations) st.S.s_propagations;
-        Obs.Metrics.add (Lazy.force m_sat_restarts) st.S.s_restarts;
-        Obs.Metrics.add (Lazy.force m_sat_reduces) st.S.s_reduces;
-        Obs.Metrics.add (Lazy.force m_sat_learned) st.S.s_learned_total)
-      solvers
+(* Fold solver counters into the metric registry. *)
+let flush_solver_metrics st =
+  if Obs.Metrics.enabled () then begin
+    Obs.Metrics.add (Lazy.force m_sat_conflicts) st.S.s_conflicts;
+    Obs.Metrics.add (Lazy.force m_sat_decisions) st.S.s_decisions;
+    Obs.Metrics.add (Lazy.force m_sat_propagations) st.S.s_propagations;
+    Obs.Metrics.add (Lazy.force m_sat_restarts) st.S.s_restarts;
+    Obs.Metrics.add (Lazy.force m_sat_reduces) st.S.s_reduces;
+    Obs.Metrics.add (Lazy.force m_sat_learned) st.S.s_learned_total
+  end
 
 (* How one depth ended, published once: [Cex_found], or [Depth_solved]
    with the wall seconds since [t0]. With [series] (the default) the
@@ -311,133 +315,294 @@ let depth_closed ?(series = true) ~t0 depth ~cex =
     (if cex then Obs.Bus.Cex_found { depth }
      else Obs.Bus.Depth_solved { depth; seconds })
 
-(* The incremental engine: ONE solver instance lives for the whole run.
-   Each depth adds only the new transition frame (a [Template]
-   instantiation) and selects the per-depth property via an activation
-   literal: clauses [¬act_k ∨ …] are inert until
-   [solve ~assumptions:[act_k]], and a depth moving on retires [act_k]
-   with a unit clause. Learnt clauses and variable activity therefore
-   survive across depths — the amortization the whole refactor is
-   for. *)
-let check_incremental ~max_depth ~progress ?solver_config ~opt ~budget
-    ~sym circuit property =
-  check_property "Bmc.check" property;
-  let full = instrument circuit property in
-  let solve_time = ref 0. in
-  let cur_depth = ref 0 in
-  (* Filled in as the run sets up, so that abort paths (budget, fault)
-     can report honest statistics even when the failure precedes solver
-     creation (e.g. a fault inside an opt pass). *)
-  let solver_ref = ref None in
-  let opt_ref = ref None in
-  let stats depth =
-    match !solver_ref with
-    | None ->
-        {
-          depth_reached = depth;
-          solve_time = !solve_time;
-          vars = 0;
-          clauses = 0;
-          conflicts = 0;
-          decisions = 0;
-          propagations = 0;
-          restarts = 0;
-          opt = !opt_ref;
-        }
-    | Some solver ->
-        flush_solver_metrics [ solver ];
-        let st = S.stats solver in
-        {
-          depth_reached = depth;
-          solve_time = !solve_time;
-          vars = st.S.s_vars;
-          clauses = st.S.s_clauses;
-          conflicts = st.S.s_conflicts;
-          decisions = st.S.s_decisions;
-          propagations = st.S.s_propagations;
-          restarts = st.S.s_restarts;
-          opt = !opt_ref;
-        }
+(* {1 The session}
+
+   Every engine asks its questions through one protocol. A session is
+   one solver and one blaster over the optimized instrumented circuit;
+   a query asks whether some assertion of a list fails, one depth at a
+   time, in five steps:
+   - frame: unroll to the depth, the assumptions holding on every new
+     cycle;
+   - guard: a fresh activation literal [act] and the one guarded clause
+     [¬act ∨ ¬a_1 ∨ … ∨ ¬a_n] over the queried assertions at the depth;
+   - solve: the one timed solver call, assuming [act] alone;
+   - retire: the unit [¬act], and once the search moves past the
+     depth, the queried assertions as unit facts there, for every later
+     query (proved by the Unsat answer in a reset-rooted session, the
+     induction hypothesis in [prove]'s step session);
+   - cex: the model of a Sat answer, widened to the unoptimized circuit
+     and replayed on the simulator.
+   [check] asks one query over every assertion, [check_each] one query
+   per assertion on a shared session, and [prove] asks at each depth on
+   a reset-rooted base session and a [free_init] step session. Learnt
+   clauses and variable activity survive across depths and queries. The
+   scratch oracles open a fresh [Direct] session at every depth and
+   unroll it from cycle 0, then guard, solve and read back through the
+   same steps. *)
+
+type session = {
+  solver : S.t;
+  blaster : Cnf.Blast.t;
+  sprop : property;  (** the property re-rooted into the blasted circuit *)
+  widen : (string * Bitvec.t) list array -> (string * Bitvec.t) list array;
+}
+
+(* One engine call: its configuration, its front end (optimized on
+   first use), and what it is charged. [live] are the solvers still
+   answering; [spent] the counters of the solvers retired so far, with
+   the sizes of the last batch retired; [mark] the counters charged
+   before the current query began. [depth] and [case] are where the
+   call stands when a budget or a fault ends it. *)
+type run = {
+  solver_config : S.config option;
+  full : Circuit.t;  (** the instrumented circuit CEXs replay on *)
+  prop : property;
+  level : Opt.level;
+  sym : (Signal.t * Signal.t) list;
+  mutable front : front option;
+  mutable live : S.t list;
+  mutable spent : S.stats;
+  mutable mark : S.stats;
+  mutable solve_time : float;
+  mutable depth : int;
+  mutable case : case;
+}
+
+let zero =
+  {
+    S.s_vars = 0;
+    s_clauses = 0;
+    s_learnts = 0;
+    s_conflicts = 0;
+    s_decisions = 0;
+    s_propagations = 0;
+    s_restarts = 0;
+    s_reduces = 0;
+    s_learned_total = 0;
+    s_interrupt = None;
+  }
+
+let combine f a b =
+  {
+    S.s_vars = f a.S.s_vars b.S.s_vars;
+    s_clauses = f a.S.s_clauses b.S.s_clauses;
+    s_learnts = f a.S.s_learnts b.S.s_learnts;
+    s_conflicts = f a.S.s_conflicts b.S.s_conflicts;
+    s_decisions = f a.S.s_decisions b.S.s_decisions;
+    s_propagations = f a.S.s_propagations b.S.s_propagations;
+    s_restarts = f a.S.s_restarts b.S.s_restarts;
+    s_reduces = f a.S.s_reduces b.S.s_reduces;
+    s_learned_total = f a.S.s_learned_total b.S.s_learned_total;
+    s_interrupt = None;
+  }
+
+let live_stats r =
+  List.fold_left (fun acc s -> combine ( + ) acc (S.stats s)) zero r.live
+
+(* Retire the live solvers: their counters join [spent] and the metric
+   registry, and their sizes are the ones reported until another solver
+   goes live. *)
+let retire_live r =
+  if r.live <> [] then begin
+    let l = live_stats r in
+    flush_solver_metrics l;
+    r.spent <-
+      { (combine ( + ) r.spent l) with S.s_vars = l.S.s_vars; s_clauses = l.S.s_clauses };
+    r.live <- []
+  end
+
+(* The current query's statistics: sizes of the instance it runs on,
+   counters charged since its [mark]. *)
+let stats r depth =
+  let l = live_stats r in
+  let size = if r.live = [] then r.spent else l in
+  let c = combine ( - ) (combine ( + ) r.spent l) r.mark in
+  {
+    depth_reached = depth;
+    solve_time = r.solve_time;
+    vars = size.S.s_vars;
+    clauses = size.S.s_clauses;
+    conflicts = c.S.s_conflicts;
+    decisions = c.S.s_decisions;
+    propagations = c.S.s_propagations;
+    restarts = c.S.s_restarts;
+    opt = Option.bind r.front (fun f -> f.f_stats);
+  }
+
+(* Run [f] as one engine call. The solvers it leaves live are retired
+   on every exit, so each solver's counters reach the metric registry
+   exactly once. *)
+let with_run ?solver_config ~opt ~sym full prop f =
+  let r =
+    {
+      solver_config;
+      full;
+      prop;
+      level = opt;
+      sym;
+      front = None;
+      live = [];
+      spent = zero;
+      mark = zero;
+      solve_time = 0.;
+      depth = 0;
+      case = Base;
+    }
   in
-  let run () =
-  let solver = S.create ?config:solver_config ~stop:fault_stop () in
-  S.set_budget solver (solver_budget budget);
-  solver_ref := Some solver;
-  attach_sampling "check" solver;
-  let circuit, sprop, widen, opt_stats, sym =
-    optimize_instrumented ~opt ~sym full property
-  in
-  opt_ref := opt_stats;
-  let blaster =
-    Cnf.Blast.create ~mode:Cnf.Blast.Template ~sym solver circuit
-  in
-  let timed_solve ~depth ~assumptions () =
-    Obs.span "sat.solve" ~attrs:[ ("depth", Obs.Json.Int depth) ] @@ fun () ->
+  Fun.protect ~finally:(fun () -> retire_live r) (fun () -> f r)
+
+(* A fault inside the optimizer leaves nothing behind: the next use runs
+   it again. *)
+let front r =
+  match r.front with
+  | Some f -> f
+  | None ->
+      let f = optimize_instrumented ~opt:r.level ~sym:r.sym r.full r.prop in
+      r.front <- Some f;
+      f
+
+(* A session on a fresh solver. The solver is charged to [r] before the
+   front end is optimized, so that a fault in the optimizer still
+   reports it. The caller installs the budget. *)
+let open_session r ?(mode = Cnf.Blast.Template) ?free_init label =
+  let solver = S.create ?config:r.solver_config ~stop:fault_stop () in
+  attach_sampling label solver;
+  r.live <- solver :: r.live;
+  let f = front r in
+  {
+    solver;
+    blaster = Cnf.Blast.create ?free_init ~mode ~sym:f.f_sym solver f.f_circuit;
+    sprop = f.f_prop;
+    widen = f.f_widen;
+  }
+
+let hold s cycle signals =
+  List.iter
+    (fun a -> S.add_clause s.solver [ Cnf.Blast.lit1 s.blaster ~cycle a ])
+    signals
+
+let unroll s =
+  let cycle = Cnf.Blast.cycles s.blaster in
+  Cnf.Blast.unroll_cycle s.blaster;
+  hold s cycle s.sprop.assumes
+
+(* Frame: cycles an earlier query unrolled are reused as they are. *)
+let frame s depth =
+  while Cnf.Blast.cycles s.blaster <= depth do
+    Fault.point "bmc.alloc";
+    unroll s
+  done
+
+(* Guard: assumed, [act] asks for some queried assertion to fail at
+   [depth]. *)
+let guard s depth query =
+  let act = S.new_act s.solver in
+  S.add_clause_act s.solver ~act
+    (List.map (fun (_, a) -> S.neg (Cnf.Blast.lit1 s.blaster ~cycle:depth a)) query);
+  act
+
+(* Solve: under [prove] the call runs inside its case's span, and the
+   case is what a budget abort reports. *)
+let solve r s ?case depth act =
+  let d = ("depth", Obs.Json.Int depth) in
+  let call attrs () =
+    Obs.span "sat.solve" ~attrs @@ fun () ->
     let t0 = Unix.gettimeofday () in
-    let r = S.solve ~assumptions solver in
-    solve_time := !solve_time +. (Unix.gettimeofday () -. t0);
-    r
+    let res = S.solve ~assumptions:[ act ] s.solver in
+    r.solve_time <- r.solve_time +. (Unix.gettimeofday () -. t0);
+    res
   in
+  match case with
+  | None -> call [ d ] ()
+  | Some c ->
+      r.case <- c;
+      let name = case_to_string c in
+      Obs.span ("bmc." ^ name) ~attrs:[ d ] (call [ ("case", Obs.Json.Str name); d ])
+
+(* Retire: [facts] are the queried assertions that hold at [depth] for
+   every later query. *)
+let retire s depth act facts =
+  S.retire s.solver act;
+  hold s depth (List.map snd facts)
+
+(* Cex: replayed against [prop], the queried assertions as the caller
+   wrote them. *)
+let cex r s depth prop =
+  let inputs =
+    s.widen
+      (Array.init (depth + 1) (fun cycle ->
+           List.map
+             (fun p ->
+               let n = p.Circuit.port_name in
+               (n, Cnf.Blast.input_value s.blaster ~cycle n))
+             (Circuit.inputs (Cnf.Blast.circuit s.blaster))))
+  in
+  {
+    cex_depth = depth;
+    cex_inputs = inputs;
+    cex_failed = validate r.full prop inputs depth;
+    cex_circuit = r.full;
+  }
+
+(* The one downgrade: a budget abort or an injected fault ends [f] as
+   [unknown reason stats], clean up to the depth before the one being
+   explored. The live solvers are retired first: an abort leaves their
+   search state undefined. *)
+let governed r ~unknown f =
+  let abort reason =
+    retire_live r;
+    unknown reason (stats r (r.depth - 1))
+  in
+  try f () with
+  | S.Out_of_budget kind ->
+      abort (Budget_exhausted { ub_budget = kind; ub_depth = r.depth; ub_case = r.case })
+  | Fault.Injected site ->
+      Obs.Bus.publish (Obs.Bus.Fault_injected { site });
+      abort (Faulted site)
+
+(* The scratch oracles' frame: retire the last depth's solver, open a
+   fresh [Direct] session and unroll cycles [0..depth] into it, the
+   assumptions on every cycle and the assertions as facts below [depth].
+   The deadline is the call's; the conflict cap is what the retired
+   solvers left of it. *)
+let scratch r ~free_init ~label ~budget ~sbud depth =
+  retire_live r;
+  Fault.point "bmc.alloc";
+  let s = open_session r ~mode:Cnf.Blast.Direct ~free_init label in
+  S.set_budget s.solver
+    {
+      sbud with
+      S.b_conflicts =
+        Option.map (fun cap -> cap - r.spent.S.s_conflicts) budget.bud_conflicts;
+    };
+  for cycle = 0 to depth do
+    unroll s;
+    if cycle < depth then hold s cycle (List.map snd s.sprop.asserts)
+  done;
+  s
+
+(* The BMC depth loop: ask [query] at depths 0, 1, ... on the session
+   [prepare] frames for each depth, until a queried assertion fails
+   ([Cex], replayed against [prop]) or [max_depth] is done. *)
+let deepen r ~max_depth ~progress ~prepare prop query =
   let rec go depth =
-    if depth > max_depth then Bounded_proof (stats max_depth)
+    if depth > max_depth then Bounded_proof (stats r max_depth)
     else begin
-      cur_depth := depth;
+      r.depth <- depth;
       Fault.point "sat.stop";
       progress depth;
       let t_depth = Unix.gettimeofday () in
       let found =
         Obs.span "bmc.depth" ~attrs:[ ("depth", Obs.Json.Int depth) ]
         @@ fun () ->
-        (* Fault probe for the incremental path: fires between depth
-           [k-1]'s clean verdict and depth [k]'s clause addition, so the
-           robustness fuzz can hit the solver-reuse window specifically. *)
-        if depth > 0 then Fault.point "bmc.incr";
-        Fault.point "bmc.alloc";
-        Cnf.Blast.unroll_cycle blaster;
-        (* Assumptions hold unconditionally on every cycle. *)
-        List.iter
-          (fun a ->
-            S.add_clause solver [ Cnf.Blast.lit1 blaster ~cycle:depth a ])
-          sprop.assumes;
-        (* Activation literal: act -> (some assertion is false at [depth]). *)
-        let act = Cnf.Blast.fresh_var blaster in
-        S.add_clause solver
-          (S.neg act
-          :: List.map
-               (fun (_, a) -> S.neg (Cnf.Blast.lit1 blaster ~cycle:depth a))
-               sprop.asserts);
-        match timed_solve ~depth ~assumptions:[ act ] () with
+        let s = prepare depth in
+        let act = guard s depth query in
+        match solve r s depth act with
         | S.Sat ->
-            let inputs =
-              Array.init (depth + 1) (fun cycle ->
-                  List.map
-                    (fun p ->
-                      ( p.Circuit.port_name,
-                        Cnf.Blast.input_value blaster ~cycle p.Circuit.port_name
-                      ))
-                    (Circuit.inputs circuit))
-            in
-            (* Replay on the unoptimized instrumented circuit with the
-               original property roots. *)
-            let inputs = widen inputs in
-            let failed = validate full property inputs depth in
-            Some
-              (Cex
-                 ( {
-                     cex_depth = depth;
-                     cex_inputs = inputs;
-                     cex_failed = failed;
-                     cex_circuit = full;
-                   },
-                   stats depth ))
+            retire s depth act [];
+            Some (Cex (cex r s depth prop, stats r depth))
         | S.Unsat ->
-            (* No failure at this depth: deactivate and assert the properties
-               as facts for deeper searches. *)
-            S.add_clause solver [ S.neg act ];
-            List.iter
-              (fun (_, a) ->
-                S.add_clause solver [ Cnf.Blast.lit1 blaster ~cycle:depth a ])
-              sprop.asserts;
+            retire s depth act query;
             None
       in
       depth_closed ~t0:t_depth depth ~cex:(Option.is_some found);
@@ -445,168 +610,62 @@ let check_incremental ~max_depth ~progress ?solver_config ~opt ~budget
     end
   in
   go 0
+
+(* One incremental query: [prop]'s assertions, the ones [pick] selects
+   by position, asked on the session in [session] — opened on first use
+   and dropped after an abort. The budget is granted afresh on the
+   shared instance: [sbud]'s deadline (pinned now when not given), and
+   conflict and learnt caps counted from what the session has spent. *)
+let ask r ~max_depth ~progress ~budget ?sbud ~label ~session prop pick =
+  r.solve_time <- 0.;
+  r.depth <- 0;
+  r.mark <- combine ( + ) r.spent (live_stats r);
+  governed r ~unknown:(fun reason st ->
+      session := None;
+      Unknown (reason, st))
+  @@ fun () ->
+  let s =
+    match !session with
+    | Some s -> s
+    | None ->
+        let s = open_session r label in
+        session := Some s;
+        s
   in
-  try run () with
-  | S.Out_of_budget kind ->
-      Unknown
-        ( Budget_exhausted
-            { ub_budget = kind; ub_depth = !cur_depth; ub_case = Base },
-          stats (!cur_depth - 1) )
-  | Fault.Injected site ->
-      Obs.Bus.publish (Obs.Bus.Fault_injected { site });
-      Unknown (Faulted site, stats (!cur_depth - 1))
+  let sbud = match sbud with Some b -> b | None -> solver_budget budget in
+  let st0 = S.stats s.solver in
+  S.set_budget s.solver
+    {
+      sbud with
+      S.b_conflicts = Option.map (( + ) st0.S.s_conflicts) budget.bud_conflicts;
+      b_learnts = Option.map (( + ) st0.S.s_learnts) budget.bud_learnts;
+    };
+  deepen r ~max_depth ~progress
+    ~prepare:(fun depth ->
+      (* Fires between depth [k-1]'s clean verdict and depth [k]'s clause
+         addition: the solver-reuse window. *)
+      if depth > 0 then Fault.point "bmc.incr";
+      frame s depth;
+      s)
+    prop
+    (List.filteri (fun j _ -> pick j) s.sprop.asserts)
 
-(* The scratch oracle (`--no-incremental`): every depth gets a fresh
-   solver and a fresh [Direct] re-blast of cycles 0..k, so nothing —
-   learnt clauses, activity, watch lists — survives between depths. Its
-   value is not speed (it is quadratic in depth) but independence: a
-   different CNF shape and a different search trajectory that must still
-   agree with the incremental engine on verdict and CEX depth, which is
-   what the differential harness checks.
-
-   Semantics mirror the incremental engine: facts proven at earlier
-   depths (no assertion fails before k) are re-asserted, so both report
-   the shallowest failing depth. The wall deadline is pinned once at
-   entry and shared by every per-depth solver; the conflict cap is
-   cumulative — depth k's solver receives the cap minus what earlier
-   depths spent — so [Out_of_budget] fires when the run as a whole
-   exceeds the grant and the report stays clean up to depth k-1. *)
-let check_scratch ~max_depth ~progress ?solver_config ~opt ~budget
-    circuit property =
+let check_engine ~max_depth ~progress ?solver_config ~opt ~budget
+    ~incremental ~sym circuit property =
   check_property "Bmc.check" property;
   let full = instrument circuit property in
-  let solve_time = ref 0. in
-  let cur_depth = ref 0 in
-  let opt_ref = ref None in
+  (* One deadline for the whole call, pinned before the optimizer runs. *)
   let sbud = solver_budget budget in
-  (* Counters fold in as each per-depth solver retires; the size fields
-     track the deepest (= largest) instance. *)
-  let acc_conflicts = ref 0 and acc_decisions = ref 0 in
-  let acc_propagations = ref 0 and acc_restarts = ref 0 in
-  let last_vars = ref 0 and last_clauses = ref 0 in
-  let live = ref None in
-  let retire_solver () =
-    match !live with
-    | None -> ()
-    | Some solver ->
-        flush_solver_metrics [ solver ];
-        let st = S.stats solver in
-        acc_conflicts := !acc_conflicts + st.S.s_conflicts;
-        acc_decisions := !acc_decisions + st.S.s_decisions;
-        acc_propagations := !acc_propagations + st.S.s_propagations;
-        acc_restarts := !acc_restarts + st.S.s_restarts;
-        last_vars := st.S.s_vars;
-        last_clauses := st.S.s_clauses;
-        live := None
-  in
-  let stats depth =
-    retire_solver ();
-    {
-      depth_reached = depth;
-      solve_time = !solve_time;
-      vars = !last_vars;
-      clauses = !last_clauses;
-      conflicts = !acc_conflicts;
-      decisions = !acc_decisions;
-      propagations = !acc_propagations;
-      restarts = !acc_restarts;
-      opt = !opt_ref;
-    }
-  in
-  let run () =
-    let circuit, sprop, widen, opt_stats, _ =
-      optimize_instrumented ~opt full property
-    in
-    opt_ref := opt_stats;
-    let rec go depth =
-      if depth > max_depth then Bounded_proof (stats max_depth)
-      else begin
-        cur_depth := depth;
-        Fault.point "sat.stop";
-        progress depth;
-        let t_depth = Unix.gettimeofday () in
-        let found =
-          Obs.span "bmc.depth" ~attrs:[ ("depth", Obs.Json.Int depth) ]
-          @@ fun () ->
-          Fault.point "bmc.alloc";
-          let solver = S.create ?config:solver_config ~stop:fault_stop () in
-          S.set_budget solver
-            {
-              sbud with
-              S.b_conflicts =
-                Option.map
-                  (fun cap -> cap - !acc_conflicts)
-                  budget.bud_conflicts;
-            };
-          attach_sampling "check" solver;
-          live := Some solver;
-          let blaster = Cnf.Blast.create solver circuit in
-          for cycle = 0 to depth do
-            Cnf.Blast.unroll_cycle blaster;
-            List.iter
-              (fun a -> S.add_clause solver [ Cnf.Blast.lit1 blaster ~cycle a ])
-              sprop.assumes;
-            if cycle < depth then
-              List.iter
-                (fun (_, a) ->
-                  S.add_clause solver [ Cnf.Blast.lit1 blaster ~cycle a ])
-                sprop.asserts
-          done;
-          let act = Cnf.Blast.fresh_var blaster in
-          S.add_clause solver
-            (S.neg act
-            :: List.map
-                 (fun (_, a) -> S.neg (Cnf.Blast.lit1 blaster ~cycle:depth a))
-                 sprop.asserts);
-          let r =
-            Obs.span "sat.solve" ~attrs:[ ("depth", Obs.Json.Int depth) ]
-            @@ fun () ->
-            let t0 = Unix.gettimeofday () in
-            let r = S.solve ~assumptions:[ act ] solver in
-            solve_time := !solve_time +. (Unix.gettimeofday () -. t0);
-            r
-          in
-          match r with
-          | S.Sat ->
-              let inputs =
-                Array.init (depth + 1) (fun cycle ->
-                    List.map
-                      (fun p ->
-                        ( p.Circuit.port_name,
-                          Cnf.Blast.input_value blaster ~cycle
-                            p.Circuit.port_name ))
-                      (Circuit.inputs circuit))
-              in
-              let inputs = widen inputs in
-              let failed = validate full property inputs depth in
-              Some
-                (Cex
-                   ( {
-                       cex_depth = depth;
-                       cex_inputs = inputs;
-                       cex_failed = failed;
-                       cex_circuit = full;
-                     },
-                     stats depth ))
-          | S.Unsat ->
-              retire_solver ();
-              None
-        in
-        depth_closed ~t0:t_depth depth ~cex:(Option.is_some found);
-        match found with Some outcome -> outcome | None -> go (depth + 1)
-      end
-    in
-    go 0
-  in
-  try run () with
-  | S.Out_of_budget kind ->
-      Unknown
-        ( Budget_exhausted
-            { ub_budget = kind; ub_depth = !cur_depth; ub_case = Base },
-          stats (!cur_depth - 1) )
-  | Fault.Injected site ->
-      Obs.Bus.publish (Obs.Bus.Fault_injected { site });
-      Unknown (Faulted site, stats (!cur_depth - 1))
+  with_run ?solver_config ~opt ~sym full property @@ fun r ->
+  if incremental then
+    ask r ~max_depth ~progress ~budget ~sbud ~label:"check" ~session:(ref None)
+      property (fun _ -> true)
+  else
+    governed r ~unknown:(fun reason st -> Unknown (reason, st)) @@ fun () ->
+    let query = (front r).f_prop.asserts in
+    deepen r ~max_depth ~progress
+      ~prepare:(scratch r ~free_init:false ~label:"check" ~budget ~sbud)
+      property query
 
 (* {1 Verdict cache}
 
@@ -637,11 +696,10 @@ let cache_config ~engine ~max_depth ~opt ~incremental ~solver_config ~budget =
     (Opt.level_to_int opt) incremental cfg (fl budget.bud_wall_s)
     (it budget.bud_conflicts) (it budget.bud_learnts)
 
-(* The exact (structural digest, cache key, config fingerprint) triple
-   {!check}/{!prove} would use for [property] — what `autocc why`
-   recomputes to address the store, and what the run ledger records. *)
-let cache_fingerprint ~engine ?(max_depth = 30) ?(opt = Opt.O0)
-    ?(incremental = true) ?solver_config ?(budget = no_budget) property =
+(* Where [property]'s verdict lives in the cache: its canonical form,
+   the configuration fingerprint and the key they make. *)
+let cache_address ~engine ~max_depth ~opt ~incremental ~solver_config ~budget
+    property =
   let canon =
     Cache.canon ~assumes:property.assumes
       ~asserts:(List.map snd property.asserts)
@@ -649,7 +707,18 @@ let cache_fingerprint ~engine ?(max_depth = 30) ?(opt = Opt.O0)
   let config =
     cache_config ~engine ~max_depth ~opt ~incremental ~solver_config ~budget
   in
-  (canon.Cache.c_digest, Cache.key canon ~config, config)
+  (canon, config, Cache.key canon ~config)
+
+(* The exact (structural digest, cache key, config fingerprint) triple
+   {!check}/{!prove} would use for [property] — what `autocc why`
+   recomputes to address the store, and what the run ledger records. *)
+let cache_fingerprint ~engine ?(max_depth = 30) ?(opt = Opt.O0)
+    ?(incremental = true) ?solver_config ?(budget = no_budget) property =
+  let canon, config, key =
+    cache_address ~engine ~max_depth ~opt ~incremental ~solver_config ~budget
+      property
+  in
+  (canon.Cache.c_digest, key, config)
 
 (* Provenance stamped onto every store: this process's ledger run id
    plus the full fingerprint, so a later warm hit is auditable back to
@@ -768,81 +837,81 @@ let revalidate_cached_cex cache key canon full property max_depth cc =
         Cache.remove cache key;
         None
 
-let cached_check cache key canon full property max_depth =
-  match Cache.find cache key with
-  | None -> None
-  | Some (Cache.Bounded d) when d = max_depth ->
-      Some (Bounded_proof (hit_stats d))
-  | Some (Cache.Bounded _) | Some (Cache.Proved _) ->
-      (* Malformed under this key (the depth bound and engine are part
-         of it): evict and recompute. *)
-      Cache.remove cache key;
-      None
-  | Some (Cache.Cex cc) ->
-      Option.map
-        (fun cex -> Cex (cex, hit_stats cex.cex_depth))
-        (revalidate_cached_cex cache key canon full property max_depth cc)
+(* The cache front of both engines. [hit] answers from a stored
+   verdict, or [None] for an entry malformed under this key (the depth
+   bound and the engine are part of it), which is evicted; a stored
+   counterexample answers through [refuted] once it replays on [full].
+   On a miss [run] computes the verdict, and [entry] says what to store
+   for it: nothing for an [Unknown]. *)
+let cached c ~engine ~max_depth ~opt ~incremental ~solver_config ~budget full
+    property ~hit ~refuted ~entry run =
+  let canon, config, key =
+    cache_address ~engine ~max_depth ~opt ~incremental ~solver_config ~budget
+      property
+  in
+  let miss () =
+    let o = run () in
+    Option.iter
+      (fun v -> Cache.add c key v ~prov:(prov_now ~engine ~config ~key))
+      (entry (fun cex -> Cache.Cex (cache_entry_of_cex canon property cex)) o);
+    o
+  in
+  match Cache.find c key with
+  | None -> miss ()
+  | Some (Cache.Cex cc) -> (
+      match revalidate_cached_cex c key canon full property max_depth cc with
+      | Some cex -> refuted cex
+      | None -> miss ())
+  | Some v -> (
+      match hit v with
+      | Some o -> o
+      | None ->
+          Cache.remove c key;
+          miss ())
 
-let store_check cache key canon property ~config = function
-  | Bounded_proof st ->
-      Cache.add cache key (Cache.Bounded st.depth_reached)
-        ~prov:(prov_now ~engine:"check" ~config ~key)
-  | Cex (cex, _) ->
-      Cache.add cache key
-        (Cache.Cex (cache_entry_of_cex canon property cex))
-        ~prov:(prov_now ~engine:"check" ~config ~key)
-  | Unknown _ -> ()
+let check_cached c ~max_depth ~opt ~incremental ~solver_config ~budget full
+    property run =
+  cached c ~engine:"check" ~max_depth ~opt ~incremental ~solver_config ~budget
+    full property run
+    ~hit:(function
+      | Cache.Bounded d when d = max_depth -> Some (Bounded_proof (hit_stats d))
+      | _ -> None)
+    ~refuted:(fun cex -> Cex (cex, hit_stats cex.cex_depth))
+    ~entry:(fun of_cex -> function
+      | Bounded_proof st -> Some (Cache.Bounded st.depth_reached)
+      | Cex (cex, _) -> Some (of_cex cex)
+      | Unknown _ -> None)
 
 let check ?(max_depth = 30) ?(progress = fun _ -> ()) ?solver_config
     ?(opt = Opt.O0) ?(budget = no_budget) ?(incremental = true) ?(sym = [])
     ?cache circuit property =
   let engine () =
-    if incremental then
-      check_incremental ~max_depth ~progress ?solver_config ~opt ~budget
-        ~sym circuit property
-    else
-      check_scratch ~max_depth ~progress ?solver_config ~opt ~budget
-        circuit property
+    check_engine ~max_depth ~progress ?solver_config ~opt ~budget ~incremental
+      ~sym circuit property
   in
   match cache with
   | None -> engine ()
-  | Some c -> (
+  | Some c ->
       check_property "Bmc.check" property;
-      let canon =
-        Cache.canon ~assumes:property.assumes
-          ~asserts:(List.map snd property.asserts)
-      in
-      let config =
-        cache_config ~engine:"check" ~max_depth ~opt ~incremental
-          ~solver_config ~budget
-      in
-      let key = Cache.key canon ~config in
-      let full = instrument circuit property in
-      match cached_check c key canon full property max_depth with
-      | Some o -> o
-      | None ->
-          let o = engine () in
-          store_check c key canon property ~config o;
-          o)
+      check_cached c ~max_depth ~opt ~incremental ~solver_config ~budget
+        (instrument circuit property) property engine
 
 (* One bounded check per assertion, every assumption kept. Where [check]
    stops at the first (shallowest) failure of {e any} assertion, this
    sweep reports a witness per failing output — the raw CEX pool a
    campaign dedups into distinct channels.
 
-   Incremental mode shares ONE solver session across the whole sweep:
-   the circuit is optimized once over the union of the assertion cones
-   (a trade-off against the per-assertion cone restriction of the
-   scratch path: one bigger instance, paid for once), the unrolling is
-   shared, and each per-assertion Unsat verdict is recorded as a unit
-   fact — sound to share because "assertion A holds at cycle c" is an
+   Incremental mode asks one query per assertion on ONE session: the
+   circuit is optimized once over the union of the assertion cones (a
+   trade-off against the per-assertion cone restriction of the scratch
+   path: one bigger instance, paid for once), the unrolling is shared,
+   and each per-assertion Unsat verdict is recorded as a unit fact —
+   sound to share because "assertion A holds at cycle c" is an
    unconditional theorem under the assumptions, independent of which
-   assertion's search proved it. The [budget] is still granted afresh
-   per assertion (fresh deadline; conflict/learnt caps re-based on the
-   session's current counters), so one diverging assertion degrades to
-   Unknown without starving the rest; a budget abort or injected fault
-   leaves the solver's search state undefined, so the poisoned session
-   is dropped and the next assertion rebuilds it.
+   assertion's search proved it. The [budget] is granted afresh per
+   assertion, so one diverging assertion degrades to Unknown without
+   starving the rest; the session an abort poisons is dropped and the
+   next assertion rebuilds it.
 
    Scratch mode keeps the historical semantics exactly: one fresh
    [check ~incremental:false] per assertion, each optimized down to its
@@ -864,234 +933,52 @@ let check_each ?(max_depth = 30) ?(progress = fun _ -> ()) ?solver_config
   else begin
     check_property "Bmc.check_each" property;
     let full = instrument circuit property in
-    let opt_memo = ref None in
+    with_run ?solver_config ~opt ~sym full property @@ fun r ->
     let session = ref None in
-    let all_solvers = ref [] in
-    let get_session () =
-      match !session with
-      | Some s -> s
-      | None ->
-          let solver = S.create ?config:solver_config ~stop:fault_stop () in
-          attach_sampling "check_each" solver;
-          all_solvers := solver :: !all_solvers;
-          let opt_result =
-            match !opt_memo with
-            | Some r -> r
-            | None ->
-                let r = optimize_instrumented ~opt ~sym full property in
-                opt_memo := Some r;
-                r
-          in
-          let circuit', _, _, _, sym' = opt_result in
-          let blaster =
-            Cnf.Blast.create ~mode:Cnf.Blast.Template ~sym:sym' solver circuit'
-          in
-          let s = (solver, blaster, opt_result) in
-          session := Some s;
-          s
-    in
-    (* Unroll (and constrain with the assumptions) up to [depth]; cycles
-       unrolled during an earlier assertion's search are reused as-is. *)
-    let ensure_cycle solver blaster sprop depth =
-      while Cnf.Blast.cycles blaster <= depth do
-        let cycle = Cnf.Blast.cycles blaster in
-        Fault.point "bmc.alloc";
-        Cnf.Blast.unroll_cycle blaster;
-        List.iter
-          (fun a -> S.add_clause solver [ Cnf.Blast.lit1 blaster ~cycle a ])
-          sprop.assumes
-      done
-    in
-    let opt_stats_of () =
-      match !opt_memo with Some (_, _, _, o, _) -> o | None -> None
-    in
-    let run_one idx (name, orig_a) =
-      Obs.span "bmc.check_each" ~attrs:[ ("assert", Obs.Json.Str name) ]
-      @@ fun () ->
-      let solve_time = ref 0. in
-      let cur_depth = ref 0 in
-      let baseline = ref None in
-      (* Per-assertion view of the shared instance: counters are deltas
-         against the session snapshot taken when this assertion started;
-         sizes stay absolute (the instance the query actually ran on). *)
-      let stats depth =
-        match !baseline with
-        | None ->
-            {
-              depth_reached = depth;
-              solve_time = !solve_time;
-              vars = 0;
-              clauses = 0;
-              conflicts = 0;
-              decisions = 0;
-              propagations = 0;
-              restarts = 0;
-              opt = opt_stats_of ();
-            }
-        | Some (solver, st0) ->
-            let st = S.stats solver in
-            {
-              depth_reached = depth;
-              solve_time = !solve_time;
-              vars = st.S.s_vars;
-              clauses = st.S.s_clauses;
-              conflicts = st.S.s_conflicts - st0.S.s_conflicts;
-              decisions = st.S.s_decisions - st0.S.s_decisions;
-              propagations = st.S.s_propagations - st0.S.s_propagations;
-              restarts = st.S.s_restarts - st0.S.s_restarts;
-              opt = opt_stats_of ();
-            }
-      in
-      let run () =
-        let solver, blaster, (_, sprop, widen, _, _) = get_session () in
-        let st0 = S.stats solver in
-        baseline := Some (solver, st0);
-        (* Fresh grant on the shared instance: new deadline, caps re-based
-           on what the session has already spent. *)
-        let sbud = solver_budget budget in
-        S.set_budget solver
-          {
-            sbud with
-            S.b_conflicts =
-              Option.map
-                (fun cap -> st0.S.s_conflicts + cap)
-                budget.bud_conflicts;
-            b_learnts =
-              Option.map (fun cap -> st0.S.s_learnts + cap) budget.bud_learnts;
-          };
-        let asig = snd (List.nth sprop.asserts idx) in
-        let sub = { assumes = property.assumes; asserts = [ (name, orig_a) ] } in
-        let rec go depth =
-          if depth > max_depth then Bounded_proof (stats max_depth)
-          else begin
-            cur_depth := depth;
-            Fault.point "sat.stop";
-            progress depth;
-            let t_depth = Unix.gettimeofday () in
-            let found =
-              Obs.span "bmc.depth" ~attrs:[ ("depth", Obs.Json.Int depth) ]
-              @@ fun () ->
-              if depth > 0 then Fault.point "bmc.incr";
-              ensure_cycle solver blaster sprop depth;
-              let alit = Cnf.Blast.lit1 blaster ~cycle:depth asig in
-              let act = Cnf.Blast.fresh_var blaster in
-              S.add_clause solver [ S.neg act; S.neg alit ];
-              let r =
-                Obs.span "sat.solve" ~attrs:[ ("depth", Obs.Json.Int depth) ]
-                @@ fun () ->
-                let t0 = Unix.gettimeofday () in
-                let r = S.solve ~assumptions:[ act ] solver in
-                solve_time := !solve_time +. (Unix.gettimeofday () -. t0);
-                r
-              in
-              match r with
-              | S.Sat ->
-                  S.add_clause solver [ S.neg act ];
-                  let inputs =
-                    Array.init (depth + 1) (fun cycle ->
-                        List.map
-                          (fun p ->
-                            ( p.Circuit.port_name,
-                              Cnf.Blast.input_value blaster ~cycle
-                                p.Circuit.port_name ))
-                          (Circuit.inputs (Cnf.Blast.circuit blaster)))
-                  in
-                  let inputs = widen inputs in
-                  let failed = validate full sub inputs depth in
-                  Some
-                    (Cex
-                       ( {
-                           cex_depth = depth;
-                           cex_inputs = inputs;
-                           cex_failed = failed;
-                           cex_circuit = full;
-                         },
-                         stats depth ))
-              | S.Unsat ->
-                  (* Retire the query and record the theorem: this
-                     assertion holds at [depth], for every later search. *)
-                  S.add_clause solver [ S.neg act ];
-                  S.add_clause solver [ alit ];
-                  None
-            in
-            depth_closed ~t0:t_depth depth ~cex:(Option.is_some found);
-            match found with Some outcome -> outcome | None -> go (depth + 1)
-          end
+    List.mapi
+      (fun i (name, a) ->
+        let sub = { assumes = property.assumes; asserts = [ (name, a) ] } in
+        let run () =
+          Obs.span "bmc.check_each" ~attrs:[ ("assert", Obs.Json.Str name) ]
+          @@ fun () ->
+          ask r ~max_depth ~progress ~budget ~label:"check_each" ~session sub
+            (( = ) i)
         in
-        go 0
-      in
-      try run () with
-      | S.Out_of_budget kind ->
-          session := None;
-          Unknown
-            ( Budget_exhausted
-                { ub_budget = kind; ub_depth = !cur_depth; ub_case = Base },
-              stats (!cur_depth - 1) )
-      | Fault.Injected site ->
-          session := None;
-          Obs.Bus.publish (Obs.Bus.Fault_injected { site });
-          Unknown (Faulted site, stats (!cur_depth - 1))
-    in
-    (* Per-assertion cache entries use the same key shape as a
-       single-assertion [check] at the same configuration — the verdict
-       for one assertion is a theorem about its own cone, independent of
-       which engine variant established it. A hit skips the session
-       entirely for that assertion. *)
-    let run_cached idx (name, orig_a) =
-      (* Per-assertion bus scope: events from this query (depths, CEX,
-         solver progress) carry "parent/assertion" so the cockpit shows
-         one row per assertion of a multi-assert sweep. *)
-      Obs.Bus.with_label (Obs.Bus.sub_label name) @@ fun () ->
-      let t_job = Unix.gettimeofday () in
-      Obs.Bus.publish (Obs.Bus.Job_start { goal_depth = max_depth });
-      let o =
-        match cache with
-        | None -> run_one idx (name, orig_a)
-        | Some c -> (
-            let canon =
-              Cache.canon ~assumes:property.assumes ~asserts:[ orig_a ]
+        (* Per-assertion bus scope: events from this query (depths, CEX,
+           solver progress) carry "parent/assertion" so the cockpit shows
+           one row per assertion of a multi-assert sweep. Cache entries
+           use the same key shape as a single-assertion [check] at the
+           same configuration; a hit skips the session for this
+           assertion. *)
+        ( name,
+          Obs.Bus.with_label (Obs.Bus.sub_label name) @@ fun () ->
+          let t_job = Unix.gettimeofday () in
+          Obs.Bus.publish (Obs.Bus.Job_start { goal_depth = max_depth });
+          let o =
+            match cache with
+            | None -> run ()
+            | Some c ->
+                check_cached c ~max_depth ~opt ~incremental:true
+                  ~solver_config ~budget full sub run
+          in
+          if Obs.Bus.enabled () then begin
+            (match o with
+            | Unknown (reason, _) ->
+                Obs.Bus.publish
+                  (Obs.Bus.Unknown { reason = unknown_reason_to_string reason })
+            | Cex _ | Bounded_proof _ -> ());
+            let verdict =
+              match o with
+              | Cex _ -> "cex"
+              | Bounded_proof _ -> "proof"
+              | Unknown _ -> "unknown"
             in
-            let config =
-              cache_config ~engine:"check" ~max_depth ~opt ~incremental:true
-                ~solver_config ~budget
-            in
-            let key = Cache.key canon ~config in
-            let sub =
-              { assumes = property.assumes; asserts = [ (name, orig_a) ] }
-            in
-            match cached_check c key canon full sub max_depth with
-            | Some o -> o
-            | None ->
-                let o = run_one idx (name, orig_a) in
-                store_check c key canon sub ~config o;
-                o)
-      in
-      if Obs.Bus.enabled () then begin
-        (match o with
-        | Unknown (reason, _) ->
             Obs.Bus.publish
-              (Obs.Bus.Unknown { reason = unknown_reason_to_string reason })
-        | Cex _ | Bounded_proof _ -> ());
-        let verdict =
-          match o with
-          | Cex _ -> "cex"
-          | Bounded_proof _ -> "proof"
-          | Unknown _ -> "unknown"
-        in
-        Obs.Bus.publish
-          (Obs.Bus.Job_done
-             { verdict; wall_s = Unix.gettimeofday () -. t_job })
-      end;
-      o
-    in
-    let flush () = flush_solver_metrics !all_solvers in
-    match List.mapi (fun i (name, a) -> (name, run_cached i (name, a))) property.asserts with
-    | results ->
-        flush ();
-        results
-    | exception e ->
-        flush ();
-        raise e
+              (Obs.Bus.Job_done
+                 { verdict; wall_s = Unix.gettimeofday () -. t_job })
+          end;
+          o ))
+      property.asserts
   end
 
 let pp_cex fmt cex =
@@ -1114,374 +1001,113 @@ type induction_outcome =
   | Refuted of cex * stats
   | Unknown of unknown_reason * stats
 
-(* Incremental k-induction: the base and step solvers are each created
-   once and live across every round — round k adds one [Template] frame,
-   the round's activation literal, and (step side) the uniqueness
-   constraints pairing cycle k against earlier cycles; the previously
-   installed pairs persist, so after round k the step instance carries
-   the full loop-free condition over cycles 0..k. *)
-let prove_incremental ~max_depth ~progress ?solver_config ~opt ~budget
-    ~sym circuit property =
+(* k-induction on two sessions. Incrementally, the base and step
+   sessions each live across every round: round k adds one [Template]
+   frame and a guard to each, and the step session the uniqueness
+   constraints pairing cycle k with earlier cycles; the pairs of earlier
+   rounds persist, so after round k the step instance carries the full
+   loop-free condition over cycles 0..k. The scratch oracle opens fresh
+   [Direct] sessions each round, with every pair i < j <= k distinct. *)
+let prove_engine ~max_depth ~progress ?solver_config ~opt ~budget
+    ~incremental ~sym circuit property =
   check_property "Bmc.prove" property;
   let full = instrument circuit property in
-  let solve_time = ref 0. in
-  let cur_depth = ref 0 in
-  let cur_case = ref Base in
-  let solvers_ref = ref [] in
-  let opt_ref = ref None in
-  let stats depth =
-    flush_solver_metrics !solvers_ref;
-    let sum f =
-      List.fold_left (fun acc s -> acc + f (S.stats s)) 0 !solvers_ref
-    in
-    {
-      depth_reached = depth;
-      solve_time = !solve_time;
-      vars = sum (fun st -> st.S.s_vars);
-      clauses = sum (fun st -> st.S.s_clauses);
-      conflicts = sum (fun st -> st.S.s_conflicts);
-      decisions = sum (fun st -> st.S.s_decisions);
-      propagations = sum (fun st -> st.S.s_propagations);
-      restarts = sum (fun st -> st.S.s_restarts);
-      opt = !opt_ref;
-    }
-  in
-  let run () =
-  (* One absolute deadline shared by both solvers. *)
+  (* One deadline, shared by every solver of the call. *)
   let sbud = solver_budget budget in
-  let base_solver = S.create ?config:solver_config ~stop:fault_stop () in
-  S.set_budget base_solver sbud;
-  attach_sampling "base" base_solver;
-  solvers_ref := [ base_solver ];
-  let circuit, sprop, widen, opt_stats, sym =
-    optimize_instrumented ~opt ~sym full property
+  with_run ?solver_config ~opt ~sym full property @@ fun r ->
+  governed r ~unknown:(fun reason st -> Unknown (reason, st)) @@ fun () ->
+  let distinct s i j =
+    S.add_clause s.solver [ Cnf.Blast.state_distinct s.blaster i j ]
   in
-  opt_ref := opt_stats;
-  let base =
-    Cnf.Blast.create ~mode:Cnf.Blast.Template ~sym base_solver circuit
+  let base, step, loop_free =
+    if incremental then begin
+      let session ?free_init label =
+        let s = open_session r ?free_init label in
+        S.set_budget s.solver sbud;
+        s
+      in
+      let b = session "base" in
+      let s = session ~free_init:true "step" in
+      ( (fun k ->
+          if k > 0 then Fault.point "bmc.incr";
+          frame b k;
+          b),
+        (fun k ->
+          frame s k;
+          s),
+        fun s k ->
+          for i = 0 to k - 1 do
+            distinct s i k
+          done )
+    end
+    else
+      ( scratch r ~free_init:false ~label:"base" ~budget ~sbud,
+        scratch r ~free_init:true ~label:"step" ~budget ~sbud,
+        fun s k ->
+          for i = 0 to k - 1 do
+            for j = i + 1 to k do
+              distinct s i j
+            done
+          done )
   in
-  let step_solver = S.create ?config:solver_config ~stop:fault_stop () in
-  S.set_budget step_solver sbud;
-  attach_sampling "step" step_solver;
-  let step =
-    Cnf.Blast.create ~free_init:true ~mode:Cnf.Blast.Template ~sym step_solver
-      circuit
-  in
-  solvers_ref := [ base_solver; step_solver ];
-  let timed ~case ~depth solver assumptions =
-    cur_case := (match case with "base" -> Base | _ -> Step);
-    Obs.span ("bmc." ^ case) ~attrs:[ ("depth", Obs.Json.Int depth) ]
-    @@ fun () ->
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Obs.span "sat.solve"
-        ~attrs:[ ("case", Obs.Json.Str case); ("depth", Obs.Json.Int depth) ]
-        (fun () -> S.solve ~assumptions solver)
-    in
-    solve_time := !solve_time +. (Unix.gettimeofday () -. t0);
-    r
-  in
-  (* Shared per-cycle constraint installation for either blaster. *)
-  let install blaster depth =
-    Fault.point "bmc.alloc";
-    Cnf.Blast.unroll_cycle blaster;
-    let solver = Cnf.Blast.solver blaster in
-    List.iter
-      (fun a -> S.add_clause solver [ Cnf.Blast.lit1 blaster ~cycle:depth a ])
-      sprop.assumes;
-    let act = Cnf.Blast.fresh_var blaster in
-    S.add_clause solver
-      (S.neg act
-      :: List.map
-           (fun (_, a) -> S.neg (Cnf.Blast.lit1 blaster ~cycle:depth a))
-           sprop.asserts);
-    act
-  in
-  let retire blaster depth act =
-    let solver = Cnf.Blast.solver blaster in
-    S.add_clause solver [ S.neg act ];
-    List.iter
-      (fun (_, a) -> S.add_clause solver [ Cnf.Blast.lit1 blaster ~cycle:depth a ])
-      sprop.asserts
-  in
+  (* The scratch oracle optimizes here, before its first solver. *)
+  let query = (front r).f_prop.asserts in
   let rec go k =
-    if k > max_depth then Unknown (Bound_exhausted, stats max_depth)
+    if k > max_depth then Unknown (Bound_exhausted, stats r max_depth)
     else begin
-      cur_depth := k;
+      r.depth <- k;
       Fault.point "sat.stop";
       progress k;
       let t_depth = Unix.gettimeofday () in
-      if k > 0 then Fault.point "bmc.incr";
       (* Base case: bad at cycle k, from reset. *)
-      let base_act = install base k in
-      match timed ~case:"base" ~depth:k base_solver [ base_act ] with
+      let b = base k in
+      let act = guard b k query in
+      match solve r b ~case:Base k act with
       | S.Sat ->
-          let inputs =
-            Array.init (k + 1) (fun cycle ->
-                List.map
-                  (fun p ->
-                    ( p.Circuit.port_name,
-                      Cnf.Blast.input_value base ~cycle p.Circuit.port_name ))
-                  (Circuit.inputs circuit))
-          in
-          let inputs = widen inputs in
-          let failed = validate full property inputs k in
+          let c = cex r b k property in
           depth_closed ~series:false ~t0:t_depth k ~cex:true;
-          Refuted
-            ( { cex_depth = k; cex_inputs = inputs; cex_failed = failed; cex_circuit = full },
-              stats k )
-      | S.Unsat ->
-          retire base k base_act;
+          Refuted (c, stats r k)
+      | S.Unsat -> (
+          retire b k act query;
           (* Inductive step: a loop-free path of k good states reaching a
              bad one at cycle k, from an arbitrary start. *)
-          let step_act = install step k in
-          for i = 0 to k - 1 do
-            S.add_clause step_solver [ Cnf.Blast.state_distinct step i k ]
-          done;
-          (match timed ~case:"step" ~depth:k step_solver [ step_act ] with
+          let s = step k in
+          let act = guard s k query in
+          loop_free s k;
+          match solve r s ~case:Step k act with
           | S.Unsat ->
               depth_closed ~series:false ~t0:t_depth k ~cex:false;
-              Proved (k, stats k)
+              Proved (k, stats r k)
           | S.Sat ->
-              retire step k step_act;
+              retire s k act query;
               depth_closed ~t0:t_depth k ~cex:false;
               go (k + 1))
     end
   in
   go 0
-  in
-  try run () with
-  | S.Out_of_budget kind ->
-      Unknown
-        ( Budget_exhausted
-            { ub_budget = kind; ub_depth = !cur_depth; ub_case = !cur_case },
-          stats (!cur_depth - 1) )
-  | Fault.Injected site ->
-      Obs.Bus.publish (Obs.Bus.Fault_injected { site });
-      Unknown (Faulted site, stats (!cur_depth - 1))
-
-(* Scratch k-induction oracle: each round builds a fresh base and a
-   fresh step solver with [Direct] unrollings of cycles 0..k, assertion
-   facts below k, and — step side — the full loop-free condition (every
-   pair of cycles i < j <= k distinct, since nothing persists from
-   earlier rounds). The wall deadline is shared by every solver ever
-   created; the conflict cap is cumulative across them (each new solver
-   gets the cap minus what its predecessors spent). *)
-let prove_scratch ~max_depth ~progress ?solver_config ~opt ~budget
-    circuit property =
-  check_property "Bmc.prove" property;
-  let full = instrument circuit property in
-  let solve_time = ref 0. in
-  let cur_depth = ref 0 in
-  let cur_case = ref Base in
-  let opt_ref = ref None in
-  let sbud = solver_budget budget in
-  let acc_conflicts = ref 0 and acc_decisions = ref 0 in
-  let acc_propagations = ref 0 and acc_restarts = ref 0 in
-  let last_vars = ref 0 and last_clauses = ref 0 in
-  let live = ref [] in
-  let retire_solvers () =
-    match !live with
-    | [] -> ()
-    | solvers ->
-        flush_solver_metrics solvers;
-        last_vars := 0;
-        last_clauses := 0;
-        List.iter
-          (fun solver ->
-            let st = S.stats solver in
-            acc_conflicts := !acc_conflicts + st.S.s_conflicts;
-            acc_decisions := !acc_decisions + st.S.s_decisions;
-            acc_propagations := !acc_propagations + st.S.s_propagations;
-            acc_restarts := !acc_restarts + st.S.s_restarts;
-            last_vars := !last_vars + st.S.s_vars;
-            last_clauses := !last_clauses + st.S.s_clauses)
-          solvers;
-        live := []
-  in
-  let stats depth =
-    retire_solvers ();
-    {
-      depth_reached = depth;
-      solve_time = !solve_time;
-      vars = !last_vars;
-      clauses = !last_clauses;
-      conflicts = !acc_conflicts;
-      decisions = !acc_decisions;
-      propagations = !acc_propagations;
-      restarts = !acc_restarts;
-      opt = !opt_ref;
-    }
-  in
-  let run () =
-    let circuit, sprop, widen, opt_stats, _ =
-      optimize_instrumented ~opt full property
-    in
-    opt_ref := opt_stats;
-    let new_solver label =
-      let solver = S.create ?config:solver_config ~stop:fault_stop () in
-      S.set_budget solver
-        {
-          sbud with
-          S.b_conflicts =
-            Option.map (fun cap -> cap - !acc_conflicts) budget.bud_conflicts;
-        };
-      attach_sampling label solver;
-      live := solver :: !live;
-      solver
-    in
-    let timed ~case ~depth solver assumptions =
-      cur_case := (match case with "base" -> Base | _ -> Step);
-      Obs.span ("bmc." ^ case) ~attrs:[ ("depth", Obs.Json.Int depth) ]
-      @@ fun () ->
-      let t0 = Unix.gettimeofday () in
-      let r =
-        Obs.span "sat.solve"
-          ~attrs:[ ("case", Obs.Json.Str case); ("depth", Obs.Json.Int depth) ]
-          (fun () -> S.solve ~assumptions solver)
-      in
-      solve_time := !solve_time +. (Unix.gettimeofday () -. t0);
-      r
-    in
-    (* Unroll cycles 0..k into a fresh blaster: assumptions everywhere,
-       assertion facts strictly below k, activation clause at k. *)
-    let build blaster k =
-      let solver = Cnf.Blast.solver blaster in
-      for cycle = 0 to k do
-        Cnf.Blast.unroll_cycle blaster;
-        List.iter
-          (fun a -> S.add_clause solver [ Cnf.Blast.lit1 blaster ~cycle a ])
-          sprop.assumes;
-        if cycle < k then
-          List.iter
-            (fun (_, a) ->
-              S.add_clause solver [ Cnf.Blast.lit1 blaster ~cycle a ])
-            sprop.asserts
-      done;
-      let act = Cnf.Blast.fresh_var blaster in
-      S.add_clause solver
-        (S.neg act
-        :: List.map
-             (fun (_, a) -> S.neg (Cnf.Blast.lit1 blaster ~cycle:k a))
-             sprop.asserts);
-      act
-    in
-    let rec go k =
-      if k > max_depth then Unknown (Bound_exhausted, stats max_depth)
-      else begin
-        cur_depth := k;
-        Fault.point "sat.stop";
-        progress k;
-        let t_depth = Unix.gettimeofday () in
-        Fault.point "bmc.alloc";
-        let base_solver = new_solver "base" in
-        let base = Cnf.Blast.create base_solver circuit in
-        let base_act = build base k in
-        match timed ~case:"base" ~depth:k base_solver [ base_act ] with
-        | S.Sat ->
-            let inputs =
-              Array.init (k + 1) (fun cycle ->
-                  List.map
-                    (fun p ->
-                      ( p.Circuit.port_name,
-                        Cnf.Blast.input_value base ~cycle p.Circuit.port_name ))
-                    (Circuit.inputs circuit))
-            in
-            let inputs = widen inputs in
-            let failed = validate full property inputs k in
-            depth_closed ~series:false ~t0:t_depth k ~cex:true;
-            Refuted
-              ( {
-                  cex_depth = k;
-                  cex_inputs = inputs;
-                  cex_failed = failed;
-                  cex_circuit = full;
-                },
-                stats k )
-        | S.Unsat ->
-            (* Fold the base instance in before granting the step solver
-               its share of the conflict cap. *)
-            retire_solvers ();
-            Fault.point "bmc.alloc";
-            let step_solver = new_solver "step" in
-            let step = Cnf.Blast.create ~free_init:true step_solver circuit in
-            let step_act = build step k in
-            for i = 0 to k - 1 do
-              for j = i + 1 to k do
-                S.add_clause step_solver [ Cnf.Blast.state_distinct step i j ]
-              done
-            done;
-            (match timed ~case:"step" ~depth:k step_solver [ step_act ] with
-            | S.Unsat ->
-                depth_closed ~series:false ~t0:t_depth k ~cex:false;
-                Proved (k, stats k)
-            | S.Sat ->
-                retire_solvers ();
-                depth_closed ~t0:t_depth k ~cex:false;
-                go (k + 1))
-      end
-    in
-    go 0
-  in
-  try run () with
-  | S.Out_of_budget kind ->
-      Unknown
-        ( Budget_exhausted
-            { ub_budget = kind; ub_depth = !cur_depth; ub_case = !cur_case },
-          stats (!cur_depth - 1) )
-  | Fault.Injected site ->
-      Obs.Bus.publish (Obs.Bus.Fault_injected { site });
-      Unknown (Faulted site, stats (!cur_depth - 1))
 
 let prove ?(max_depth = 30) ?(progress = fun _ -> ()) ?solver_config
     ?(opt = Opt.O0) ?(budget = no_budget) ?(incremental = true) ?(sym = [])
     ?cache circuit property =
   let engine () =
-    if incremental then
-      prove_incremental ~max_depth ~progress ?solver_config ~opt ~budget
-        ~sym circuit property
-    else
-      prove_scratch ~max_depth ~progress ?solver_config ~opt ~budget
-        circuit property
+    prove_engine ~max_depth ~progress ?solver_config ~opt ~budget
+      ~incremental ~sym circuit property
   in
   match cache with
   | None -> engine ()
-  | Some c -> (
+  | Some c ->
       check_property "Bmc.prove" property;
-      let canon =
-        Cache.canon ~assumes:property.assumes
-          ~asserts:(List.map snd property.asserts)
-      in
-      let config =
-        cache_config ~engine:"prove" ~max_depth ~opt ~incremental
-          ~solver_config ~budget
-      in
-      let key = Cache.key canon ~config in
-      let full = instrument circuit property in
-      let miss () =
-        let o = engine () in
-        let prov = prov_now ~engine:"prove" ~config ~key in
-        (match o with
-        | Proved (k, _) -> Cache.add ~prov c key (Cache.Proved k)
-        | Refuted (cex, _) ->
-            Cache.add ~prov c key
-              (Cache.Cex (cache_entry_of_cex canon property cex))
-        | Unknown _ -> ());
-        o
-      in
-      match Cache.find c key with
-      | Some (Cache.Proved k) when k >= 0 && k <= max_depth ->
-          Proved (k, hit_stats k)
-      | Some (Cache.Cex cc) -> (
-          match
-            revalidate_cached_cex c key canon full property max_depth cc
-          with
-          | Some cex -> Refuted (cex, hit_stats cex.cex_depth)
-          | None -> miss ())
-      | Some (Cache.Proved _) | Some (Cache.Bounded _) ->
-          Cache.remove c key;
-          miss ()
-      | None -> miss ())
+      cached c ~engine:"prove" ~max_depth ~opt ~incremental ~solver_config
+        ~budget (instrument circuit property) property engine
+        ~hit:(function
+          | Cache.Proved k when k >= 0 && k <= max_depth ->
+              Some (Proved (k, hit_stats k))
+          | _ -> None)
+        ~refuted:(fun cex -> Refuted (cex, hit_stats cex.cex_depth))
+        ~entry:(fun of_cex -> function
+          | Proved (k, _) -> Some (Cache.Proved k)
+          | Refuted (cex, _) -> Some (of_cex cex)
+          | Unknown _ -> None)
 
 let miter c1 c2 =
   let module T = Rtl.Transform in

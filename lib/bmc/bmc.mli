@@ -94,8 +94,6 @@ val unknown_reason_to_string : unknown_reason -> string
 (** Stable machine-readable rendering, e.g.
     ["budget:conflicts@4:base"], ["bound"], ["fault:opt.pass"]. *)
 
-val pp_unknown_reason : Format.formatter -> unknown_reason -> unit
-
 type outcome =
   | Cex of cex * stats
   | Bounded_proof of stats
@@ -154,24 +152,29 @@ val check :
 (** [check circuit property] with [max_depth] defaulting to 30 cycles.
 
     [incremental] (default [true]) selects the engine. Incrementally,
-    ONE solver instance lives for the whole run: the transition relation
-    is blasted once as a template and stamped out per depth, and each depth's property is selected by an
-    activation literal that a clean verdict retires — learnt clauses and
-    branching activity survive across depths. With [~incremental:false]
-    every depth gets a fresh solver and a fresh direct re-blast of
-    cycles [0..k]: slower (quadratic in depth) but with an independent
-    CNF shape and search trajectory, which is what makes it the
-    differential oracle the incremental engine is fuzzed against (the
-    [--no-incremental] escape hatch of the CLI). Both engines report the
-    same verdicts, counterexample depths, and [Unknown] reasons; under a
-    budget, exhaustion mid-sequence still reports clean up to depth
-    [k - 1] in either mode (the conflict cap is cumulative across the
-    scratch engine's per-depth solvers).
+    [check] is one query of {!check_each}'s loop, asked over all
+    assertions at once ("some assertion fails at depth [k]"): ONE solver
+    session lives for the whole run, the transition relation is blasted
+    once as a template and stamped out per depth, and each depth's
+    query is guarded by a fresh activation literal
+    ({!Sat.Solver.new_act}) that the answer retires — learnt clauses
+    and branching activity survive across depths. With
+    [~incremental:false] every depth gets a fresh solver and a fresh
+    direct re-blast of cycles [0..k]: slower (quadratic in depth) but
+    with an independent CNF shape and search trajectory, which is what
+    makes it the differential oracle the incremental engine is fuzzed
+    against (the [--no-incremental] escape hatch of the CLI). Both
+    engines report the same verdicts, counterexample depths, and
+    [Unknown] reasons; under a budget, exhaustion mid-sequence still
+    reports clean up to depth [k - 1] in either mode (the conflict cap
+    is cumulative across the scratch engine's per-depth solvers).
 
-    [budget] (default {!no_budget}) bounds the whole call; exhaustion
-    returns [Unknown (Budget_exhausted _, stats)] with [stats] honest
-    about the deepest fully-checked cycle. An injected fault
-    ({!Fault.Injected}) likewise returns [Unknown (Faulted _, stats)].
+    [budget] (default {!no_budget}) bounds the whole call: its wall
+    deadline is pinned once, when [check] is entered, before the
+    optimizer runs. Exhaustion returns [Unknown (Budget_exhausted _,
+    stats)] with [stats] honest about the deepest fully-checked cycle.
+    An injected fault ({!Fault.Injected}) likewise returns
+    [Unknown (Faulted _, stats)].
 
     [opt] (default {!Opt.O0}) runs the {!Opt} netlist pipeline over the
     instrumented circuit, restricted to the property's
@@ -232,16 +235,19 @@ val check_each :
     discipline of industrial FPV runners), so one diverging assertion
     degrades to [Unknown] without starving the rest of the sweep.
 
-    Incrementally (the default) the whole sweep shares one solver
-    session: the circuit is optimized once over the union of the
+    Incrementally (the default) the sweep asks one query per assertion
+    on one shared solver session, through the same depth loop as
+    {!check}: the circuit is optimized once over the union of the
     assertion cones, the unrolling is shared, and each per-assertion
     "holds at cycle [c]" verdict is asserted as a unit fact for every
-    later search — sound because such verdicts are unconditional
+    later query — sound because such verdicts are unconditional
     theorems under the assumptions. The per-assertion budget grant is
-    re-based on the session's current counters (fresh deadline,
-    [current + cap] conflict/learnt limits); a budget abort or injected
-    fault poisons the session, which the next assertion silently
-    rebuilds. With [~incremental:false] each assertion runs a fully
+    re-based on the session's current counters (a deadline pinned when
+    the assertion's query starts, [current + cap] conflict/learnt
+    limits); a budget abort or injected fault poisons the session,
+    which is dropped and rebuilt for the next assertion. The [stats] of
+    each assertion count only its own query's solver work. With
+    [~incremental:false] each assertion runs a fully
     independent scratch {!check} restricted to its own cone — the
     historical semantics, kept as the differential oracle.
 
@@ -351,14 +357,18 @@ val prove :
 (** [prove circuit property] interleaves the base case and the inductive
     step, deepening [k] until one of them answers. [progress],
     [solver_config], [opt] and [incremental] behave exactly as in
-    {!check}. Incrementally the base and step solvers each persist
-    across rounds (template frames, per-round activation literals, the
-    accumulated loop-free condition); the scratch oracle rebuilds both
-    instances per round with direct unrollings and the full pairwise
-    uniqueness constraint. Every {!Opt} pass is a combinational rewrite
-    that holds in every state, so the optimized circuit is sound under
-    the arbitrary-start-state encoding of the step case. [sym] and [cache] behave as in {!check} ([Proved] joins the
-    cacheable verdict set; [Unknown] is still never stored). Each [k]
+    {!check}. Each round asks {!check}'s query on two sessions: a
+    reset-rooted base session, then a step session whose registers start
+    free. Incrementally both persist across rounds (template frames,
+    per-round activation literals, the accumulated loop-free condition);
+    the scratch oracle rebuilds both instances per round with direct
+    unrollings and the full pairwise uniqueness constraint. One wall
+    deadline, pinned when [prove] is entered, is shared by every solver
+    of the call. Every {!Opt} pass is a combinational rewrite that
+    holds in every state, so the optimized circuit is sound under the
+    arbitrary-start-state encoding of the step case. [sym] and [cache]
+    behave as in {!check} ([Proved] joins the cacheable verdict set;
+    [Unknown] is still never stored). Each [k]
     whose base case is clean publishes {!Obs.Bus.Depth_solved}, the
     proving [k] included; a refuting base case publishes
     {!Obs.Bus.Cex_found}. *)

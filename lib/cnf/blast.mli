@@ -59,10 +59,6 @@ val create :
     unchanged by construction — the [cnf.sym_substituted] /
     [cnf.sym_direct] metrics record how much of the cone was shared. *)
 
-val reg_lits : t -> cycle:int -> Sat.Solver.lit array
-(** The concatenated literals of every register at a cycle, in a fixed
-    order — the state vector used for uniqueness constraints. *)
-
 val solver : t -> Sat.Solver.t
 val circuit : t -> Rtl.Circuit.t
 
@@ -80,16 +76,10 @@ val lits : t -> cycle:int -> Rtl.Signal.t -> Sat.Solver.lit array
 val lit1 : t -> cycle:int -> Rtl.Signal.t -> Sat.Solver.lit
 (** The single literal of a 1-bit node. *)
 
-val lit_true : t -> Sat.Solver.lit
-
 val node_value : t -> cycle:int -> Rtl.Signal.t -> Bitvec.t
 (** Read a node's value out of the solver model after a [Sat] answer. *)
 
 val input_value : t -> cycle:int -> string -> Bitvec.t
-
-val fresh_var : t -> Sat.Solver.lit
-(** A fresh positive literal for auxiliary constraints (e.g. activation
-    literals for bounded checks). *)
 
 val state_distinct : t -> int -> int -> Sat.Solver.lit
 (** [state_distinct t i j] is a literal that is true iff the register

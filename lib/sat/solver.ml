@@ -230,9 +230,6 @@ let set_budget s b = s.budget <- b
 
 let num_vars s = s.nvars
 let num_clauses s = Vec.size s.clauses
-let num_learnts s = Vec.size s.learnts
-let num_conflicts s = s.conflicts
-let num_decisions s = s.decisions
 let num_propagations s = s.propagations
 
 let stats s =
@@ -301,10 +298,6 @@ let on_sample s ~every hook =
   if every <= 0 then invalid_arg "Sat.Solver.on_sample: every must be positive";
   s.sample_every <- every;
   s.sample_hook <- Some hook
-
-let clear_sample s =
-  s.sample_every <- 0;
-  s.sample_hook <- None
 
 (* {1 Variable order: binary max-heap on activity} *)
 

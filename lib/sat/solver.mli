@@ -165,9 +165,6 @@ val value : t -> int -> bool
     satisfiable. *)
 
 val num_clauses : t -> int
-val num_learnts : t -> int
-val num_conflicts : t -> int
-val num_decisions : t -> int
 val num_propagations : t -> int
 
 (** {1 Statistics and sampling}
@@ -215,7 +212,5 @@ val on_sample : t -> every:int -> (stats -> unit) -> unit
     call back into the solver. Raises [Invalid_argument] when
     [every <= 0]. With no hook installed the per-conflict overhead is a
     single comparison. *)
-
-val clear_sample : t -> unit
 
 val pp_stats : Format.formatter -> t -> unit

@@ -907,8 +907,13 @@ module Daemon = struct
       in
       go ()
     in
-    let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-    let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    (* Close-on-exec, like every descriptor the daemon opens: a worker
+       that inherited the listening socket would keep [serve.sock]
+       accepting connections after the daemon died, with nobody to
+       reply. [create_process_env] still duplicates [devnull] onto a
+       worker's stdin. *)
+    let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+    let sock = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     let sock_path = Client.socket_path dir in
     (try Sys.remove sock_path with Sys_error _ -> ());
     Unix.bind sock (Unix.ADDR_UNIX sock_path);
@@ -926,7 +931,9 @@ module Daemon = struct
     let spawn id attempt =
       let log = dir // "logs" // Printf.sprintf "%s-%d.log" id attempt in
       let logfd =
-        Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+        Unix.openfile log
+          [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ]
+          0o644
       in
       let argv =
         [|
@@ -1212,7 +1219,7 @@ module Daemon = struct
       in
       if List.mem wake_r ready then drain_wakeups ();
       if List.mem sock ready then begin
-        match Unix.accept sock with
+        match Unix.accept ~cloexec:true sock with
         | fd, _ -> clients := (fd, Buffer.create 256) :: !clients
         | exception Unix.Unix_error _ -> ()
       end;

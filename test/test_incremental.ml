@@ -150,6 +150,65 @@ let test_check_each_empty () =
     (List.length
        (Bmc.check_each ~incremental:true circuit { Bmc.assumes = []; asserts = [] }))
 
+(* {1 Directed: one session behind check and check_each} *)
+
+let m3_ft () =
+  Autocc.Ft.generate ~threshold:2 ~flush_done:(M.flush_done ())
+    (M.create ~config:{ M.fix_m2 = true; fix_m3 = false } ())
+
+(* Verdict, depth and the exact solver counters of one outcome. *)
+let counters_row o =
+  let st =
+    match o with
+    | Bmc.Cex (_, st) | Bmc.Bounded_proof st | Bmc.Unknown (_, st) -> st
+  in
+  Printf.sprintf "%s conflicts=%d decisions=%d propagations=%d vars=%d clauses=%d"
+    (describe o) st.Bmc.conflicts st.Bmc.decisions st.Bmc.propagations
+    st.Bmc.vars st.Bmc.clauses
+
+let test_check_is_check_each () =
+  (* [check] is [check_each]'s depth loop asked once over all of its
+     assertions: on a one-assertion property the two run the same
+     query on the same session, down to the last propagation. *)
+  let ft = m3_ft () in
+  let circuit = ft.Autocc.Ft.wrapper and sym = ft.Autocc.Ft.sym in
+  List.iter
+    (fun (name, a) ->
+      let sub = { ft.Autocc.Ft.property with Bmc.asserts = [ (name, a) ] } in
+      let one = Bmc.check ~max_depth:10 ~opt:Opt.O2 ~sym circuit sub in
+      match Bmc.check_each ~max_depth:10 ~opt:Opt.O2 ~sym circuit sub with
+      | [ (n, each) ] ->
+          Alcotest.(check string) "assertion" name n;
+          Alcotest.(check string) name (counters_row one) (counters_row each)
+      | rs -> Alcotest.failf "%s: check_each returned %d results" name (List.length rs))
+    ft.Autocc.Ft.property.Bmc.asserts
+
+let test_check_each_rebuilds_session () =
+  (* A 50-conflict cap aborts M3's first assertion: its session is
+     dropped, and the next assertion runs on a rebuilt one. Every
+     assertion the capped sweep decides must agree with the uncapped
+     sweep, and at least one must be decided after an abort. *)
+  let sweep budget =
+    let ft = m3_ft () in
+    Bmc.check_each ~max_depth:10 ~opt:Opt.O2 ~sym:ft.Autocc.Ft.sym ~budget
+      ft.Autocc.Ft.wrapper ft.Autocc.Ft.property
+  in
+  let free = sweep Bmc.no_budget in
+  let capped = sweep (Bmc.budget ~conflicts:50 ()) in
+  let aborted = ref false and after_abort = ref 0 in
+  List.iter2
+    (fun (n, o_free) (_, (o_cap : Bmc.outcome)) ->
+      match o_cap with
+      | Bmc.Unknown (Bmc.Budget_exhausted _, _) -> aborted := true
+      | Bmc.Unknown (r, _) -> Alcotest.failf "%s: %s" n (unknown_to_string r)
+      | _ ->
+          if !aborted then incr after_abort;
+          Alcotest.(check string) (n ^ " after a dropped session")
+            (describe o_free) (describe o_cap))
+    free capped;
+  Alcotest.(check bool) "an assertion was decided on a rebuilt session" true
+    (!after_abort > 0)
+
 (* {1 Directed: induction} *)
 
 let test_prove_agrees () =
@@ -356,6 +415,13 @@ let () =
           Alcotest.test_case "check_each with no asserts" `Quick test_check_each_empty;
           Alcotest.test_case "induction agrees across engines" `Quick
             test_prove_agrees;
+        ] );
+      ( "session",
+        [
+          Alcotest.test_case "check is check_each on one assertion" `Quick
+            test_check_is_check_each;
+          Alcotest.test_case "check_each rebuilds a dropped session" `Quick
+            test_check_each_rebuilds_session;
         ] );
       ( "symmetric",
         [

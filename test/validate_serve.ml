@@ -24,7 +24,13 @@
       leaves an hb/ directory;
    G. a daemon SIGKILLed as soon as it acknowledges a submit restarts
       with the job in its queue journal and never reissues the job's
-      id.
+      id;
+   H. a daemon SIGKILLed while its worker runs leaves serve.sock
+      refusing connections: the worker inherited none of the daemon's
+      descriptors.
+
+   Every phase starts from an empty directory of its own, so the smoke
+   can be run again in the same directory.
 
    Usage: validate_serve <path-to-autocc-cli-exe> *)
 
@@ -48,6 +54,8 @@ let read_file path =
   let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
   s
+
+let fresh_dir dir = ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; dir ]))
 
 (* {1 Process helpers} *)
 
@@ -216,6 +224,9 @@ let find_storm_seed () =
 let phase_b () =
   phase "B: crash-free service run, 4 DUTs, 2 workers, cold cache";
   let dir = "sserve_b" in
+  fresh_dir dir;
+  (* Cleared here only: phase D's warm hits come from phase B's stores. *)
+  fresh_dir "sserve_cache";
   let pid = start_daemon ~dir [ "--workers"; "2"; "--cache-dir"; "sserve_cache" ] in
   let rows = run_jobs dir in
   check_verdicts "crash-free" rows;
@@ -256,6 +267,7 @@ let phase_c () =
       infof "storm seed %d (rate %g, sites serve.worker;serve.lease)" seed
         storm_rate;
       let dir = "sserve_c" in
+      fresh_dir dir;
       let env =
         [ Printf.sprintf "AUTOCC_FAULT=seed=%d,rate=%g,sites=serve.worker;serve.lease"
             seed storm_rate ]
@@ -283,6 +295,7 @@ let phase_c () =
 let phase_d () =
   phase "D: drain persistence, byte-stable restart, shedding, warm cache";
   let dir = "sserve_d" in
+  fresh_dir dir;
   (* Queue-only daemon: accepts and persists, never dispatches. *)
   let pid = start_daemon ~dir [ "--workers"; "0"; "--shed"; "4" ] in
   List.iter
@@ -367,6 +380,7 @@ let phase_d () =
 let phase_e () =
   phase "E: SIGTERMed campaign checkpoints and resumes byte-stably";
   let out = "sserve_camp" in
+  fresh_dir out;
   let args =
     [ "campaign"; "--duts"; "leaky,divider,maple,aes"; "--max-depth"; "6";
       "--out"; out ]
@@ -421,7 +435,7 @@ let fault sites = [ "AUTOCC_FAULT=seed=1,rate=1,sites=" ^ sites ]
 
 (* A fresh directory, one worker, the short lease; returns the job row. *)
 let run_lease_job ?env dir args =
-  ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; dir ]));
+  fresh_dir dir;
   let pid =
     start_daemon ?env ~dir
       ([ "--workers"; "1"; "--no-cache"; "--lease"; string_of_float lease_s ]
@@ -488,7 +502,7 @@ let ack_trials = 10
 let phase_g () =
   phase "G: a daemon SIGKILLed after acknowledging a submit keeps the job";
   let dir = "sserve_g" in
-  ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; dir ]));
+  fresh_dir dir;
   let start () = start_daemon ~dir [ "--workers"; "0" ] in
   let submit trial =
     let dut = List.nth duts (trial mod List.length duts) in
@@ -543,6 +557,83 @@ let phase_g () =
     !lost ack_trials
     (List.length (List.sort_uniq compare !acked))
 
+(* {1 Phase H: an orphaned worker does not hold the listening socket}
+
+   The daemon opens its listening socket, its accepted connections and
+   the /dev/null it hands a worker as stdin close-on-exec. Were the
+   socket inherited, a worker outliving a SIGKILLed daemon would keep
+   serve.sock accepting connections that nobody answers. The lease job
+   under "serve.stall" holds its worker for several seconds; the daemon
+   is killed and reaped at the worker's first heartbeat, and the worker
+   afterwards by the pid its heartbeat events carry. *)
+
+let worker_pids dir ~daemon =
+  let events = Filename.concat dir "events.jsonl" in
+  if not (Sys.file_exists events) then []
+  else
+    String.split_on_char '\n' (read_file events)
+    |> List.filter_map (fun l ->
+           match J.parse l with
+           | Ok j when J.str "type" j = Some "heartbeat" -> (
+               match J.int "pid" j with
+               | Some p when p <> daemon -> Some p
+               | _ -> None)
+           | _ -> None)
+    |> List.sort_uniq compare
+
+(* Gone: no such process, or a zombie that whoever adopted it has not
+   reaped yet. *)
+let gone pid =
+  (not (Obs.Bus.pid_alive pid))
+  ||
+  match
+    In_channel.with_open_bin
+      (Printf.sprintf "/proc/%d/stat" pid)
+      In_channel.input_all
+  with
+  | stat -> (
+      match String.rindex_opt stat ')' with
+      | Some i -> String.length stat > i + 2 && stat.[i + 2] = 'Z'
+      | None -> false)
+  | exception Sys_error _ -> true
+
+let phase_h () =
+  phase "H: a worker outliving its SIGKILLed daemon leaves serve.sock refusing";
+  let dir = "sserve_h" in
+  fresh_dir dir;
+  let pid =
+    start_daemon ~env:(fault "serve.stall") ~dir [ "--workers"; "1"; "--no-cache" ]
+  in
+  (match Serve.Client.submit ~dir lease_job with
+  | Error e -> failf "submit to %s: %s" dir e
+  | Ok _ -> ());
+  let workers = ref [] in
+  ignore
+    (wait_for "a worker heartbeat" (fun () ->
+         workers := worker_pids dir ~daemon:pid;
+         !workers <> []));
+  Unix.kill pid Sys.sigkill;
+  ignore (Unix.waitpid [] pid);
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (match Unix.connect fd (Unix.ADDR_UNIX (Serve.Client.socket_path dir)) with
+  | () ->
+      failf "serve.sock accepted a connection after its daemon died: \
+             worker(s) %s hold the listening socket"
+        (String.concat ", " (List.map string_of_int !workers))
+  | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) ->
+      infof "serve.sock refuses connections while the orphaned worker runs"
+  | exception Unix.Unix_error (e, _, _) ->
+      failf "connect to the dead daemon's socket: %s (want ECONNREFUSED)"
+        (Unix.error_message e));
+  Unix.close fd;
+  if List.for_all gone !workers then
+    failf "the worker exited before the socket was probed: raise the job's depth";
+  List.iter
+    (fun w -> try Unix.kill w Sys.sigkill with Unix.Unix_error _ -> ())
+    !workers;
+  ignore
+    (wait_for "the orphaned worker to exit" (fun () -> List.for_all gone !workers))
+
 let () =
   if Array.length Sys.argv < 2 then (
     prerr_endline "usage: validate_serve <autocc-cli-exe>";
@@ -560,10 +651,12 @@ let () =
   phase_e ();
   phase_f ();
   phase_g ();
+  phase_h ();
   if !failures > 0 then (
     Printf.printf "serve smoke: %d FAILURE(S)\n" !failures;
     exit 1)
   else print_endline "serve smoke: service survived the crash storm, \
                       drained byte-stably, reused the warm cache, \
-                      renewed leases through events.jsonl and kept \
-                      every acknowledged job"
+                      renewed leases through events.jsonl, kept \
+                      every acknowledged job and left no socket to \
+                      an orphaned worker"
