@@ -607,8 +607,39 @@ let counters () =
           st.Bmc.depth_reached st
   in
   (* The explanation layer of a campaign entry: the per-assertion sweep,
-     then slice and minimize every raw CEX. The MD5 covers every
-     minimized witness (depth, failed set, input hex) in sweep order. *)
+     then slice and minimize every raw CEX. The witness MD5 covers every
+     minimized witness (depth, failed set, input hex) in sweep order, the
+     slice MD5 every raw CEX's slice (chain hops with their α/β values,
+     slice widths, waveform strip), and [sim_steps] counts the cycles
+     the slicing and minimization replayed. *)
+  let slice_text sl =
+    let bv = Format.asprintf "%a" Bitvec.pp in
+    let kind = function
+      | Explain.Reg -> "reg"
+      | Explain.Input -> "input"
+      | Explain.Output -> "output"
+      | Explain.Node -> "node"
+    in
+    let opt = Option.value ~default:"-" in
+    let values vs = String.concat "," (Array.to_list (Array.map bv vs)) in
+    Printf.sprintf "%s|%s|%s|%s|%d|%s\n%s\n%s\n" sl.Explain.sl_assert
+      (opt sl.Explain.sl_output) (opt sl.Explain.sl_culprit)
+      (opt (Option.map string_of_int sl.Explain.sl_spy_start))
+      sl.Explain.sl_depth
+      (String.concat "," (Array.to_list (Array.map string_of_int sl.Explain.sl_widths)))
+      (String.concat ";"
+         (List.map
+            (fun l ->
+              Printf.sprintf "%d:%s:%s=%s/%s" l.Explain.link_cycle
+                (kind l.Explain.link_kind) l.Explain.link_label
+                (bv l.Explain.link_a) (bv l.Explain.link_b))
+            sl.Explain.sl_chain))
+      (String.concat ";"
+         (List.map
+            (fun (label, k, va, vb) ->
+              Printf.sprintf "%s:%s=%s/%s" (kind k) label (values va) (values vb))
+            sl.Explain.sl_trace))
+  in
   let explain_row (id, mk_ft, max_depth) =
     let ft = mk_ft () in
     let outcomes =
@@ -627,10 +658,17 @@ let counters () =
         (fun (_, o) -> match o with Bmc.Cex (c, _) -> Some c | _ -> None)
         outcomes
     in
-    let fingerprints =
-      List.map (fun c -> Explain.fingerprint (Explain.slice ft c)) cexs
-    in
+    Obs.Metrics.reset ();
+    Obs.Metrics.enable ();
+    let slices = List.map (Explain.slice ft) cexs in
     let mins = List.map (Explain.minimize ft) cexs in
+    let sim_steps =
+      match Obs.Metrics.find "sim.steps" with
+      | Some (Obs.Metrics.Counter n) -> n
+      | _ -> 0
+    in
+    Obs.Metrics.disable ();
+    let md5 texts = Digest.to_hex (Digest.string (String.concat "" texts)) in
     let sum f = List.fold_left (fun n m -> n + f m) 0 mins in
     let witness mn =
       let c = mn.Explain.mn_cex in
@@ -652,13 +690,15 @@ let counters () =
         ("asserts", Json.Int (List.length outcomes));
         ("raw_cexs", Json.Int (List.length cexs));
         ("conflicts", Json.Int conflicts);
-        ("channels", Json.Int (List.length (List.sort_uniq compare fingerprints)));
+        ( "channels",
+          Json.Int
+            (List.length
+               (List.sort_uniq compare (List.map Explain.fingerprint slices))) );
         ("min_iterations", Json.Int (sum (fun m -> m.Explain.mn_iterations)));
         ("zeroed_bits", Json.Int (sum (fun m -> m.Explain.mn_zeroed_bits)));
-        ( "witness_md5",
-          Json.Str
-            (Digest.to_hex (Digest.string (String.concat "" (List.map witness mins))))
-        );
+        ("witness_md5", Json.Str (md5 (List.map witness mins)));
+        ("slice_md5", Json.Str (md5 (List.map slice_text slices)));
+        ("sim_steps", Json.Int sim_steps);
       ]
   in
   (* A bundled campaign entry at d8, as [autocc campaign] builds it. *)
