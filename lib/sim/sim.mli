@@ -8,9 +8,15 @@
     {!create} compiles the circuit once into slot-indexed arrays (one
     slot per node of {!Rtl.Circuit.topo}, each operand a slot number),
     so evaluating a cycle walks the combinational slots in order and
-    looks nothing up. {!snapshot} and {!restore} save and reload the
-    state a trace has reached, so a caller can replay many traces that
-    share a prefix from the end of that prefix instead of from reset. *)
+    looks nothing up. A slot at most [Sys.int_size - 1] bits wide (62
+    on a 64-bit host) is narrow and holds its value as an OCaml [int]:
+    a slot whose result and operands are all narrow is computed with
+    masked integer operations that allocate nothing. Any other slot
+    runs its {!Bitvec} operation, converting narrow operands. Values
+    still enter and leave as {!Bitvec.t}. {!snapshot} and {!restore}
+    save and reload the state a trace has reached, so a caller can
+    replay many traces that share a prefix from the end of that prefix
+    instead of from reset. *)
 
 type t
 

@@ -307,6 +307,193 @@ let test_snapshot_inputs_held () =
     (Invalid_argument "Sim.restore: snapshot of another circuit") (fun () ->
       Sim.restore s (Sim.snapshot (Sim.create other)))
 
+(* The simulator keeps a slot of at most [Sys.int_size - 1] bits as an
+   OCaml int and a wider one as a [Bitvec.t]. Random circuits over
+   widths on both sides of that edge, and well past it, are run against
+   a reference that evaluates every node with the [Bitvec] op, cycle by
+   cycle, through a mid-trace snapshot/restore and a reset, with a
+   watched waveform. *)
+let edge_widths = [| 1; 2; 3; 4; 5; 6; 7; 8; 30; 31; 32; 33; 60; 61; 62; 63; 64; 96; 128 |]
+
+let edge_circuit st =
+  let any_width () = edge_widths.(Random.State.int st (Array.length edge_widths)) in
+  let inputs = List.init 4 (fun i -> input (Printf.sprintf "i%d" i) (any_width ())) in
+  let regs =
+    List.init 4 (fun i ->
+        let w = any_width () in
+        reg ~init:(Bitvec.random st w) (Printf.sprintf "r%d" i) w)
+  in
+  let pool = ref (inputs @ regs) in
+  let pick () = List.nth !pool (Random.State.int st (List.length !pool)) in
+  let of_width w =
+    match List.filter (fun s -> Signal.width s = w) !pool with
+    | [] -> (if Random.State.bool st then uresize else sresize) (pick ()) w
+    | l -> List.nth l (Random.State.int st (List.length l))
+  in
+  for _ = 1 to 40 do
+    let a = pick () in
+    let w = Signal.width a in
+    let b = of_width w in
+    let node =
+      match Random.State.int st 16 with
+      | 0 -> ~:a
+      | 1 -> a &: b
+      | 2 -> a |: b
+      | 3 -> a ^: b
+      | 4 -> a +: b
+      | 5 -> a -: b
+      | 6 -> a *: b
+      | 7 -> a ==: b
+      | 8 -> a <: b
+      | 9 -> slt a b
+      | 10 -> mux2 (of_width 1) a b
+      | 11 -> concat [ a; pick () ]
+      | 12 ->
+          let hi = Random.State.int st w in
+          select a hi (Random.State.int st (hi + 1))
+      | 13 -> uresize a (any_width ())
+      | 14 -> sresize a (any_width ())
+      | _ -> const (Bitvec.random st w)
+    in
+    if Signal.width node <= 256 then pool := node :: !pool
+  done;
+  List.iter (fun r -> reg_set_next r (of_width (Signal.width r))) regs;
+  Circuit.create ~name:"edges"
+    ~outputs:(List.mapi (fun i s -> (Printf.sprintf "o%d" i, s)) !pool)
+    ()
+
+(* The reference: every node's value, by [Circuit.node_index]. *)
+let reference_create c =
+  Array.map
+    (fun s ->
+      match Signal.op s with
+      | Const v -> v
+      | Reg r -> r.init
+      | _ -> Bitvec.zero (Signal.width s))
+    (Circuit.topo c)
+
+let reference_eval c values =
+  let idx = Circuit.node_index c in
+  Array.iteri
+    (fun i s ->
+      let a = Array.map (fun x -> values.(idx x)) (Signal.args s) in
+      let set v = values.(i) <- v in
+      match Signal.op s with
+      | Const _ | Input _ | Reg _ -> ()
+      | Not -> set (Bitvec.lognot a.(0))
+      | And -> set (Bitvec.logand a.(0) a.(1))
+      | Or -> set (Bitvec.logor a.(0) a.(1))
+      | Xor -> set (Bitvec.logxor a.(0) a.(1))
+      | Add -> set (Bitvec.add a.(0) a.(1))
+      | Sub -> set (Bitvec.sub a.(0) a.(1))
+      | Mul -> set (Bitvec.mul a.(0) a.(1))
+      | Eq -> set (Bitvec.of_bool (Bitvec.equal a.(0) a.(1)))
+      | Ult -> set (Bitvec.of_bool (Bitvec.ult a.(0) a.(1)))
+      | Slt -> set (Bitvec.of_bool (Bitvec.slt a.(0) a.(1)))
+      | Mux -> set (if Bitvec.bit a.(0) 0 then a.(1) else a.(2))
+      | Concat -> set (Bitvec.concat_list (Array.to_list a))
+      | Slice (hi, lo) -> set (Bitvec.extract ~hi ~lo a.(0)))
+    (Circuit.topo c)
+
+let reference_step c values =
+  let idx = Circuit.node_index c in
+  let next =
+    List.map
+      (fun r -> (idx r, values.(idx (Option.get (reg_of r).next))))
+      (Circuit.regs c)
+  in
+  List.iter (fun (i, v) -> values.(i) <- v) next
+
+let edges_match (seed : int) =
+  let st = Random.State.make [| seed |] in
+  let c = edge_circuit st in
+  let inputs = Circuit.inputs c in
+  (* Each cycle drives a random subset of the inputs, some through
+     [set_input_int] with a possibly negative int. *)
+  let cycles =
+    List.init 12 (fun _ ->
+        List.filter_map
+          (fun p ->
+            let w = Signal.width p.Circuit.signal in
+            match Random.State.int st 4 with
+            | 0 -> None
+            | 1 -> Some (p, `Int (Random.State.full_int st max_int - (max_int / 2)))
+            | _ -> Some (p, `Bits (Bitvec.random st w)))
+          inputs)
+  in
+  let k = 1 + Random.State.int st 10 in
+  let nodes = Circuit.topo c in
+  let watched = List.map (fun p -> p.Circuit.signal) (Circuit.outputs c) @ Circuit.regs c in
+  let sim = Sim.create c in
+  Sim.watch sim watched;
+  let refv = reference_create c in
+  let log = ref [] in
+  let fail cycle what s want got =
+    failwith
+      (Format.asprintf "cycle %d, %s %a: reference %a, sim %a" cycle what Signal.pp s
+         Bitvec.pp want Bitvec.pp got)
+  in
+  let check what s got =
+    let want = refv.(Circuit.node_index c s) in
+    if not (Bitvec.equal want got) then fail (Sim.cycle sim) what s want got
+  in
+  let run trace =
+    List.iter
+      (fun assignments ->
+        List.iter
+          (fun (p, value) ->
+            let name = p.Circuit.port_name and w = Signal.width p.Circuit.signal in
+            let v =
+              match value with
+              | `Int n ->
+                  Sim.set_input_int sim name n;
+                  Bitvec.of_int ~width:w n
+              | `Bits v ->
+                  Sim.set_input sim name v;
+                  v
+            in
+            refv.(Circuit.node_index c p.Circuit.signal) <- v)
+          assignments;
+        reference_eval c refv;
+        Array.iter (fun s -> check "node" s (Sim.peek sim s)) nodes;
+        List.iter
+          (fun p -> check "output" p.Circuit.signal (Sim.out sim p.Circuit.port_name))
+          (Circuit.outputs c);
+        List.iter
+          (fun r -> check "register" r (Sim.reg_value sim (reg_of r).reg_name))
+          (Circuit.regs c);
+        log := List.map (fun s -> refv.(Circuit.node_index c s)) watched :: !log;
+        Sim.step sim;
+        reference_step c refv)
+      trace
+  in
+  run (List.filteri (fun i _ -> i < k) cycles);
+  let snap = Sim.snapshot sim and saved = Array.copy refv in
+  let suffix = List.filteri (fun i _ -> i >= k) cycles in
+  run suffix;
+  Sim.restore sim snap;
+  Array.blit saved 0 refv 0 (Array.length refv);
+  run suffix;
+  let samples = List.rev !log in
+  List.iteri
+    (fun j (s, values) ->
+      List.iteri
+        (fun t row ->
+          let want = List.nth row j in
+          if not (Bitvec.equal want values.(t)) then fail t "waveform" s want values.(t))
+        samples)
+    (Sim.waveform sim);
+  Sim.reset sim;
+  Array.blit (reference_create c) 0 refv 0 (Array.length refv);
+  run cycles;
+  true
+
+let prop_edges =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200 ~name:"narrow and wide slots match a Bitvec reference"
+       QCheck.(make Gen.(int_bound 1_000_000))
+       edges_match)
+
 let prop_snapshot =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:100 ~name:"snapshot/restore replays the suffix"
@@ -349,5 +536,6 @@ let () =
           Alcotest.test_case "waveform" `Quick test_waveform;
           Alcotest.test_case "snapshot holds inputs" `Quick test_snapshot_inputs_held;
           prop_snapshot;
+          prop_edges;
         ] );
     ]
