@@ -694,7 +694,19 @@ module Worker = struct
        killer. *)
     if Fault.fire "serve.worker" then Unix.kill (Unix.getpid ()) Sys.sigkill
 
+  (* A worker outlives its daemon only when the daemon was killed: the
+     worker is then reparented, nobody reads its result or expires its
+     lease, and a restarted daemon redelivers the job. So it stops, with
+     no result file and no ledger row, instead of finishing the job as an
+     unsupervised duplicate. *)
+  let orphan_probe ~daemon =
+    if Unix.getppid () <> daemon then begin
+      prerr_endline "autocc worker: the daemon is gone; abandoning the job";
+      exit 1
+    end
+
   let run ~dir ~job_id ~attempt =
+    let daemon = Unix.getppid () in
     if attempt > 0 then Fault.reseed ~offset:attempt;
     let spec = read_job_spec dir job_id in
     Obs.Bus.attach ~file:(dir // "events.jsonl") ();
@@ -713,6 +725,7 @@ module Worker = struct
     let progress _k =
       renew_lease ();
       stall_probe ();
+      orphan_probe ~daemon;
       crash_probe ()
     in
     let t0 = Unix.gettimeofday () in

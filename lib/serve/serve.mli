@@ -281,7 +281,12 @@ module Worker : sig
       number, so an injected crash does not replay deterministically on
       redelivery. Probes the ["serve.worker"] (self-SIGKILL),
       ["serve.lease"] (renewal dropped) and ["serve.stall"] (0.2 s sleep
-      after the renewal) fault sites at every depth. *)
+      after the renewal) fault sites at every depth.
+
+      The daemon is the worker's parent. Once the worker's parent pid
+      differs from the one it started with (the daemon died and the
+      worker was reparented), the next depth exits 1 with no result file
+      and no ledger row: the daemon that comes back redelivers the job. *)
 end
 
 (** The supervisor loop: owns the socket, the worker pool and the

@@ -557,15 +557,18 @@ let phase_g () =
     !lost ack_trials
     (List.length (List.sort_uniq compare !acked))
 
-(* {1 Phase H: an orphaned worker does not hold the listening socket}
+(* {1 Phase H: an orphaned worker neither holds the listening socket nor
+   runs on}
 
    The daemon opens its listening socket, its accepted connections and
    the /dev/null it hands a worker as stdin close-on-exec. Were the
    socket inherited, a worker outliving a SIGKILLed daemon would keep
    serve.sock accepting connections that nobody answers. The lease job
    under "serve.stall" holds its worker for several seconds; the daemon
-   is killed and reaped at the worker's first heartbeat, and the worker
-   afterwards by the pid its heartbeat events carry. *)
+   is killed and reaped at the worker's first heartbeat. The worker
+   notices it has been reparented after its next stall, so the socket
+   is probed while it still runs, and it must then be gone within 2 s on
+   its own (the pids come from its heartbeat events). *)
 
 let worker_pids dir ~daemon =
   let events = Filename.concat dir "events.jsonl" in
@@ -598,7 +601,8 @@ let gone pid =
   | exception Sys_error _ -> true
 
 let phase_h () =
-  phase "H: a worker outliving its SIGKILLed daemon leaves serve.sock refusing";
+  phase "H: a worker outliving its SIGKILLed daemon leaves serve.sock refusing \
+         and exits";
   let dir = "sserve_h" in
   fresh_dir dir;
   let pid =
@@ -628,11 +632,15 @@ let phase_h () =
   Unix.close fd;
   if List.for_all gone !workers then
     failf "the worker exited before the socket was probed: raise the job's depth";
-  List.iter
-    (fun w -> try Unix.kill w Sys.sigkill with Unix.Unix_error _ -> ())
-    !workers;
-  ignore
-    (wait_for "the orphaned worker to exit" (fun () -> List.for_all gone !workers))
+  if
+    not
+      (wait_for ~timeout_s:2. "the orphaned worker to exit on its own" (fun () ->
+           List.for_all gone !workers))
+  then
+    (* Failed already; do not leave the worker running. *)
+    List.iter
+      (fun w -> try Unix.kill w Sys.sigkill with Unix.Unix_error _ -> ())
+      !workers
 
 let () =
   if Array.length Sys.argv < 2 then (
@@ -658,5 +666,5 @@ let () =
   else print_endline "serve smoke: service survived the crash storm, \
                       drained byte-stably, reused the warm cache, \
                       renewed leases through events.jsonl, kept \
-                      every acknowledged job and left no socket to \
-                      an orphaned worker"
+                      every acknowledged job and left an orphaned \
+                      worker neither the socket nor its job"
