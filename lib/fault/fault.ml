@@ -12,7 +12,9 @@ type config = {
   sites : string list option; (* None = every site *)
 }
 
-type state = { config : config; mutable hits : int; mutable fired : int }
+(* [seed] rolls the dice: the armed [config.seed] plus the offset of the
+   last [reseed]. *)
+type state = { config : config; seed : int; mutable hits : int; mutable fired : int }
 
 let state : state option Atomic.t = Atomic.make None
 let lock = Mutex.create ()
@@ -27,6 +29,7 @@ let arm ?sites ?(rate = 0.01) ~seed () =
     (Some
        {
          config = { seed; threshold = int_of_float (rate *. 1_000_000.); sites };
+         seed;
          hits = 0;
          fired = 0;
        });
@@ -44,11 +47,10 @@ let reseed ~offset =
   match Atomic.get state with
   | None -> ()
   | Some st ->
-      let c = st.config in
       Mutex.lock lock;
       Hashtbl.reset counters;
       Atomic.set state
-        (Some { config = { c with seed = c.seed + offset }; hits = 0; fired = 0 });
+        (Some { st with seed = st.config.seed + offset; hits = 0; fired = 0 });
       Mutex.unlock lock
 
 let arm_from_env () =
@@ -101,7 +103,7 @@ let decide st site =
     in
     Hashtbl.replace counters site (n + 1);
     st.hits <- st.hits + 1;
-    let h = mix (st.config.seed lxor site_hash site lxor (n * 0x9e3779b9)) in
+    let h = mix (st.seed lxor site_hash site lxor (n * 0x9e3779b9)) in
     let fire = h mod 1_000_000 < st.config.threshold in
     if fire then st.fired <- st.fired + 1;
     fire

@@ -41,13 +41,17 @@ val disarm : unit -> unit
 (** Return to the zero-cost disarmed state and reset counters. *)
 
 val reseed : offset:int -> unit
-(** Rotate the armed seed by [offset] (and reset counters); no-op when
-    disarmed. Fault decisions are a pure function of [(seed, site, n)]
-    and counters are per-process, so a respawned worker would otherwise
-    replay the exact fault sequence that killed its predecessor — a
-    redelivered job would crash forever and quarantine. The service
-    worker calls [reseed ~offset:attempt] so each delivery attempt rolls
-    a fresh (but still deterministic) die.
+(** Roll the dice of seed [armed + offset], where [armed] is the seed
+    given to {!arm}, and reset the counters; no-op when disarmed.
+    Offsets do not compound: [reseed ~offset:n] always gives the fire
+    sequence of a fresh [arm] at [armed + n], and [reseed ~offset:0]
+    that of the armed seed. Fault decisions are a pure function of
+    [(seed, site, n)], so a redelivered job would otherwise replay the
+    exact fault sequence that killed its previous attempt, crash forever
+    and quarantine. The service worker calls [reseed ~offset:attempt]
+    before every job it runs, attempt 0 included, so each job rolls the
+    dice of its delivery attempt however many jobs the worker ran
+    before.
 
     Known process-level sites probed by the serve worker at every
     depth: ["serve.worker"] (worker self-[SIGKILL] mid-job),

@@ -275,6 +275,32 @@ let test_fault_determinism () =
   Fault.disarm ();
   Alcotest.(check bool) "a different seed gives a different trace" true (f1 <> f3)
 
+let test_fault_reseed () =
+  (* A serve worker reseeds before every job it runs: offsets must not
+     compound, or the dice would drift from job to job. *)
+  let seq ?reseeds seed =
+    Fault.arm ~rate:0.3 ~seed ();
+    Option.iter (List.iter (fun offset -> Fault.reseed ~offset)) reseeds;
+    let fired = List.init 200 (fun _ -> Fault.fire "site.a") in
+    Fault.disarm ();
+    fired
+  in
+  Alcotest.(check (list bool)) "reseed 3 twice = fresh arm at seed + 3"
+    (seq 1237) (seq ~reseeds:[ 3; 3 ] 1234);
+  Alcotest.(check (list bool)) "reseed 0 after 3 = the armed seed" (seq 1234)
+    (seq ~reseeds:[ 3; 0 ] 1234);
+  Alcotest.(check (list bool)) "reseed 0 = the armed seed" (seq 1234)
+    (seq ~reseeds:[ 0 ] 1234);
+  Alcotest.(check bool) "seed + 3 is another trace" true (seq 1234 <> seq 1237);
+  (* Counters restart too: a reseed mid-sequence replays from hit 0. *)
+  Fault.arm ~rate:0.3 ~seed:1234 ();
+  ignore (List.init 50 (fun _ -> Fault.fire "site.a"));
+  Fault.reseed ~offset:0;
+  let again = List.init 200 (fun _ -> Fault.fire "site.a") in
+  Alcotest.(check int) "hits restart" 200 (Fault.hits ());
+  Fault.disarm ();
+  Alcotest.(check (list bool)) "reseed restarts the per-site counter" (seq 1234) again
+
 let verdict_flip ref_outcome outcome =
   match (ref_outcome, outcome) with
   | Bmc.Cex (c1, _), Bmc.Cex (c2, _) -> c1.Bmc.cex_depth <> c2.Bmc.cex_depth
@@ -723,6 +749,8 @@ let () =
       ( "fault",
         [
           Alcotest.test_case "seeded determinism" `Quick test_fault_determinism;
+          Alcotest.test_case "reseed is relative to the armed seed" `Quick
+            test_fault_reseed;
           Alcotest.test_case "fuzz: no verdict flips" `Quick test_fault_fuzz;
           Alcotest.test_case "fuzz under retry" `Quick test_fault_fuzz_with_retry;
           Alcotest.test_case "bmc.incr site downgrades cleanly" `Quick
