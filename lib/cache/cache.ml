@@ -366,6 +366,11 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
+let close t =
+  locked t @@ fun () ->
+  Option.iter close_out_noerr t.chan;
+  t.chan <- None
+
 let find t k =
   Obs.span "cache.lookup" @@ fun () ->
   locked t @@ fun () ->

@@ -118,6 +118,11 @@ val create : ?dir:string -> unit -> t
     is best-effort: I/O errors (and injected [cache.store] faults)
     degrade to memory-only operation and can never affect verdicts. *)
 
+val close : t -> unit
+(** Close the disk store: later stores stay in memory. A process that
+    opens a store per job, like a serve worker running job after job,
+    closes each one, or it keeps one descriptor open per job. *)
+
 val find : t -> string -> verdict option
 (** Guarded lookup; counts a hit or a miss, under a [cache.lookup]
     telemetry span. *)

@@ -183,6 +183,28 @@ let test_codec_round_trip () =
   Alcotest.(check bool) "cex" true (verdict_equal (Cache.Cex cex) (found "k_cex"));
   Alcotest.(check int) "no load-time rejects" 0 (Cache.stats t').Cache.rejects
 
+(* A serve worker opens the store once per job: closing it must release
+   the descriptor and keep later stores off the disk, answered from
+   memory. *)
+let test_close_releases_store () =
+  let dir = fresh_dir "close" in
+  let fds () =
+    if Sys.file_exists "/proc/self/fd" then Array.length (Sys.readdir "/proc/self/fd")
+    else 0
+  in
+  let before = fds () in
+  let t = Cache.create ~dir () in
+  Cache.add t "k_kept" (Cache.Bounded 4);
+  Cache.close t;
+  Alcotest.(check int) "descriptor released" before (fds ());
+  Cache.add t "k_memory" (Cache.Proved 2);
+  Alcotest.(check bool) "still answered after close" true
+    (Cache.find t "k_memory" <> None);
+  let t' = Cache.create ~dir () in
+  Alcotest.(check bool) "stored before close" true (Cache.find t' "k_kept" <> None);
+  Alcotest.(check bool) "not stored after close" true (Cache.find t' "k_memory" = None);
+  Cache.close t'
+
 let test_codec_rejects_corruption () =
   let st = Random.State.make [| 43 |] in
   let dir = fresh_dir "corrupt" in
@@ -455,6 +477,8 @@ let () =
       ( "disk codec",
         [
           Alcotest.test_case "round trip" `Quick test_codec_round_trip;
+          Alcotest.test_case "close releases the store" `Quick
+            test_close_releases_store;
           Alcotest.test_case "corruption rejection" `Quick
             test_codec_rejects_corruption;
           Alcotest.test_case "provenance round trip and peek" `Quick
