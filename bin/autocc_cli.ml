@@ -1462,8 +1462,7 @@ let serve_dir_arg =
         ~doc:
           "Service directory: serve.sock, the persistent job queue \
            (the queue.json snapshot and its queue.jsonl journal), per-job \
-           specs and results, worker logs, events.jsonl and runs.jsonl all \
-           live here.")
+           specs and results, events.jsonl and runs.jsonl all live here.")
 
 let serve dir workers lease_s max_crashes shed retries cache_dir no_cache
     metrics_file quiet =
@@ -1483,7 +1482,7 @@ let serve dir workers lease_s max_crashes shed retries cache_dir no_cache
   in
   Serve.Daemon.run cfg
 
-let worker dir job attempt = Serve.Worker.run ~dir ~job_id:job ~attempt
+let worker dir = Serve.Worker.run ~dir
 
 let submit dir duts engine max_depth threshold wait =
   let submitted =
@@ -1578,8 +1577,10 @@ let serve_cmd =
       & opt (nonneg_int "--workers") 2
       & info [ "workers" ] ~docv:"N"
           ~doc:
-            "Worker pool size. 0 accepts and persists submissions but never \
-             dispatches — queue-only mode.")
+            "Worker pool size: at most $(docv) long-lived worker processes, \
+             each started by the first job that finds no worker idle and \
+             running one job at a time until it dies. 0 accepts and \
+             persists submissions but never dispatches — queue-only mode.")
   in
   let lease =
     Arg.(
@@ -1614,10 +1615,11 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run the crash-isolated verification service: accept submissions on \
-          DIR/serve.sock, dispatch each job to a disposable worker process \
-          under a heartbeat lease, redeliver crashed jobs with exponential \
-          backoff, quarantine poison jobs, and drain gracefully on \
-          SIGTERM/SIGINT (the persisted queue survives a restart).")
+          DIR/serve.sock, hand each job to one of at most --workers \
+          long-lived worker processes under a heartbeat lease, redeliver \
+          crashed jobs with exponential backoff, quarantine poison jobs, \
+          and drain gracefully on SIGTERM/SIGINT (the persisted queue \
+          survives a restart).")
     Term.(
       const serve $ serve_dir_arg $ workers $ lease $ max_crashes $ shed
       $ retries_arg $ cache_dir_arg $ no_cache_arg $ metrics_file_arg
@@ -1669,25 +1671,17 @@ let worker_cmd =
       & opt (some string) None
       & info [ "dir" ] ~docv:"DIR" ~doc:"Service directory.")
   in
-  let job =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "job" ] ~docv:"ID" ~doc:"Job id to execute.")
-  in
-  let attempt =
-    Arg.(
-      value
-      & opt (nonneg_int "--attempt") 0
-      & info [ "attempt" ] ~docv:"N"
-          ~doc:"Delivery attempt; > 0 rotates the fault-injection seed.")
-  in
   Cmd.v
     (Cmd.info "worker"
        ~doc:
-         "Execute one leased service job and deposit its result (spawned by \
-          autocc serve; not intended for interactive use).")
-    Term.(const worker $ dir $ job $ attempt)
+         "Run service jobs one at a time until stdin closes (started by \
+          autocc serve; not intended for interactive use). Each stdin line \
+          \"ID ATTEMPT\" is one leased job: the worker rolls the fault dice \
+          of that delivery attempt, solves the job, deposits its result and \
+          ledger row in DIR and answers \"done ID\" on stdout. A job that \
+          ends without a result ends the process. Anything else the worker \
+          prints goes to stderr.")
+    Term.(const worker $ dir)
 
 let () =
   (* Test builds inject deterministic faults via AUTOCC_FAULT; a no-op

@@ -1,8 +1,8 @@
 (* Crash-isolated verification service — see serve.mli. The layering
    keeps every policy decision in the pure [Machine] and every effect
-   (sockets, fork/exec, signals, files) in [Daemon]/[Worker], so the
-   supervisor lifecycle is tested as a fold and the daemon loop stays a
-   thin interpreter of [Machine.action]s. *)
+   (sockets, worker processes, signals, files) in [Daemon]/[Worker], so
+   the supervisor lifecycle is tested as a fold and the daemon loop
+   stays a thin interpreter of [Machine.action]s. *)
 
 module Json = Obs.Json
 
@@ -705,9 +705,12 @@ module Worker = struct
       exit 1
     end
 
-  let run ~dir ~job_id ~attempt =
-    let daemon = Unix.getppid () in
-    if attempt > 0 then Fault.reseed ~offset:attempt;
+  (* One job, from its spec to its deposit. Everything a job sets up,
+     it tears down: the fault dice of its attempt, the bus attachment
+     and label, the cache handle (other workers write to the same
+     store), and the CPU clock of its ledger row. *)
+  let run_job ~dir ~daemon ~job_id ~attempt =
+    Fault.reseed ~offset:attempt;
     let spec = read_job_spec dir job_id in
     Obs.Bus.attach ~file:(dir // "events.jsonl") ();
     Fun.protect ~finally:Obs.Bus.detach @@ fun () ->
@@ -728,7 +731,7 @@ module Worker = struct
       orphan_probe ~daemon;
       crash_probe ()
     in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Unix.gettimeofday () and cpu0 = Sys.time () in
     let verdict, depth =
       match spec.sp_engine with
       | "prove" -> (
@@ -744,12 +747,13 @@ module Worker = struct
           | Bmc.Unknown (reason, st) ->
               ("unknown:" ^ Bmc.unknown_reason_to_string reason, st.Bmc.depth_reached))
     in
-    let wall = Unix.gettimeofday () -. t0 in
+    let wall = Unix.gettimeofday () -. t0 and cpu = Sys.time () -. cpu0 in
     let wall_ms = int_of_float (wall *. 1000.) in
     let hits, misses, stores =
       match cache with
       | None -> (0, 0, 0)
       | Some c ->
+          Cache.close c;
           let st = Cache.stats c in
           (st.Cache.hits, st.Cache.misses, st.Cache.stores)
     in
@@ -778,7 +782,7 @@ module Worker = struct
            r_dut_hash = "";
            r_ts = t0;
            r_wall_s = wall;
-           r_cpu_s = Sys.time ();
+           r_cpu_s = cpu;
            r_cache_hits = hits;
            r_cache_misses = misses;
            r_cache_stores = stores;
@@ -794,8 +798,31 @@ module Worker = struct
              ];
            r_artifacts = [ result_file dir job_id ];
          }
-     with Sys_error _ | Unix.Unix_error _ -> ());
-    0
+     with Sys_error _ | Unix.Unix_error _ -> ())
+
+  let run ~dir =
+    let daemon = Unix.getppid () in
+    (* stdout is the done pipe: anything else the process prints goes
+       to stderr, the daemon's own. *)
+    let done_fd = Unix.dup ~cloexec:true Unix.stdout in
+    Unix.dup2 ~cloexec:false Unix.stderr Unix.stdout;
+    let job_of_line line =
+      match String.split_on_char ' ' line with
+      | [ id; attempt ] -> Option.map (fun a -> (id, a)) (int_of_string_opt attempt)
+      | _ -> None
+    in
+    let rec loop () =
+      match In_channel.input_line stdin with
+      | None -> 0
+      | Some line -> (
+          match job_of_line line with
+          | Some (job_id, attempt) ->
+              run_job ~dir ~daemon ~job_id ~attempt;
+              Client.write_all done_fd ("done " ^ job_id ^ "\n");
+              loop ()
+          | None -> failwith ("malformed job line " ^ line))
+    in
+    loop ()
 end
 
 module Daemon = struct
@@ -836,12 +863,58 @@ module Daemon = struct
   let m_quarantined = lazy (Obs.Metrics.counter "serve.quarantined")
   let m_shed = lazy (Obs.Metrics.counter "serve.shed")
 
+  (* A worker process and its two pipes. The daemon hands it a job as a
+     line "<id> <attempt>" on the job pipe and reads "done <id>" back on
+     the done pipe; the worker exits on EOF of its job pipe. *)
+  type worker = {
+    w_pid : int;
+    w_jobs : Unix.file_descr; (* job pipe, write end *)
+    w_done : Unix.file_descr; (* done pipe, read end *)
+    mutable w_job : string option; (* the job in flight *)
+    mutable w_open : bool; (* false once the pipes are closed *)
+  }
+
+  let close_pipes w =
+    if w.w_open then begin
+      w.w_open <- false;
+      List.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        [ w.w_jobs; w.w_done ]
+    end
+
+  let rec waitpid flags pid =
+    match Unix.waitpid flags pid with
+    | p, _ -> p
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> waitpid flags pid
+    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> pid
+
+  (* No worker outlives the daemon. EOF on its job pipe ends an idle
+     worker at once; one still running after a second is SIGKILLed. *)
+  let stop_workers workers =
+    List.iter close_pipes workers;
+    let deadline = Unix.gettimeofday () +. 1. in
+    List.iter
+      (fun w ->
+        let rec wait () =
+          if waitpid [ Unix.WNOHANG ] w.w_pid = 0 then
+            if Unix.gettimeofday () < deadline then begin
+              Unix.sleepf 0.005;
+              wait ()
+            end
+            else begin
+              (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ());
+              ignore (waitpid [] w.w_pid)
+            end
+        in
+        wait ())
+      workers
+
   let run cfg =
     let dir = cfg.d_dir in
     Obs.Files.mkdir_p dir;
     List.iter
       (fun d -> Obs.Files.mkdir_p (dir // d))
-      [ "jobs"; "results"; "logs" ];
+      [ "jobs"; "results" ];
     (* Exactly one daemon per directory: two supervisors would lease the
        same jobs to different pools. *)
     (match
@@ -885,7 +958,8 @@ module Daemon = struct
        first. *)
     let dirty = ref [] in
     let exit_requested = ref false in
-    let pid_to_id : (int * string) list ref = ref [] in
+    (* Every worker not yet reaped, the pid -> job-in-flight map. *)
+    let workers : worker list ref = ref [] in
     let clients : (Unix.file_descr * Buffer.t) list ref = ref [] in
     let waiters : (Unix.file_descr * string) list ref = ref [] in
     let drain_req = Atomic.make false in
@@ -923,9 +997,9 @@ module Daemon = struct
     (* Close-on-exec, like every descriptor the daemon opens: a worker
        that inherited the listening socket would keep [serve.sock]
        accepting connections after the daemon died, with nobody to
-       reply. [create_process_env] still duplicates [devnull] onto a
-       worker's stdin. *)
-    let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+       reply, and one that inherited another worker's job pipe would
+       keep that worker from seeing EOF. [create_process_env] still
+       duplicates a worker's own pipe ends onto its stdin and stdout. *)
     let sock = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     let sock_path = Client.socket_path dir in
     (try Sys.remove sock_path with Sys_error _ -> ());
@@ -941,19 +1015,10 @@ module Daemon = struct
        with Unix.Unix_error _ -> ());
       drop_client fd
     in
-    let spawn id attempt =
-      let log = dir // "logs" // Printf.sprintf "%s-%d.log" id attempt in
-      let logfd =
-        Unix.openfile log
-          [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ]
-          0o644
-      in
-      let argv =
-        [|
-          cfg.d_exe; "worker"; "--dir"; dir; "--job"; id;
-          "--attempt"; string_of_int attempt;
-        |]
-      in
+    let spawn_worker () =
+      let jobs_r, jobs_w = Unix.pipe ~cloexec:true () in
+      let done_r, done_w = Unix.pipe ~cloexec:true () in
+      let argv = [| cfg.d_exe; "worker"; "--dir"; dir |] in
       let env =
         let base =
           Array.to_list (Unix.environment ())
@@ -968,14 +1033,38 @@ module Daemon = struct
         Array.of_list (base @ extra)
       in
       let r =
-        match Unix.create_process_env cfg.d_exe argv env devnull logfd logfd with
-        | pid -> Some pid
+        match Unix.create_process_env cfg.d_exe argv env jobs_r done_w Unix.stderr with
+        | pid ->
+            let w =
+              { w_pid = pid; w_jobs = jobs_w; w_done = done_r; w_job = None; w_open = true }
+            in
+            workers := w :: !workers;
+            Some w
         | exception Unix.Unix_error (e, _, _) ->
-            say "spawn of %s failed: %s" id (Unix.error_message e);
+            say "worker spawn failed: %s" (Unix.error_message e);
+            List.iter Unix.close [ jobs_w; done_r ];
             None
       in
-      Unix.close logfd;
+      List.iter Unix.close [ jobs_r; done_w ];
       r
+    in
+    (* An idle worker, or a new one while the pool is short. The write
+       fails (EPIPE) when the worker died before its reap. *)
+    let hand_over id attempt =
+      let w =
+        match List.find_opt (fun w -> w.w_open && w.w_job = None) !workers with
+        | Some w -> Some w
+        | None -> spawn_worker ()
+      in
+      Option.bind w (fun w ->
+          match Client.write_all w.w_jobs (Printf.sprintf "%s %d\n" id attempt) with
+          | () ->
+              w.w_job <- Some id;
+              Some w.w_pid
+          | exception Unix.Unix_error (e, _, _) ->
+              say "worker pid %d is gone: %s" w.w_pid (Unix.error_message e);
+              close_pipes w;
+              None)
     in
     let rec feed ev =
       let m, acts = Machine.step !machine ev in
@@ -996,20 +1085,21 @@ module Daemon = struct
       | Machine.Reject { reason } ->
           if reason = "overloaded" then Obs.Metrics.add (Lazy.force m_shed) 1
       | Machine.Start { id; spec = _; attempt } -> (
-          match spawn id attempt with
+          match hand_over id attempt with
           | Some pid ->
-              pid_to_id := (pid, id) :: !pid_to_id;
               say "%s leased to pid %d (attempt %d)" id pid attempt;
               ignore (feed (Machine.Spawned { id; pid; now = Unix.gettimeofday () }))
           | None ->
-              (* Count a failed fork as a crash of this attempt. *)
+              (* Count a failed start as a crash of this attempt. *)
               ignore
                 (feed
                    (Machine.Exited
                       { id; pid = 0; result = None; now = Unix.gettimeofday () })))
       | Machine.Kill { id; pid } ->
           say "%s: killing worker pid %d" id pid;
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          (* Never hand it another job; its reap settles this one. *)
+          List.iter (fun w -> if w.w_pid = pid then close_pipes w) !workers
       | Machine.Redeliver { id; attempt; backoff_s } ->
           Obs.Metrics.add (Lazy.force m_crashes) 1;
           Obs.Bus.publish ~label:id
@@ -1142,22 +1232,42 @@ module Daemon = struct
                        first line is ignored. *)
                     handle_request fd (String.sub s 0 i)))
     in
+    (* A job in flight ends with its worker's [done] line or with the
+       worker's death, whichever the daemon sees first: either way the
+       result file, if any, is the verdict. *)
+    let job_exited w =
+      Option.iter
+        (fun id ->
+          w.w_job <- None;
+          let result = read_result dir id in
+          ignore
+            (feed (Machine.Exited { id; pid = w.w_pid; result; now = Unix.gettimeofday () })))
+        w.w_job
+    in
     let rec reap () =
       match Unix.waitpid [ Unix.WNOHANG ] (-1) with
       | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap ()
       | 0, _ -> ()
       | pid, _status ->
-          (match List.assoc_opt pid !pid_to_id with
-          | None -> ()
-          | Some id ->
-              pid_to_id := List.remove_assoc pid !pid_to_id;
-              let result = read_result dir id in
-              ignore
-                (feed
-                   (Machine.Exited
-                      { id; pid; result; now = Unix.gettimeofday () })));
+          (match List.partition (fun w -> w.w_pid = pid) !workers with
+          | [ w ], rest ->
+              workers := rest;
+              close_pipes w;
+              job_exited w
+          | _ -> ());
           reap ()
+    in
+    (* "done <id>" lines; EOF means the worker is exiting, and its reap
+       settles any job still in flight. *)
+    let read_done w =
+      match Unix.read w.w_done chunk 0 (Bytes.length chunk) with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | 0 | (exception Unix.Unix_error _) -> close_pipes w
+      | n ->
+          String.split_on_char '\n' (Bytes.sub_string chunk 0 n)
+          |> List.iter (fun line ->
+                 if Some line = Option.map (( ^ ) "done ") w.w_job then job_exited w)
     in
     (* Lease renewals are the workers' Heartbeat events. No beat from
        before this incarnation can renew a lease (its pid leases nothing
@@ -1166,12 +1276,7 @@ module Daemon = struct
        whole history. No worker of this incarnation exists yet. *)
     let events = Obs.Tail.create ~at_end:true (dir // "events.jsonl") in
     let leased_to pid =
-      List.find_map
-        (fun (j : Machine.job) ->
-          match j.Machine.j_state with
-          | Machine.Leased l when l.pid = pid -> Some j.Machine.j_id
-          | _ -> None)
-        !machine.Machine.m_jobs
+      List.find_map (fun w -> if w.w_pid = pid then w.w_job else None) !workers
     in
     let poll_beats () =
       List.iter
@@ -1215,6 +1320,7 @@ module Daemon = struct
           (float_of_int (Machine.leased !machine))
       end
     in
+    (Fun.protect ~finally:(fun () -> stop_workers !workers) @@ fun () ->
     while not !exit_requested do
       if Atomic.get drain_req && not !drained then begin
         drained := true;
@@ -1224,7 +1330,11 @@ module Daemon = struct
       end;
       (* The timeout is the idle tick for lease expiry, backoff gates
          and drain; worker exits arrive through [wake_r]. *)
-      let rfds = wake_r :: sock :: List.map fst !clients @ List.map fst !waiters in
+      let rfds =
+        wake_r :: sock
+        :: List.filter_map (fun w -> if w.w_open then Some w.w_done else None) !workers
+        @ List.map fst !clients @ List.map fst !waiters
+      in
       let ready, _, _ =
         match Unix.select rfds [] [] 0.05 with
         | r -> r
@@ -1238,22 +1348,24 @@ module Daemon = struct
       end;
       List.iter
         (fun fd ->
-          if fd <> sock then
-            if List.mem_assoc fd !clients then handle_readable fd
-            else if List.exists (fun (w, _) -> w = fd) !waiters then
-              (* A waiter that writes or hangs up before its job
-                 finishes is gone; reclaim the fd. *)
-              drop_client fd)
+          match List.find_opt (fun w -> w.w_open && w.w_done = fd) !workers with
+          | Some w -> read_done w
+          | None ->
+              if List.mem_assoc fd !clients then handle_readable fd
+              else if List.exists (fun (w, _) -> w = fd) !waiters then
+                (* A waiter that writes or hangs up before its job
+                   finishes is gone; reclaim the fd. *)
+                drop_client fd)
         ready;
       reap ();
       poll_beats ();
       ignore (feed (Machine.Tick { now = Unix.gettimeofday () }));
       serve_waiters ();
       persist_and_observe ()
-    done;
-    (* Drained: everything leased has been reaped; pending jobs (still
-       inside backoff, or submitted after the pool filled) persist for
-       the next incarnation. *)
+    done);
+    (* Drained: every job handed over has come back and every worker is
+       reaped; pending jobs (still inside backoff, or submitted after the
+       pool filled) persist for the next incarnation. *)
     List.iter (fun (fd, _) -> reply fd (Proto.error "draining")) !waiters;
     List.iter (fun (fd, _) -> drop_client fd) !clients;
     persist ();
@@ -1261,7 +1373,6 @@ module Daemon = struct
     Store.close_journal journal;
     Obs.Bus.detach ();
     (try Unix.close sock with Unix.Unix_error _ -> ());
-    (try Unix.close devnull with Unix.Unix_error _ -> ());
     Sys.set_signal Sys.sigchld Sys.Signal_default;
     List.iter
       (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())

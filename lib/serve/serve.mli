@@ -4,11 +4,11 @@
     long-running daemon accepts DUT/property submissions over a
     newline-delimited-JSON wire protocol on a Unix domain socket, keeps
     a persistent job queue on disk, and dispatches each job to a
-    {e worker process} (fork/exec of [autocc worker], one job per
-    lease). Process isolation is the robustness boundary the OCaml 5
-    domain boundary cannot give: a segfaulting, OOM-killed or hung SAT
-    job takes down one worker, and the supervisor redelivers the job
-    instead of losing the campaign.
+    {e worker process}: a long-lived [autocc worker] that runs one job at
+    a time until it dies. Process isolation is the robustness boundary
+    the OCaml 5 domain boundary cannot give: a segfaulting, OOM-killed or
+    hung SAT job takes down one worker, and the supervisor redelivers
+    the job instead of losing the campaign.
 
     The supervisor owns the robustness contract:
 
@@ -23,8 +23,8 @@
       result file — whatever the exit status — crashed.
     - {b Redelivery.} A crashed job goes back to pending after the
       capped exponential backoff of the {!Retry} schedule
-      ([backoff_s ~attempt:crashes]), and the respawned worker is told
-      its attempt number so it can rotate the fault-injection seed
+      ([backoff_s ~attempt:crashes]), and the worker it goes to next is
+      told its attempt number so it can rotate the fault-injection seed
       ({!Fault.reseed}) — a deterministically replayed crash would
       otherwise quarantine every faulted job.
     - {b Quarantine.} After [max_crashes] crashes a job is parked as
@@ -72,7 +72,7 @@ module Machine : sig
     | Pending of { not_before : float }
         (** queued; [not_before] is the redelivery backoff gate *)
     | Leased of {
-        pid : int;  (** worker pid; [0] while the spawn is in flight *)
+        pid : int;  (** worker pid; [0] until [Spawned] *)
         attempt : int;  (** = crashes when leased; forwarded to the worker *)
         leased_at : float;
         last_beat : float;
@@ -111,7 +111,7 @@ module Machine : sig
   type event =
     | Submit of spec
     | Spawned of { id : string; pid : int; now : float }
-        (** the daemon forked a worker for a [Start] action *)
+        (** the daemon handed a [Start] action's job to worker [pid] *)
     | Beat of { id : string; now : float }
         (** lease renewal: a worker's [Heartbeat] event, stamped [now] *)
     | Exited of { id : string; pid : int; result : result option; now : float }
@@ -126,7 +126,7 @@ module Machine : sig
     | Accept of { id : string }  (** reply to the submitter *)
     | Reject of { reason : string }  (** ... negatively *)
     | Start of { id : string; spec : spec; attempt : int }
-        (** fork/exec a worker; answer with [Spawned] *)
+        (** hand the job to a worker; answer with [Spawned] *)
     | Kill of { id : string; pid : int }  (** SIGKILL an expired/duplicate worker *)
     | Redeliver of { id : string; attempt : int; backoff_s : float }
     | Quarantine of { id : string; crashes : int }
@@ -265,28 +265,38 @@ module Client : sig
   val ping : dir:string -> bool
 end
 
-(** One leased job, executed inside a disposable process. *)
+(** A long-lived worker process: runs the jobs its daemon hands it, one
+    at a time, until its job pipe closes or it dies. *)
 module Worker : sig
-  val run : dir:string -> job_id:string -> attempt:int -> int
-  (** Read the job spec ([jobs/<id>.json]), build the DUT and property
-      set via {!Duts.Bundled}, solve with the verdict cache from
-      [AUTOCC_CACHE_DIR] (if set), renew the lease by publishing
+  val run : dir:string -> int
+  (** Serve jobs from stdin (the job pipe) until EOF, then return 0.
+      Each line ["<id> <attempt>"] is one leased job: reseed the fault
+      dice to the attempt ({!Fault.reseed}, attempt 0 included), read
+      the job spec ([jobs/<id>.json]), build the DUT and property set
+      via {!Duts.Bundled}, solve with the verdict cache from
+      [AUTOCC_CACHE_DIR] (if set; opened per job, since other workers
+      write to the same store), renew the lease by publishing
       [Heartbeat] to the service's event stream before every depth,
       deposit the result atomically ([results/<id>.json]), append a
-      ledger row and publish [Job_start]/[Job_done] to the same stream.
-      Returns the process exit code (0 on any deposited verdict,
-      including [unknown:*]).
+      ledger row whose [cpu_s] covers the same span as its [wall_s],
+      publish [Job_start]/[Job_done] under the label ["<id>/<dut>"],
+      and answer ["done <id>"] on stdout (the done pipe). Every verdict
+      is deposited, including [unknown:*]. Whatever else the process
+      prints goes to its stderr, which the daemon shares with it.
 
-      [attempt] > 0 rotates the fault-injection seed by the attempt
-      number, so an injected crash does not replay deterministically on
-      redelivery. Probes the ["serve.worker"] (self-SIGKILL),
+      A job that does not deposit its result ends the process: any
+      exception escaping it, the ["serve.worker"] site (self-SIGKILL),
+      or the daemon's SIGKILL on lease expiry. So a crash takes down one
+      attempt at one job, and only a worker whose job deposited its
+      result takes the next. Probes the ["serve.worker"],
       ["serve.lease"] (renewal dropped) and ["serve.stall"] (0.2 s sleep
       after the renewal) fault sites at every depth.
 
       The daemon is the worker's parent. Once the worker's parent pid
       differs from the one it started with (the daemon died and the
       worker was reparented), the next depth exits 1 with no result file
-      and no ledger row: the daemon that comes back redelivers the job. *)
+      and no ledger row: the daemon that comes back redelivers the job.
+      An idle worker of a dead daemon sees EOF and exits 0. *)
 end
 
 (** The supervisor loop: owns the socket, the worker pool and the
@@ -299,7 +309,7 @@ module Daemon : sig
     d_max_crashes : int;
     d_shed : int;
     d_retry : Retry.policy;
-    d_exe : string;  (** binary to fork/exec as [<exe> worker …] *)
+    d_exe : string;  (** binary to start workers from, as [<exe> worker --dir DIR] *)
     d_cache_dir : string option;  (** exported to workers as [AUTOCC_CACHE_DIR] *)
     d_metrics_file : string option;  (** Prometheus snapshot ticker *)
     d_quiet : bool;
@@ -311,20 +321,35 @@ module Daemon : sig
   (** Serve until drained (SIGTERM/SIGINT or a [drain] request): bind
       [<dir>/serve.sock], reload any persisted queue (leases revert to
       pending; a pending job whose result file already exists is
-      absorbed without re-solving), then loop: accept, dispatch, reap,
-      tail [<dir>/events.jsonl] for the workers' [Heartbeat] events,
-      tick. The loop wakes on a worker's exit: a SIGCHLD handler writes
-      to a self-pipe in the [select] set, so the job is reaped, recorded
-      and answered in the same iteration; the 50 ms [select] timeout is
-      only the idle tick for lease expiry, backoff gates and drain. Each
-      [Persist] marks a job; the loop appends the marked jobs' records
-      to the queue journal once per iteration, and a [submit] is
+      absorbed without re-solving), then loop: accept, dispatch, read
+      the workers' done pipes, reap, tail [<dir>/events.jsonl] for the
+      workers' [Heartbeat] events, tick.
+
+      Workers start lazily, at a [Start] with no idle worker, and at
+      most [d_workers] run at once apart from a SIGKILLed one not yet
+      reaped. Each has a job pipe (the daemon writes ["<id> <attempt>"]
+      and feeds [Spawned {id; pid}]) and a done pipe (the worker answers
+      ["done <id>"] and the daemon feeds [Exited] with the result file).
+      A worker that dies with a job in flight is reaped and its job fed
+      [Exited] the same way; a hand-over whose write fails (EPIPE: the
+      worker died before its reap) counts as a failed start, a crash of
+      that attempt. The loop wakes on a done line and on a worker's
+      exit: a SIGCHLD handler writes to a self-pipe in the [select] set,
+      so the job is recorded and answered in the same iteration; the
+      50 ms [select] timeout is only the idle tick for lease expiry,
+      backoff gates and drain. When the loop ends the daemon closes
+      every job pipe and reaps every worker, SIGKILLing one still
+      running after 1 s, so no worker outlives it.
+
+      Each [Persist] marks a job; the loop appends the marked jobs'
+      records to the queue journal once per iteration, and a [submit] is
       answered only after that append, so a daemon killed after the
       reply restarts with the job and never reissues its id. The queue
       is compacted ({!Store.compact}) at start, at drain and whenever
       the journal outgrows it. A heartbeat renews the lease of the job
-      leased to its pid; the tail starts at the stream's end, since no
-      beat written before the daemon started can renew a lease. The
+      in flight on its pid's worker; the tail starts at the stream's
+      end, since no beat written before the daemon started can renew a
+      lease. The
       same pid-stamped stream lets [autocc top] render service jobs like
       campaign entries. Refuses to start (exit 1) when a live daemon
       already owns the directory. Exit 0 on a clean drain. *)

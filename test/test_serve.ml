@@ -4,8 +4,8 @@
    no-lost-job / no-double-completion / verdict-immutability invariants,
    the byte-stable queue codec and its journal, the wire-protocol codec,
    and the O_APPEND single-write line appender under two racing writer
-   processes. The live daemon (sockets, fork/exec, SIGKILL) is covered
-   end-to-end by the @serve-smoke validator. *)
+   processes. The live daemon (sockets, worker processes, SIGKILL) is
+   covered end-to-end by the @serve-smoke validator. *)
 
 module M = Serve.Machine
 

@@ -1,11 +1,11 @@
 (* End-to-end smoke for the crash-isolated verification service
-   (@serve-smoke): drives the real `autocc serve` daemon, real forked
-   workers and the real wire protocol through phases B-G, asserting
-   the ISSUE-level robustness contract:
+   (@serve-smoke): drives the real `autocc serve` daemon, its real
+   long-lived workers and the real wire protocol through phases B-H,
+   asserting the service's robustness contract:
 
    B. a crash-free service run completes four DUTs with verdicts
       identical to an in-process one-shot reference (and populates a
-      verdict cache);
+      verdict cache) on at most two worker processes;
    C. a crash storm — every attempt-0 worker self-SIGKILLs mid-job via
       the "serve.worker" fault site, with "serve.lease" renewal drops
       armed alongside — must redeliver every job and converge to the
@@ -27,10 +27,14 @@
       id;
    H. a daemon SIGKILLed while its worker runs leaves serve.sock
       refusing connections: the worker inherited none of the daemon's
-      descriptors.
+      descriptors; the orphaned worker exits on its own within 2 s,
+      both mid-job and idle.
 
-   Every phase starts from an empty directory of its own, so the smoke
-   can be run again in the same directory.
+   After every drained daemon, no process that wrote to its
+   events.jsonl is still alive (the daemon reaps its workers before it
+   exits), and no worker ledger row reports more CPU time than wall
+   time. Every phase starts from an empty directory of its own, so the
+   smoke can be run again in the same directory.
 
    Usage: validate_serve <path-to-autocc-cli-exe> *)
 
@@ -112,12 +116,52 @@ let start_daemon ?(env = []) ~dir args =
     (wait_for ("daemon socket in " ^ dir) (fun () -> Serve.Client.ping ~dir));
   pid
 
-let drain_daemon pid =
+(* The distinct writer pids of [dir]'s event stream, of the events of
+   type [ty] only if given. *)
+let event_pids ?ty dir =
+  let events = Filename.concat dir "events.jsonl" in
+  if not (Sys.file_exists events) then []
+  else
+    String.split_on_char '\n' (read_file events)
+    |> List.filter_map (fun l ->
+           match J.parse l with
+           | Ok j when ty = None || J.str "type" j = ty -> J.int "pid" j
+           | _ -> None)
+    |> List.sort_uniq compare
+
+(* A worker ledger row's CPU time covers the span of its wall time, the
+   check alone: not the process's start-up or the jobs it ran before. *)
+let check_ledger_cpu dir =
+  let ledger = Filename.concat dir "runs.jsonl" in
+  if Sys.file_exists ledger then
+    String.split_on_char '\n' (read_file ledger)
+    |> List.iter (fun l ->
+           if String.trim l <> "" then
+             match J.parse l with
+             | Error e -> failf "malformed ledger row in %s: %s" dir e
+             | Ok j -> (
+                 match (J.num "cpu_s" j, J.num "wall_s" j) with
+                 | Some cpu, Some wall when cpu <= wall +. 0.01 -> ()
+                 | Some cpu, Some wall ->
+                     failf "%s ledger row %s: cpu_s %.4f exceeds wall_s %.4f" dir
+                       (Option.value ~default:"?" (J.str "id" j))
+                       cpu wall
+                 | _ -> failf "%s ledger row without cpu_s and wall_s: %s" dir l))
+
+let drain_daemon ~dir pid =
   Unix.kill pid Sys.sigterm;
-  match wait_exit pid with
+  (match wait_exit pid with
   | Some 0 -> ()
   | Some c -> failf "daemon exited %d after SIGTERM (want 0)" c
-  | None -> failf "daemon did not exit after SIGTERM"
+  | None -> failf "daemon did not exit after SIGTERM");
+  check_ledger_cpu dir;
+  match List.filter Obs.Bus.pid_alive (event_pids dir) with
+  | [] -> ()
+  | alive ->
+      failf "pid(s) %s of %s/events.jsonl outlived the drained daemon"
+        (String.concat ", " (List.map string_of_int alive))
+        dir;
+      List.iter (fun p -> try Unix.kill p Sys.sigkill with Unix.Unix_error _ -> ()) alive
 
 (* {1 Reference verdicts: the crash-free one-shot engine, in-process} *)
 
@@ -188,19 +232,20 @@ let check_verdicts what rows =
 (* {1 Phase C seed search}
 
    The worker process arms AUTOCC_FAULT at startup and calls
-   Fault.reseed ~offset:attempt on redelivery, and every fault decision
-   is a pure function of (seed, site, n) — so we can roll the exact
-   dice a worker will roll, here, before spawning anything, and pick a
-   seed where attempt 0 dies at one of its first two "serve.worker"
-   probes while attempts 1 and 2 survive a full solve. Searching at
-   runtime keeps the smoke independent of the hash function. *)
+   Fault.reseed ~offset:attempt before every job it runs, and every
+   fault decision is a pure function of (seed, site, n) — so we can
+   roll the exact dice a worker will roll, here, before spawning
+   anything, and pick a seed where attempt 0 dies at one of its first
+   two "serve.worker" probes while attempts 1 and 2 survive a full
+   solve. Searching at runtime keeps the smoke independent of the hash
+   function. *)
 
 let storm_rate = 0.05
 
 let find_storm_seed () =
   let fires_within seed ~offset n =
     Fault.arm ~sites:[ "serve.worker" ] ~rate:storm_rate ~seed ();
-    if offset > 0 then Fault.reseed ~offset;
+    Fault.reseed ~offset;
     let fired = ref false in
     for _ = 1 to n do
       if Fault.fire "serve.worker" then fired := true
@@ -234,7 +279,15 @@ let phase_b () =
     (fun (dut, (_, _, crashes)) ->
       if crashes <> 0 then failf "crash-free run recorded %d crashes for %s" crashes dut)
     rows;
-  drain_daemon pid;
+  drain_daemon ~dir pid;
+  (* Long-lived workers: the two-worker pool ran the four jobs on at
+     most two processes. *)
+  (match event_pids ~ty:"job_start" dir with
+  | pids when List.length pids > 2 ->
+      failf "4 jobs on 2 workers started in %d processes (%s), want at most 2"
+        (List.length pids)
+        (String.concat ", " (List.map string_of_int pids))
+  | pids -> infof "4 jobs ran in %d worker process(es)" (List.length pids));
   (* The service directory is self-describing: a ledger row per
      delivery, an event stream where every line parses (the workers
      append concurrently through the O_APPEND single-write appender). *)
@@ -286,7 +339,7 @@ let phase_c () =
           if v = Serve.Machine.crashed_verdict then
             failf "%s was quarantined — redelivery failed to converge" dut)
         rows;
-      drain_daemon pid;
+      drain_daemon ~dir pid;
       infof
         "%d crash(es) redelivered; all verdicts converged to the reference; \
          no quarantine"
@@ -317,12 +370,12 @@ let phase_d () =
   | Error "overloaded" -> ()
   | Error e -> failf "expected \"overloaded\", got %S" e
   | Ok id -> failf "submission past the watermark was accepted as %s" id);
-  drain_daemon pid;
+  drain_daemon ~dir pid;
   let q1 = read_file (Serve.Store.path dir) in
   (* Restart + immediate drain: the persisted queue must survive the
      cycle byte-identically. *)
   let pid = start_daemon ~dir [ "--workers"; "0"; "--shed"; "4" ] in
-  drain_daemon pid;
+  drain_daemon ~dir pid;
   let q2 = read_file (Serve.Store.path dir) in
   if q1 <> q2 then failf "queue.json changed across a drain/restart cycle";
   (* Final incarnation: real workers against the phase-B cache. The
@@ -355,7 +408,7 @@ let phase_d () =
       ids
   in
   check_verdicts "resumed queue" rows;
-  drain_daemon pid;
+  drain_daemon ~dir pid;
   let ledger = Filename.concat dir "runs.jsonl" in
   let warm_hits =
     if not (Sys.file_exists ledger) then 0
@@ -453,7 +506,7 @@ let run_lease_job ?env dir args =
             None
         | Ok resp -> J.member "job" resp)
   in
-  drain_daemon pid;
+  drain_daemon ~dir pid;
   if Sys.file_exists (Filename.concat dir "hb") then
     failf "%s/hb exists: leases are events, not files" dir;
   row
@@ -543,7 +596,7 @@ let phase_g () =
      acknowledged job. *)
   let pid = start () in
   Option.iter (fresh (ack_trials + 1)) (submit (ack_trials + 1));
-  drain_daemon pid;
+  drain_daemon ~dir pid;
   (match Serve.Store.load ~dir Serve.Machine.default_config with
   | Ok (Some m) ->
       List.iter
@@ -561,28 +614,16 @@ let phase_g () =
    runs on}
 
    The daemon opens its listening socket, its accepted connections and
-   the /dev/null it hands a worker as stdin close-on-exec. Were the
-   socket inherited, a worker outliving a SIGKILLed daemon would keep
-   serve.sock accepting connections that nobody answers. The lease job
-   under "serve.stall" holds its worker for several seconds; the daemon
-   is killed and reaped at the worker's first heartbeat. The worker
-   notices it has been reparented after its next stall, so the socket
-   is probed while it still runs, and it must then be gone within 2 s on
-   its own (the pids come from its heartbeat events). *)
-
-let worker_pids dir ~daemon =
-  let events = Filename.concat dir "events.jsonl" in
-  if not (Sys.file_exists events) then []
-  else
-    String.split_on_char '\n' (read_file events)
-    |> List.filter_map (fun l ->
-           match J.parse l with
-           | Ok j when J.str "type" j = Some "heartbeat" -> (
-               match J.int "pid" j with
-               | Some p when p <> daemon -> Some p
-               | _ -> None)
-           | _ -> None)
-    |> List.sort_uniq compare
+   every worker's pipes close-on-exec. Were the socket inherited, a
+   worker outliving a SIGKILLed daemon would keep serve.sock accepting
+   connections that nobody answers. The lease job under "serve.stall"
+   holds its worker for several seconds; the daemon is killed and
+   reaped at the worker's first heartbeat. The worker notices it has
+   been reparented after its next stall, so the socket is probed while
+   it still runs, and it must then be gone within 2 s on its own. An
+   idle worker, its job done, must go as fast: the daemon's death
+   closes its job pipe. The pids come from the workers' heartbeat
+   events. *)
 
 (* Gone: no such process, or a zombie that whoever adopted it has not
    reaped yet. *)
@@ -600,9 +641,24 @@ let gone pid =
       | None -> false)
   | exception Sys_error _ -> true
 
+let kill_daemon pid =
+  Unix.kill pid Sys.sigkill;
+  ignore (Unix.waitpid [] pid)
+
+let orphans_exit what workers =
+  if
+    wait_for ~timeout_s:2. (what ^ " to exit on its own") (fun () ->
+        List.for_all gone workers)
+  then infof "%s exited on its own" what
+  else
+    (* Failed already; do not leave the worker running. *)
+    List.iter
+      (fun w -> try Unix.kill w Sys.sigkill with Unix.Unix_error _ -> ())
+      workers
+
 let phase_h () =
   phase "H: a worker outliving its SIGKILLed daemon leaves serve.sock refusing \
-         and exits";
+         and exits, mid-job and idle";
   let dir = "sserve_h" in
   fresh_dir dir;
   let pid =
@@ -614,10 +670,9 @@ let phase_h () =
   let workers = ref [] in
   ignore
     (wait_for "a worker heartbeat" (fun () ->
-         workers := worker_pids dir ~daemon:pid;
+         workers := event_pids ~ty:"heartbeat" dir;
          !workers <> []));
-  Unix.kill pid Sys.sigkill;
-  ignore (Unix.waitpid [] pid);
+  kill_daemon pid;
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (match Unix.connect fd (Unix.ADDR_UNIX (Serve.Client.socket_path dir)) with
   | () ->
@@ -632,15 +687,26 @@ let phase_h () =
   Unix.close fd;
   if List.for_all gone !workers then
     failf "the worker exited before the socket was probed: raise the job's depth";
-  if
-    not
-      (wait_for ~timeout_s:2. "the orphaned worker to exit on its own" (fun () ->
-           List.for_all gone !workers))
-  then
-    (* Failed already; do not leave the worker running. *)
-    List.iter
-      (fun w -> try Unix.kill w Sys.sigkill with Unix.Unix_error _ -> ())
-      !workers
+  orphans_exit "the orphaned mid-job worker" !workers;
+  let dir = "sserve_h_idle" in
+  fresh_dir dir;
+  let pid = start_daemon ~dir [ "--workers"; "1"; "--no-cache" ] in
+  (match
+     Result.bind
+       (Serve.Client.submit ~dir
+          { Serve.Machine.sp_dut = "leaky"; sp_engine = "check"; sp_depth = depth;
+            sp_threshold = threshold })
+       (Serve.Client.wait ~dir ~timeout_s:120.)
+   with
+  | Error e -> failf "leaky job in %s: %s" dir e
+  | Ok _ -> ());
+  let workers = event_pids ~ty:"heartbeat" dir in
+  if workers = [] then failf "no worker heartbeat in %s" dir
+  else if List.exists gone workers then
+    failf "the idle worker %s is gone while its daemon runs"
+      (String.concat ", " (List.map string_of_int workers));
+  kill_daemon pid;
+  orphans_exit "the orphaned idle worker" workers
 
 let () =
   if Array.length Sys.argv < 2 then (
@@ -663,8 +729,8 @@ let () =
   if !failures > 0 then (
     Printf.printf "serve smoke: %d FAILURE(S)\n" !failures;
     exit 1)
-  else print_endline "serve smoke: service survived the crash storm, \
-                      drained byte-stably, reused the warm cache, \
-                      renewed leases through events.jsonl, kept \
-                      every acknowledged job and left an orphaned \
+  else print_endline "serve smoke: service reused its workers, survived \
+                      the crash storm, drained byte-stably, reused the \
+                      warm cache, renewed leases through events.jsonl, \
+                      kept every acknowledged job and left an orphaned \
                       worker neither the socket nor its job"
