@@ -350,16 +350,37 @@ let test_reduce_pigeonhole cfg () =
   if st.S.s_reduces = 0 then
     Alcotest.failf "no learnt-clause reduction in %d conflicts" st.S.s_conflicts
 
-(* Random 3-SAT over [nvars] with a planted solution: every clause is
-   drawn until the planted assignment satisfies it, so the instance is
-   satisfiable and the returned model can be checked. *)
+(* Random clauses over the variables [base ..] of a planted assignment,
+   each of length [len ()]: every clause is drawn until the planted
+   assignment satisfies it, so the instance is satisfiable and the
+   returned model can be checked. *)
+let planted_clauses ?(base = 0) st planted ~len nclauses =
+  let nvars = Array.length planted in
+  let rec clause len =
+    let c = List.init len (fun _ -> (Random.State.int st nvars, Random.State.bool st)) in
+    if List.exists (fun (v, sign) -> planted.(v) = sign) c then
+      List.map (fun (v, sign) -> (base + v, sign)) c
+    else clause len
+  in
+  List.init nclauses (fun _ -> clause (len ()))
+
 let planted_3sat st ~nvars ~nclauses =
   let planted = Array.init nvars (fun _ -> Random.State.bool st) in
-  let rec clause () =
-    let c = List.init 3 (fun _ -> (Random.State.int st nvars, Random.State.bool st)) in
-    if List.exists (fun (v, sign) -> planted.(v) = sign) c then c else clause ()
-  in
-  List.init nclauses (fun _ -> clause ())
+  planted_clauses st planted ~len:(fun () -> 3) nclauses
+
+(* A planted mix of 2- and 3-literal clauses, [binary_pct] % binary. *)
+let planted_mix ?base st ~nvars ~nclauses ~binary_pct =
+  let planted = Array.init nvars (fun _ -> Random.State.bool st) in
+  let len () = if Random.State.int st 100 < binary_pct then 2 else 3 in
+  planted_clauses ?base st planted ~len nclauses
+
+let add_cnf s cnf =
+  List.iter (fun c -> S.add_clause s (List.map (fun (v, sign) -> S.lit v sign) c)) cnf
+
+let add_vars s n =
+  for _ = 1 to n do
+    ignore (S.new_var s)
+  done
 
 let test_reduce_planted cfg () =
   let reduces = ref 0 in
@@ -373,6 +394,39 @@ let test_reduce_planted cfg () =
     reduces := !reduces + (S.last_solve s).S.s_reduces
   done;
   Alcotest.(check bool) "learnt-clause reductions happened" true (!reduces > 0)
+
+(* A binary clause can imply either of its literals, so [compact] must
+   move the reason of the literal at position 1 with its clause as well
+   as that of position 0. Only clauses after a deleted one move: here a
+   second planted mix (SAT) and then a pigeonhole (UNSAT), each over
+   fresh variables and added after the learnt clauses of the queries
+   before it. Those clauses lose their activity in the new search and
+   are deleted by its reductions, so the new binary clauses slide down
+   while they are reasons on the trail. *)
+let test_binary_reasons_compaction cfg () =
+  let mix_reduces = ref 0 in
+  for seed = 2 to 4 do
+    let st = Random.State.make [| seed |] in
+    let nvars = 350 in
+    let s = make_solver cfg nvars in
+    let first = planted_mix st ~nvars ~nclauses:1400 ~binary_pct:6 in
+    add_cnf s first;
+    if S.solve s <> S.Sat || not (check_model s first) then
+      Alcotest.failf "seed %d: first mix" seed;
+    add_vars s nvars;
+    let second = planted_mix ~base:nvars st ~nvars ~nclauses:1400 ~binary_pct:6 in
+    add_cnf s second;
+    if S.solve s <> S.Sat then Alcotest.failf "seed %d: second mix unsat" seed;
+    if not (check_model s (first @ second)) then
+      Alcotest.failf "seed %d: model violates a clause" seed;
+    mix_reduces := !mix_reduces + (S.last_solve s).S.s_reduces;
+    add_vars s (8 * 7);
+    add_php s ~pigeons:8 ~holes:7 ~base:(2 * nvars);
+    if S.solve s <> S.Unsat then Alcotest.failf "seed %d: pigeonhole sat" seed;
+    if (S.last_solve s).S.s_reduces = 0 then
+      Alcotest.failf "seed %d: pigeonhole solved without a reduction" seed
+  done;
+  Alcotest.(check bool) "the second mixes crossed a reduction" true (!mix_reduces > 0)
 
 (* The activation protocol under random interleaving: guarded clause
    groups are added, solved under assumptions and retired in any order,
@@ -430,6 +484,97 @@ let prop_activation cfg seed =
   done;
   !ok && check_query ()
 
+(* {1 The pinned search}
+
+   A solver's search is a function of its configuration and of the
+   clauses and queries it is fed. [pinned] holds the exact counters of
+   three searches under every configuration a retry may use, so that a
+   change meant to keep the search (a faster propagation loop, say)
+   shows that it does: a different decision, learnt clause, watch order
+   or restart moves some figure. *)
+
+(* An incremental session in the shape of BMC's: permanent clauses,
+   then rounds that each add two guarded groups, query them and retire
+   one. The planted groups stay satisfiable together; each round's
+   pigeonhole group makes a query with it unsatisfiable. *)
+let activation_sequence cfg =
+  let st = Random.State.make [| 11 |] in
+  let nvars = 200 in
+  let s = make_solver cfg nvars in
+  let planted = Array.init nvars (fun _ -> Random.State.bool st) in
+  let mix () = if Random.State.int st 100 < 10 then 2 else 3 in
+  add_cnf s (planted_clauses st planted ~len:mix 760);
+  let expect what expected result =
+    if result <> expected then Alcotest.failf "activation sequence: %s" what
+  in
+  let easy = ref [] in
+  for _ = 1 to 3 do
+    let hard = S.new_act s and group = S.new_act s in
+    let base = S.num_vars s in
+    add_vars s (7 * 6);
+    add_php ~act:hard s ~pigeons:7 ~holes:6 ~base;
+    List.iter
+      (fun c -> S.add_clause_act s ~act:group (List.map (fun (v, b) -> S.lit v b) c))
+      (planted_clauses st planted ~len:mix 40);
+    easy := group :: !easy;
+    expect "with the pigeonhole" S.Unsat (S.solve ~assumptions:(hard :: !easy) s);
+    expect "planted groups" S.Sat (S.solve ~assumptions:!easy s);
+    S.retire s hard;
+    expect "retired pigeonhole" S.Unsat (S.solve ~assumptions:[ hard ] s)
+  done;
+  s
+
+let pin_instances =
+  [
+    ( "PHP(9,8)",
+      fun cfg ->
+        let s = make_solver cfg (9 * 8) in
+        add_php s ~pigeons:9 ~holes:8 ~base:0;
+        if S.solve s <> S.Unsat then Alcotest.fail "PHP(9,8) sat";
+        s );
+    ( "planted 2-/3-SAT",
+      fun cfg ->
+        let st = Random.State.make [| 3 |] in
+        let cnf = planted_mix st ~nvars:350 ~nclauses:1400 ~binary_pct:6 in
+        let s, result = solve_cnf cfg 350 cnf in
+        if result <> S.Sat || not (check_model s cnf) then Alcotest.fail "planted mix";
+        s );
+    ("activation sequence", activation_sequence);
+  ]
+
+(* (config, instance, [conflicts; decisions; propagations; restarts;
+   reduces]) *)
+let pinned =
+  [
+    ("default", "PHP(9,8)", [ 17083; 20648; 205388; 62; 6 ]);
+    ("default", "planted 2-/3-SAT", [ 8231; 10256; 493231; 33; 4 ]);
+    ("default", "activation sequence", [ 2522; 3676; 38104; 17; 3 ]);
+    ("p1", "PHP(9,8)", [ 23399; 27155; 289950; 29; 7 ]);
+    ("p1", "planted 2-/3-SAT", [ 6692; 8428; 396239; 10; 4 ]);
+    ("p1", "activation sequence", [ 2191; 3146; 29715; 4; 3 ]);
+    ("p2", "PHP(9,8)", [ 24431; 29637; 375778; 62; 7 ]);
+    ("p2", "planted 2-/3-SAT", [ 6572; 8786; 406442; 21; 4 ]);
+    ("p2", "activation sequence", [ 2263; 3333; 32490; 10; 3 ]);
+    ("p3", "PHP(9,8)", [ 22495; 26746; 285400; 78; 7 ]);
+    ("p3", "planted 2-/3-SAT", [ 7813; 9941; 471191; 30; 4 ]);
+    ("p3", "activation sequence", [ 2336; 3404; 31970; 16; 3 ]);
+  ]
+
+let test_pinned_search cfg () =
+  List.iter
+    (fun (name, run) ->
+      let st = S.stats (run cfg) in
+      let got =
+        [ st.S.s_conflicts; st.S.s_decisions; st.S.s_propagations; st.S.s_restarts;
+          st.S.s_reduces ]
+      in
+      match List.find_opt (fun (c, n, _) -> c = cfg.S.cfg_name && n = name) pinned with
+      | Some (_, _, expected) -> Alcotest.(check (list int)) name expected got
+      | None ->
+          Alcotest.failf "not pinned: (%S, %S, [ %s ])" cfg.S.cfg_name name
+            (String.concat "; " (List.map string_of_int got)))
+    pin_instances
+
 let qprop cfg name f =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:300 ~name QCheck.(make Gen.(int_bound 1_000_000)) (f cfg))
@@ -453,6 +598,8 @@ let suite cfg =
       [
         case "pigeonhole across reductions" test_reduce_pigeonhole;
         case "planted 3-SAT across reductions" test_reduce_planted;
+        case "binary reasons through compaction" test_binary_reasons_compaction;
+        case "pinned search counters" test_pinned_search;
       ] );
     ( "incremental",
       [
