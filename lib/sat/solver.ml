@@ -10,9 +10,13 @@
    [len lsl 2 lor deleted lsl 1 lor learnt], [arena.(c+1)] holds the
    clause activity (the bits of a float, see [activity_of]), and the
    [len] literals follow inline from [c+2]. A watch list is a flat
-   [int array] of (clause offset, blocker literal) pairs; the blocker is
-   some literal of the clause, and when it is true propagation skips the
-   clause without reading it.
+   [int array] of (clause word, blocker literal) pairs: the clause word
+   is [c lsl 1 lor binary], flagging a two-literal clause, and the
+   blocker is some literal of the clause. When the blocker is true
+   propagation skips the clause without reading it. A binary clause's
+   blocker is always its other literal, so propagation turns a flagged
+   entry whose blocker is not true into a unit or a conflict without
+   reading the clause either.
 
    [reduce_db] marks dead clauses and then compacts the arena in place
    ([compact]): live clauses slide down in address order and
@@ -21,8 +25,12 @@
 
    Invariants:
    - The two watched literals of every live clause are at positions 0 and 1.
-   - When a clause becomes the reason of an implied literal, that literal
-     is at position 0 (conflict analysis and [compact] rely on this).
+   - When a clause of three or more literals becomes the reason of an
+     implied literal, that literal is at position 0. A binary clause is
+     not reordered when it implies a literal, so its implied literal may
+     be at either position: analysis puts it at position 0 when it reads
+     the reason ([order_reason]), and [compact] re-points the reason of
+     either literal.
    - [clauses] and [learnts] list offsets in increasing address order.
    - The trail holds assigned literals in assignment order; [trail_lim]
      marks decision-level boundaries. Assumption decisions occupy the
@@ -299,52 +307,74 @@ let on_sample s ~every hook =
   s.sample_every <- every;
   s.sample_hook <- Some hook
 
-(* {1 Variable order: binary max-heap on activity} *)
+(* {1 Variable order: binary max-heap on activity}
 
-let heap_lt s a b = s.activity.(a) > s.activity.(b)
+   Both sifts move a hole: the moving variable is held aside while the
+   variables it passes shift into the hole, and it is written once,
+   where it stops. A variable rises above its parent only when its
+   activity is strictly higher, and sinking takes the left child when
+   the two children tie, so the layout among equal activities is the
+   one that swapping a pair at a time gives. *)
 
-let rec sift_up s i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if heap_lt s s.heap.(i) s.heap.(parent) then begin
-      let a = s.heap.(i) and b = s.heap.(parent) in
-      s.heap.(i) <- b;
-      s.heap.(parent) <- a;
-      s.heap_index.(b) <- i;
-      s.heap_index.(a) <- parent;
-      sift_up s parent
+let sift_up s i =
+  let heap = s.heap and index = s.heap_index and act = s.activity in
+  let v = heap.(i) in
+  let a = act.(v) in
+  let i = ref i and moving = ref true in
+  while !moving && !i > 0 do
+    let parent = (!i - 1) lsr 1 in
+    let u = heap.(parent) in
+    if a > act.(u) then begin
+      heap.(!i) <- u;
+      index.(u) <- !i;
+      i := parent
     end
-  end
+    else moving := false
+  done;
+  heap.(!i) <- v;
+  index.(v) <- !i
 
-let rec sift_down s i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let best = ref i in
-  if l < s.heap_size && heap_lt s s.heap.(l) s.heap.(!best) then best := l;
-  if r < s.heap_size && heap_lt s s.heap.(r) s.heap.(!best) then best := r;
-  if !best <> i then begin
-    let a = s.heap.(i) and b = s.heap.(!best) in
-    s.heap.(i) <- b;
-    s.heap.(!best) <- a;
-    s.heap_index.(b) <- i;
-    s.heap_index.(a) <- !best;
-    sift_down s !best
-  end
+let sift_down s i =
+  let heap = s.heap and index = s.heap_index and act = s.activity in
+  let size = s.heap_size in
+  let v = heap.(i) in
+  let a = act.(v) in
+  let i = ref i and moving = ref true in
+  while !moving do
+    let l = (2 * !i) + 1 in
+    if l >= size then moving := false
+    else begin
+      let r = l + 1 in
+      let child = if r < size && act.(heap.(r)) > act.(heap.(l)) then r else l in
+      let u = heap.(child) in
+      if act.(u) > a then begin
+        heap.(!i) <- u;
+        index.(u) <- !i;
+        i := child
+      end
+      else moving := false
+    end
+  done;
+  heap.(!i) <- v;
+  index.(v) <- !i
 
-let heap_insert s v =
-  if s.heap_index.(v) < 0 then begin
-    s.heap.(s.heap_size) <- v;
-    s.heap_index.(v) <- s.heap_size;
-    s.heap_size <- s.heap_size + 1;
-    sift_up s (s.heap_size - 1)
-  end
+(* Precondition: [v] is not in the heap. *)
+let heap_push s v =
+  let n = s.heap_size in
+  s.heap.(n) <- v;
+  s.heap_size <- n + 1;
+  sift_up s n
+
+let heap_insert s v = if s.heap_index.(v) < 0 then heap_push s v
 
 let heap_pop s =
-  let top = s.heap.(0) in
-  s.heap_size <- s.heap_size - 1;
+  let heap = s.heap in
+  let top = heap.(0) in
+  let n = s.heap_size - 1 in
+  s.heap_size <- n;
   s.heap_index.(top) <- -1;
-  if s.heap_size > 0 then begin
-    s.heap.(0) <- s.heap.(s.heap_size);
-    s.heap_index.(s.heap.(0)) <- 0;
+  if n > 0 then begin
+    heap.(0) <- heap.(n);
     sift_down s 0
   end;
   top
@@ -414,26 +444,29 @@ let alloc_clause s lits len ~learnt =
   s.arena_top <- top;
   c
 
-let watch s l c blocker =
-  let ws = s.watches.(l) and n = s.watch_len.(l) in
+(* Append the pair ([cw], [blocker]) to literal [l]'s watch list; [cw]
+   is a clause word, [c lsl 1 lor binary]. *)
+let watch watches watch_len l cw blocker =
+  let ws = watches.(l) and n = watch_len.(l) in
   let ws =
     if n + 2 <= Array.length ws then ws
     else begin
       let ws' = Array.make (max 4 (2 * Array.length ws)) 0 in
       Array.blit ws 0 ws' 0 n;
-      s.watches.(l) <- ws';
+      watches.(l) <- ws';
       ws'
     end
   in
-  ws.(n) <- c;
+  ws.(n) <- cw;
   ws.(n + 1) <- blocker;
-  s.watch_len.(l) <- n + 2
+  watch_len.(l) <- n + 2
 
 (* Watch positions 0 and 1, each with the other as its blocker. *)
 let attach s c =
   let l0 = s.arena.(c + 2) and l1 = s.arena.(c + 3) in
-  watch s l0 c l1;
-  watch s l1 c l0
+  let cw = (c lsl 1) lor if clause_len s c = 2 then 1 else 0 in
+  watch s.watches s.watch_len l0 cw l1;
+  watch s.watches s.watch_len l1 cw l0
 
 (* {1 Values and assignment} *)
 
@@ -462,12 +495,15 @@ let enqueue s l reason =
 let cancel_until s lv =
   if decision_level s > lv then begin
     let bound = Vec.get s.trail_lim lv in
+    let trail = s.trail and vals = s.vals and reason = s.reason in
+    let index = s.heap_index in
     for i = s.trail_size - 1 downto bound do
-      let l = s.trail.(i) in
-      s.vals.(l) <- 0;
-      s.vals.(l lxor 1) <- 0;
-      s.reason.(l lsr 1) <- no_reason;
-      heap_insert s (l lsr 1)
+      let l = trail.(i) in
+      let v = l lsr 1 in
+      vals.(l) <- 0;
+      vals.(l lxor 1) <- 0;
+      reason.(v) <- no_reason;
+      if index.(v) < 0 then heap_push s v
     done;
     s.trail_size <- bound;
     Vec.shrink s.trail_lim lv;
@@ -479,14 +515,17 @@ let cancel_until s lv =
 let cla_decay = 1.0 /. 0.999
 
 let bump_var s v =
-  s.activity.(v) <- s.activity.(v) +. s.var_inc;
-  if s.activity.(v) > 1e100 then begin
+  let act = s.activity in
+  let a = act.(v) +. s.var_inc in
+  act.(v) <- a;
+  if a > 1e100 then begin
     for i = 0 to s.nvars - 1 do
-      s.activity.(i) <- s.activity.(i) *. 1e-100
+      act.(i) <- act.(i) *. 1e-100
     done;
     s.var_inc <- s.var_inc *. 1e-100
   end;
-  if s.heap_index.(v) >= 0 then sift_up s s.heap_index.(v)
+  let i = s.heap_index.(v) in
+  if i >= 0 then sift_up s i
 
 let bump_clause s c =
   let a = activity_of s c +. s.cla_inc in
@@ -503,36 +542,77 @@ let decay_activities s =
 (* {1 Propagation} *)
 
 (* Propagate the trail from [qhead] to a fixpoint; returns the offset of
-   a conflicting clause, or [no_reason]. *)
+   a conflicting clause, or [no_reason]. The queue head and the trail
+   size live in locals, written back before every poll and on return;
+   an implied literal is assigned in place, as [assign] would. *)
 let propagate s =
+  let vals = s.vals and arena = s.arena in
+  let watches = s.watches and watch_len = s.watch_len in
+  let trail = s.trail and level = s.level and reason = s.reason in
+  let polarity = s.polarity in
+  let dl = decision_level s in
   let confl = ref no_reason in
-  while !confl = no_reason && s.qhead < s.trail_size do
+  let qhead = ref s.qhead and tsize = ref s.trail_size in
+  while !confl = no_reason && !qhead < !tsize do
     s.propagations <- s.propagations + 1;
     (* Cancellation point: cheap modulo check so the poll costs nothing
        on the hot path; a firing stop or an exhausted budget aborts the
        whole solve before the next literal is dequeued (see {!Stopped} /
        {!Out_of_budget}). *)
     if s.propagations land 1023 = 0 then begin
+      s.qhead <- !qhead;
+      s.trail_size <- !tsize;
       if s.stop () then abort_stopped s;
       check_budget s
     end;
-    let p = s.trail.(s.qhead) in
-    s.qhead <- s.qhead + 1;
+    let p = trail.(!qhead) in
+    incr qhead;
     let false_lit = p lxor 1 in
-    let ws = s.watches.(false_lit) and n = s.watch_len.(false_lit) in
-    let arena = s.arena and vals = s.vals in
+    let ws = watches.(false_lit) and n = watch_len.(false_lit) in
     let i = ref 0 and j = ref 0 in
     while !i < n do
-      let c = ws.(!i) and blocker = ws.(!i + 1) in
+      let cw = ws.(!i) and blocker = ws.(!i + 1) in
       i := !i + 2;
-      if vals.(blocker) = 1 then begin
+      let bval = vals.(blocker) in
+      if bval = 1 then begin
         (* Satisfied by the blocker; the clause is not read. *)
-        ws.(!j) <- c;
+        ws.(!j) <- cw;
         ws.(!j + 1) <- blocker;
         j := !j + 2
       end
+      else if cw land 1 = 1 then begin
+        (* Binary: the blocker is the other literal, so the clause is a
+           unit or a conflict, and is not read. *)
+        ws.(!j) <- cw;
+        ws.(!j + 1) <- blocker;
+        j := !j + 2;
+        let c = cw lsr 1 in
+        if bval = 2 then begin
+          (* Conflict: analysis reads the other literal first, then the
+             false watch. Keep the remaining watchers and stop. *)
+          arena.(c + 2) <- blocker;
+          arena.(c + 3) <- false_lit;
+          confl := c;
+          while !i < n do
+            ws.(!j) <- ws.(!i);
+            incr i;
+            incr j
+          done
+        end
+        else begin
+          let v = blocker lsr 1 in
+          vals.(blocker) <- 1;
+          vals.(blocker lxor 1) <- 2;
+          level.(v) <- dl;
+          reason.(v) <- c;
+          polarity.(v) <- blocker land 1 = 0;
+          trail.(!tsize) <- blocker;
+          incr tsize
+        end
+      end
       else begin
         (* Ensure the false literal is at position 1. *)
+        let c = cw lsr 1 in
         let l0 = c + 2 in
         let first = arena.(l0) in
         let first =
@@ -546,7 +626,7 @@ let propagate s =
         in
         if first <> blocker && vals.(first) = 1 then begin
           (* Satisfied by the other watch, which becomes the blocker. *)
-          ws.(!j) <- c;
+          ws.(!j) <- cw;
           ws.(!j + 1) <- first;
           j := !j + 2
         end
@@ -561,11 +641,11 @@ let propagate s =
             let w = arena.(!k) in
             arena.(l0 + 1) <- w;
             arena.(!k) <- false_lit;
-            watch s w c first
+            watch watches watch_len w cw first
           end
           else begin
             (* Unit or conflicting. *)
-            ws.(!j) <- c;
+            ws.(!j) <- cw;
             ws.(!j + 1) <- first;
             j := !j + 2;
             if vals.(first) = 2 then begin
@@ -577,22 +657,65 @@ let propagate s =
                 incr j
               done
             end
-            else assign s first c
+            else begin
+              let v = first lsr 1 in
+              vals.(first) <- 1;
+              vals.(first lxor 1) <- 2;
+              level.(v) <- dl;
+              reason.(v) <- c;
+              polarity.(v) <- first land 1 = 0;
+              trail.(!tsize) <- first;
+              incr tsize
+            end
           end
         end
       end
     done;
-    s.watch_len.(false_lit) <- !j
+    watch_len.(false_lit) <- !j
   done;
+  s.qhead <- !qhead;
+  s.trail_size <- !tsize;
   !confl
 
 (* {1 Conflict analysis (first UIP)} *)
+
+(* Put the implied literal [p] of reason [c] at position 0, where the
+   readers of a reason expect it: a binary clause may imply the literal
+   at its position 1. *)
+let order_reason arena c p =
+  if arena.(c) lsr 2 = 2 && arena.(c + 2) <> p then begin
+    arena.(c + 3) <- arena.(c + 2);
+    arena.(c + 2) <- p
+  end
+
+(* Local minimization, as in basic MiniSat: literal [q] of the learnt
+   clause is redundant when every antecedent in its reason is at level
+   0 or already in the clause (still marked seen). *)
+let redundant s q =
+  let v = q lsr 1 in
+  let r = s.reason.(v) in
+  r <> no_reason
+  &&
+  let arena = s.arena and seen = s.seen and level = s.level in
+  order_reason arena r (q lxor 1);
+  let stop = r + 2 + (arena.(r) lsr 2) in
+  let j = ref (r + 3) in
+  while
+    !j < stop
+    &&
+    let w = arena.(!j) lsr 1 in
+    level.(w) = 0 || seen.(w)
+  do
+    incr j
+  done;
+  !j = stop
 
 (* Build the learnt clause of conflict [confl] in [learnt_buf], asserting
    literal first; returns its length. *)
 let analyze s confl =
   let arena = s.arena and seen = s.seen and level = s.level in
-  let buf = s.learnt_buf in
+  let trail = s.trail and reason = s.reason in
+  let buf = s.learnt_buf and clear_buf = s.clear_buf in
   let n = ref 1 in
   let nclear = ref 0 in
   let counter = ref 0 in
@@ -607,13 +730,19 @@ let analyze s confl =
     if is_learnt_hdr h then bump_clause s c;
     (* The conflict clause contributes every literal; a reason clause
        all but its implied literal at position 0. *)
-    let start = if !p < 0 then c + 2 else c + 3 in
+    let start =
+      if !p < 0 then c + 2
+      else begin
+        order_reason arena c !p;
+        c + 3
+      end
+    in
     for j = start to c + 1 + (h lsr 2) do
       let q = arena.(j) in
       let v = q lsr 1 in
       if (not seen.(v)) && level.(v) > 0 then begin
         seen.(v) <- true;
-        s.clear_buf.(!nclear) <- v;
+        clear_buf.(!nclear) <- v;
         incr nclear;
         bump_var s v;
         if level.(v) >= dl then incr counter
@@ -624,40 +753,26 @@ let analyze s confl =
       end
     done;
     (* Walk the trail back to the next marked literal. *)
-    while not seen.(s.trail.(!idx) lsr 1) do
+    while not seen.(trail.(!idx) lsr 1) do
       decr idx
     done;
-    p := s.trail.(!idx);
+    p := trail.(!idx);
     decr idx;
     seen.(!p lsr 1) <- false;
     decr counter;
-    if !counter = 0 then continue := false else confl := s.reason.(!p lsr 1)
+    if !counter = 0 then continue := false else confl := reason.(!p lsr 1)
   done;
-  (* Conflict-clause minimization (local, as in basic MiniSat): a literal
-     is redundant when every antecedent in its reason is at level 0 or
-     already in the clause (still marked seen). *)
-  let redundant q =
-    let r = s.reason.(q lsr 1) in
-    r <> no_reason
-    &&
-    let ok = ref true in
-    for j = r + 3 to r + 1 + clause_len s r do
-      let w = arena.(j) lsr 1 in
-      if level.(w) > 0 && not seen.(w) then ok := false
-    done;
-    !ok
-  in
   let m = ref 1 in
   for i = 1 to !n - 1 do
     let q = buf.(i) in
-    if not (redundant q) then begin
+    if not (redundant s q) then begin
       buf.(!m) <- q;
       incr m
     end
   done;
   buf.(0) <- !p lxor 1;
   for i = 0 to !nclear - 1 do
-    seen.(s.clear_buf.(i)) <- false
+    seen.(clear_buf.(i)) <- false
   done;
   !m
 
@@ -671,9 +786,9 @@ let is_locked s c =
    it, in address order, and re-point everything that names a clause by
    offset: the clause lists are rebuilt in the same order, the watch
    lists are rebuilt from positions 0 and 1, and a reason is moved with
-   its clause. A clause is the reason of at most the variable at its
-   position 0, and clauses only move down, so one pass needs no
-   forwarding table. *)
+   its clause. A clause is the reason of at most one variable, the one
+   at its position 0, or at position 1 in a binary clause; clauses only
+   move down, so one pass needs no forwarding table. *)
 let compact s =
   let a = s.arena in
   Vec.clear s.clauses;
@@ -688,6 +803,10 @@ let compact s =
       if c <> !src then Array.blit a !src a c size;
       let v = a.(c + 2) lsr 1 in
       if s.reason.(v) = !src then s.reason.(v) <- c;
+      if h lsr 2 = 2 then begin
+        let v = a.(c + 3) lsr 1 in
+        if s.reason.(v) = !src then s.reason.(v) <- c
+      end;
       Vec.push (if is_learnt_hdr h then s.learnts else s.clauses) c;
       attach s c;
       dst := c + size
@@ -774,16 +893,15 @@ let luby y x =
   let size, seq = find_size 1 0 x in
   go size seq x
 
-let unassigned s v = s.vals.(2 * v) = 0
-
+(* Pop variables until an unassigned one: the next decision. *)
 let decide s =
-  let rec pick () =
-    if s.heap_size = 0 then -1
-    else
-      let v = heap_pop s in
-      if unassigned s v then v else pick ()
-  in
-  let v = pick () in
+  let vals = s.vals in
+  let v = ref (-1) in
+  while !v < 0 && s.heap_size > 0 do
+    let u = heap_pop s in
+    if vals.(2 * u) = 0 then v := u
+  done;
+  let v = !v in
   if v < 0 then false
   else begin
     s.decisions <- s.decisions + 1;
