@@ -365,8 +365,6 @@ let heap_push s v =
   s.heap_size <- n + 1;
   sift_up s n
 
-let heap_insert s v = if s.heap_index.(v) < 0 then heap_push s v
-
 let heap_pop s =
   let heap = s.heap in
   let top = heap.(0) in
@@ -406,7 +404,7 @@ let new_var s =
   s.clear_buf <- grow_array s.clear_buf n 0;
   s.watches <- grow_array s.watches (2 * n) [||];
   s.watch_len <- grow_array s.watch_len (2 * n) 0;
-  heap_insert s v;
+  heap_push s v;
   v
 
 (* {1 Clause arena} *)

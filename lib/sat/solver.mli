@@ -14,10 +14,15 @@
     Storage: every clause lives inline in one growable [int array] arena
     (a header word with its length and learnt/deleted bits, an activity
     slot, then its literals), and each literal has one flat watch list
-    of (clause offset, blocker literal) pairs, so a clause whose blocker
-    is true is skipped without being read. Learnt-clause reduction
-    compacts the arena in place, sliding live clauses down in address
-    order and re-pointing reasons and watches in the same pass. *)
+    of (clause, blocker literal) pairs, so a clause whose blocker is
+    true is skipped without being read. A watch entry flags a binary
+    clause, whose blocker is always its other literal: when that
+    literal is not true the clause is a unit or a conflict, again
+    without being read. Learnt-clause reduction compacts the arena in
+    place, sliding live clauses down in address order and re-pointing
+    reasons and watches in the same pass. The decision heap sifts by
+    moving a hole rather than swapping, with the tie rule swapping
+    gives, so the search is the same as a swapping heap's. *)
 
 type t
 
