@@ -313,8 +313,8 @@ let on_sample s ~every hook =
    variables it passes shift into the hole, and it is written once,
    where it stops. A variable rises above its parent only when its
    activity is strictly higher, and sinking takes the left child when
-   the two children tie, so the layout among equal activities is the
-   one that swapping a pair at a time gives. *)
+   the two children tie. The layout among equal activities, and so the
+   decisions, depend on that rule. *)
 
 let sift_up s i =
   let heap = s.heap and index = s.heap_index and act = s.activity in

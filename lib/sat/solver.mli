@@ -21,8 +21,10 @@
     without being read. Learnt-clause reduction compacts the arena in
     place, sliding live clauses down in address order and re-pointing
     reasons and watches in the same pass. The decision heap sifts by
-    moving a hole rather than swapping, with the tie rule swapping
-    gives, so the search is the same as a swapping heap's. *)
+    moving a hole, and its tie rule is fixed: a variable rises only when
+    strictly more active, and sinking takes the left child on a tie.
+    That rule orders variables of equal activity, and so the
+    decisions. *)
 
 type t
 
